@@ -121,12 +121,12 @@ def cmd_fit(cfg: RunConfig) -> int:
     grid = m.lambda_series.years
     path = write_table(
         _out_path(cfg, "lambda_series"),
-        [int(y) for y in grid],
+        grid,
         {
-            "lambda": _series_columns(m.lambda_series),
-            "eta": _series_columns(m.eta_series),
-            "f": _series_columns(m.f_series),
-            "wealth": _series_columns(res.wealth.series),
+            "lambda": m.lambda_series,
+            "eta": m.eta_series,
+            "f": m.f_series,
+            "wealth": res.wealth.series,
         },
         {
             "lambda": Unit.WATTS_PER_THOUSAND_USD2005,
@@ -206,12 +206,12 @@ def cmd_forecast(cfg: RunConfig) -> int:
     tau_text = "none" if scenario.tau_eta is None else repr(scenario.tau_eta)
     out = write_table(
         _out_path(cfg, "forecast"),
-        [int(y) for y in scenario.years],
+        scenario.years,
         {
-            "wealth": _series_columns(path_obj.wealth),
-            "eta": _series_columns(path_obj.eta),
-            "gdp": _series_columns(path_obj.gdp),
-            "power": _series_columns(path_obj.power),
+            "wealth": path_obj.wealth,
+            "eta": path_obj.eta,
+            "gdp": path_obj.gdp,
+            "power": path_obj.power,
         },
         {
             "wealth": Unit.WEALTH_TRILLION_USD2005,
@@ -256,8 +256,8 @@ def cmd_table1(cfg: RunConfig) -> int:
     ror_computed = {y: 100.0 * t1.gdp.value_at(y) / implied_wealth[y] for y in years}
     ror_printed = {y: 100.0 * v for y, v in _series_columns(t1.rate_of_return).items()}
     columns = {
-        "power": _series_columns(t1.power),
-        "gdp": _series_columns(t1.gdp),
+        "power": t1.power,
+        "gdp": t1.gdp,
         "wealth": wealth,
         "ratio_computed": ratio_computed,
         "ratio_printed": ratio_printed,
@@ -308,14 +308,11 @@ def cmd_figure2(cfg: RunConfig) -> int:
     delta_c, delta_eta = doubling_time_series(
         res.model.eta_series, window_years=_SMOOTHING_WINDOW_YEARS
     )
-    years = [int(y) for y in delta_c.years]
+    years = delta_c.years
     out = write_table(
         _out_path(cfg, "figure2_data"),
         years,
-        {
-            "delta_c_years": _series_columns(delta_c),
-            "delta_eta_years": _series_columns(delta_eta),
-        },
+        {"delta_c_years": delta_c, "delta_eta_years": delta_eta},
         {"delta_c_years": Unit.YEARS, "delta_eta_years": Unit.YEARS},
         fmt=cfg.fmt,
         comments=[

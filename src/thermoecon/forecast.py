@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonOverflowError, ValidationError
-from .series import AnnualSeries
+from .series import AnnualSeries, log_derivative, rolling_mean
 from .units import SECONDS_PER_YEAR, Unit
 
 LN2 = math.log(2.0)
@@ -253,8 +253,6 @@ def doubling_time_series(
     trend is positive, so that series is sparse; stagnating stretches
     simply drop out.
     """
-    from .series import log_derivative, rolling_mean
-
     eta_bar = rolling_mean(eta_series, window_years)
     delta_c = AnnualSeries(
         eta_series.years, LN2 / eta_bar.values, Unit.YEARS, "wealth doubling time"

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -87,7 +88,8 @@ def load_series(
                 column_units[m.group(1)] = m.group(2)
             continue
 
-        fields = _split_row(line)
+        # split the unstripped row: a sparse last column in TSV ends in a tab
+        fields = _split_row(raw)
         if columns is None:
             if len(fields) != 2:
                 raise ParseError(f"expected 'year,value', got {raw!r}", lineno)
@@ -148,10 +150,11 @@ def load_series(
     return AnnualSeries(np.array(years), np.array(values), expected_unit, label)
 
 
-def _format_value(v: float, precision: int | None) -> str:
+def _format_column(values: np.ndarray, precision: int | None) -> list[str]:
+    floats = values.tolist()
     if precision is None:
-        return repr(float(v))
-    return format(float(v), f".{precision}g")
+        return list(map(repr, floats))
+    return list(map(format, floats, repeat(f".{precision}g")))
 
 
 def write_series(
@@ -171,27 +174,51 @@ def write_series(
     lines = [f"# {c}" for c in comments]
     lines.append(f"# unit: {series.unit.token}")
     lines.append("# columns: year,value")
-    for year, value in zip(series.years, series.values):
-        lines.append(f"{int(year)}{delim}{_format_value(value, precision)}")
+    years = map(str, series.years.tolist())
+    lines.extend(map(delim.join, zip(years, _format_column(series.values, precision))))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
+def _column_cells(
+    grid: np.ndarray, column: AnnualSeries | Mapping[int, float], precision: int | None
+) -> list[str]:
+    """One formatted cell per grid year; "" where the column has no value."""
+    if isinstance(column, AnnualSeries):
+        years, values = column.years, column.values
+    else:
+        years = np.fromiter(column.keys(), dtype=np.int64, count=len(column))
+        values = np.fromiter(column.values(), dtype=float, count=len(column))
+        order = np.argsort(years)
+        years, values = years[order], values[order]
+    idx = np.searchsorted(years, grid)
+    hit = idx < years.size
+    hit[hit] = years[idx[hit]] == grid[hit]
+    formatted = _format_column(values[idx[hit]], precision)
+    if hit.all():
+        return formatted
+    cells = np.full(grid.size, "", dtype=object)
+    cells[hit] = formatted
+    return cells.tolist()
+
+
 def write_table(
     path: str | Path,
-    year_grid: Sequence[int],
-    columns: Mapping[str, Mapping[int, float]],
+    year_grid: Sequence[int] | np.ndarray,
+    columns: Mapping[str, AnnualSeries | Mapping[int, float]],
     units: Mapping[str, Unit | str],
     fmt: str = "csv",
     precision: int | None = 12,
     comments: Sequence[str] = (),
 ) -> Path:
-    """Write a multi-column report; each column is a {year: value} mapping.
+    """Write a multi-column report, one row per year of `year_grid`.
 
-    Years missing from a column become empty cells (sparse columns such as
-    doubling times that are undefined in non-innovating stretches). Units
-    may be given as raw file tokens, e.g. "percent_per_year" for columns
-    stored at presentation scale.
+    Each column is an AnnualSeries or a {year: value} mapping. Grid years
+    missing from a column become empty cells (sparse columns such as
+    doubling times that are undefined in non-innovating stretches); values
+    at years off the grid are not written. Units may be given as raw file
+    tokens, e.g. "percent_per_year" for columns stored at presentation
+    scale.
     """
     path = Path(path)
     delim = "\t" if fmt == "tsv" else ","
@@ -204,12 +231,10 @@ def write_table(
         if token not in FILE_TOKENS:
             raise UnitError(f"unknown unit token {token!r} for column {name!r}")
         lines.append(f"# unit.{name}: {token}")
-    for year in year_grid:
-        cells = [str(int(year))]
-        for name in names:
-            value = columns[name].get(int(year))
-            cells.append("" if value is None else _format_value(value, precision))
-        lines.append(delim.join(cells))
+    grid = np.asarray(year_grid, dtype=np.int64)
+    cells = [list(map(str, grid.tolist()))]
+    cells.extend(_column_cells(grid, columns[name], precision) for name in names)
+    lines.extend(map(delim.join, zip(*cells)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

@@ -8,11 +8,11 @@ grid says so and raises GapError otherwise.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DomainError,
@@ -305,6 +305,10 @@ def rolling_mean(series: AnnualSeries, window_years: int) -> AnnualSeries:
     points and half weight on the two extremes, so a 10-year window spans
     11 points with total weight 10 and stays phase-neutral. Near the edges
     the window shrinks symmetrically around each point.
+
+    Full windows are summed as sliding windows, not as a running cumulative
+    sum: each window is one numpy reduction over its own points, so the
+    result is bit-for-bit that of averaging every window separately.
     """
     if window_years < 1:
         raise ValidationError("window_years must be >= 1")
@@ -315,16 +319,19 @@ def rolling_mean(series: AnnualSeries, window_years: int) -> AnnualSeries:
     v = series.values
     n = len(v)
     half = window_years // 2
-    even = window_years % 2 == 0
     out = np.empty_like(v)
-    for i in range(n):
-        h = min(half, i, n - 1 - i)
-        if even and h == half and h > 0:
-            # full even window: half weight on the extremes, total weight = w
-            total = v[i - half + 1 : i + half].sum() + 0.5 * (v[i - half] + v[i + half])
-            out[i] = total / window_years
+    full = n - 2 * half  # points whose whole window lies inside the series
+    if full > 0:
+        if window_years % 2:
+            total = sliding_window_view(v, window_years).sum(axis=1)
         else:
-            out[i] = v[i - h : i + h + 1].mean()
+            # inner 2*half-1 points at full weight, the two extremes at half
+            inner = sliding_window_view(v[1:-1], window_years - 1).sum(axis=1)
+            total = inner + 0.5 * (v[:full] + v[window_years:])
+        out[half : n - half] = total / window_years
+    for i in (*range(min(half, n)), *range(max(n - half, half), n)):
+        h = min(i, n - 1 - i)
+        out[i] = v[i - h : i + h + 1].mean()
     return series.with_values(out)
 
 

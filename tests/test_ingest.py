@@ -193,6 +193,59 @@ class TestMultiColumn:
         s = load_series(path, Unit.PER_YEAR_FRACTION, column="r")
         assert s.values[0] == pytest.approx(0.0214)
 
+    @pytest.mark.parametrize("precision", [12, None])
+    def test_series_column_matches_mapping_column(self, tmp_path, precision):
+        # the series runs past both ends of the grid; off-grid years are dropped
+        s = AnnualSeries(
+            np.arange(1995, 2011), np.linspace(0.1, 3.7, 16) ** 3, Unit.YEARS
+        )
+        # a mapping need not be in year order
+        mapping = {int(y): float(v) for y, v in zip(s.years[::-1], s.values[::-1])}
+        grid = np.arange(2000, 2006)
+        a = write_table(
+            tmp_path / "a.csv", grid, {"x": s}, {"x": Unit.YEARS}, precision=precision
+        )
+        b = write_table(
+            tmp_path / "b.csv", list(grid), {"x": mapping}, {"x": Unit.YEARS}, precision=precision
+        )
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_text().splitlines()[-1].startswith("2005,")
+
+    def test_sparse_series_column_round_trips(self, tmp_path):
+        years = np.arange(2000, 2008)
+        dense = AnnualSeries(years, np.linspace(1.0, 8.0, 8), Unit.YEARS)
+        keep = np.array([True, False, False, True, True, False, True, False])
+        sparse = AnnualSeries(years[keep], dense.values[keep] * 10.0, Unit.YEARS)
+        path = write_table(
+            tmp_path / "t.tsv",
+            years,
+            {"dense": dense, "sparse": sparse},
+            {"dense": Unit.YEARS, "sparse": Unit.YEARS},
+            fmt="tsv",
+        )
+        rows = path.read_text().splitlines()[-8:]
+        assert rows[1] == "2001\t2\t" and rows[7] == "2007\t8\t"
+        back = load_series(path, Unit.YEARS, column="sparse")
+        assert np.array_equal(back.years, sparse.years)
+        assert np.array_equal(back.values, sparse.values)
+
+    @given(
+        values=st.lists(
+            st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=50)
+    def test_full_precision_round_trips_bit_exact(self, tmp_path_factory, values):
+        tmp = tmp_path_factory.mktemp("table")
+        s = AnnualSeries(np.arange(1900, 1900 + len(values)), values, Unit.DIMENSIONLESS)
+        path = write_table(
+            tmp / "t.csv", s.years, {"v": s}, {"v": Unit.DIMENSIONLESS}, precision=None
+        )
+        back = load_series(path, Unit.DIMENSIONLESS, column="v")
+        assert np.array_equal(back.values.view(np.int64), s.values.view(np.int64))
+
     def test_unknown_raw_token_rejected_at_write(self, tmp_path):
         with pytest.raises(UnitError):
             write_table(

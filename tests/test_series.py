@@ -27,6 +27,22 @@ def series(values, start=2000, unit=Unit.DIMENSIONLESS):
     return AnnualSeries(np.arange(start, start + len(values)), values, unit)
 
 
+def rolling_mean_reference(v, window_years):
+    """The original one-window-at-a-time rolling mean, kept as the oracle."""
+    n = len(v)
+    half = window_years // 2
+    even = window_years % 2 == 0
+    out = np.empty_like(v)
+    for i in range(n):
+        h = min(half, i, n - 1 - i)
+        if even and h == half and h > 0:
+            total = v[i - half + 1 : i + half].sum() + 0.5 * (v[i - half] + v[i + half])
+            out[i] = total / window_years
+        else:
+            out[i] = v[i - h : i + h + 1].mean()
+    return out
+
+
 class TestAnnualSeries:
     def test_basic_accessors(self):
         s = series([1.0, 2.0, 3.0])
@@ -305,6 +321,28 @@ class TestRollingMean:
         assert sm.values[0] == 1.0
         assert sm.values[1] == 2.0
         assert sm.values[2] == 3.0
+
+    @given(
+        n=st.integers(0, 400),
+        window=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_reference_loop(self, n, window, seed):
+        # magnitudes log-uniform over 1e-6..1e6, random signs
+        rng = np.random.default_rng(seed)
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+        got = rolling_mean(series(values), window).values
+        want = rolling_mean_reference(values, window)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 11, 12, 60, 61, 400])
+    @pytest.mark.parametrize("window", [1, 2, 3, 10, 11, 59, 60])
+    def test_bit_identical_at_window_boundaries(self, n, window):
+        values = np.exp(np.sin(np.arange(n, dtype=float)) * 13.0)
+        got = rolling_mean(series(values), window).values
+        want = rolling_mean_reference(values, window)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestHelpers:
