@@ -28,8 +28,6 @@ from .forecast import (
     eta_from_productivity,
     eta_trajectory,
     forecast,
-    forecast_base2,
-    forecast_limit_exponential,
     log_wealth_ratio,
 )
 from .growth import (
@@ -45,11 +43,8 @@ from .growth import (
     run_fit,
 )
 from .ingest import (
-    DatasetBundle,
-    DatasetManifest,
     Table1,
     builtin_table1,
-    load_dataset,
     load_series,
     write_series,
     write_table,
@@ -71,8 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnualSeries",
     "ConfigurationError",
-    "DatasetBundle",
-    "DatasetManifest",
     "DomainError",
     "DoublingTimes",
     "FitResult",
@@ -106,11 +99,8 @@ __all__ = [
     "fit_innovation",
     "fit_lambda",
     "forecast",
-    "forecast_base2",
-    "forecast_limit_exponential",
     "gdp_growth_decomposition",
     "interpolate",
-    "load_dataset",
     "load_series",
     "log_derivative",
     "log_wealth_ratio",

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, ThermoeconError
 from .forecast import Scenario, doubling_time_series, forecast
 from .growth import FitResult, fit_innovation, run_fit
 from .ingest import builtin_table1, load_series, write_table
-from .series import AnnualSeries
 from .units import Unit
 
 _VERSION_COMMENT = f"thermoecon {__version__}"
@@ -35,24 +35,6 @@ _BUILTIN_LAMBDA0_CALIBRATION = 6.4  # printed ratio at 1970, anchors wealth
 _SMOOTHING_WINDOW_YEARS = 10
 
 
-@dataclass
-class RunConfig:
-    """Everything a subcommand needs, resolved from argv."""
-
-    out_dir: Path
-    fmt: str = "csv"
-    builtin: bool = False
-    gdp_path: Path | None = None
-    power_path: Path | None = None
-    historical_gdp_path: Path | None = None
-    window: tuple[int, int] | None = None
-    lambda0: float | None = None
-    eta0: float | None = None
-    tau_eta: float | None = None
-    horizon_years: int = 50
-    index_1970: bool = False
-
-
 def _parse_window(text: str) -> tuple[int, int]:
     try:
         start, end = text.split(":")
@@ -64,63 +46,38 @@ def _parse_window(text: str) -> tuple[int, int]:
     return window
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(out_dir=Path(args.out), fmt=args.format)
-    cfg.builtin = getattr(args, "builtin_table1", False)
-    for name in ("gdp", "power", "historical_gdp"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, f"{name}_path", Path(value))
-    if getattr(args, "window", None) is not None:
-        cfg.window = _parse_window(args.window)
-    for name in ("lambda0", "eta0", "tau_eta"):
-        if getattr(args, name, None) is not None:
-            setattr(cfg, name, float(getattr(args, name)))
-    if getattr(args, "horizon", None) is not None:
-        cfg.horizon_years = int(args.horizon)
-    cfg.index_1970 = getattr(args, "index_1970", False)
-    return cfg
-
-
-def _resolve_fit(cfg: RunConfig) -> FitResult:
-    if cfg.builtin:
+def _resolve_fit(args: argparse.Namespace) -> FitResult:
+    window = None if args.window is None else _parse_window(args.window)
+    if args.builtin_table1:
         t1 = builtin_table1()
-        gdp, power = t1.gdp, t1.power
-        lambda0 = cfg.lambda0 if cfg.lambda0 is not None else _BUILTIN_LAMBDA0_CALIBRATION
-        historical = None
+        gdp, power, historical = t1.gdp, t1.power, None
+        lambda0 = _BUILTIN_LAMBDA0_CALIBRATION if args.lambda0 is None else args.lambda0
     else:
-        if cfg.gdp_path is None or cfg.power_path is None:
-            raise ConfigurationError(
-                "provide --gdp and --power, or --builtin-table1"
-            )
-        gdp = load_series(cfg.gdp_path, Unit.GDP_TRILLION_USD2005_PER_YEAR)
-        power = load_series(cfg.power_path, Unit.POWER_TERAWATT)
+        if args.gdp is None or args.power is None:
+            raise ConfigurationError("provide --gdp and --power, or --builtin-table1")
+        gdp = load_series(args.gdp, Unit.GDP_TRILLION_USD2005_PER_YEAR)
+        power = load_series(args.power, Unit.POWER_TERAWATT)
         historical = None
-        if cfg.historical_gdp_path is not None:
+        if args.historical_gdp is not None:
             historical = load_series(
-                cfg.historical_gdp_path, Unit.GDP_TRILLION_USD2005_PER_YEAR
+                args.historical_gdp, Unit.GDP_TRILLION_USD2005_PER_YEAR
             )
-        lambda0 = cfg.lambda0
-    return run_fit(
-        gdp, power, window=cfg.window, lambda0=lambda0, historical_gdp=historical
-    )
+        lambda0 = args.lambda0
+    return run_fit(gdp, power, window=window, lambda0=lambda0, historical_gdp=historical)
 
 
-def _out_path(cfg: RunConfig, stem: str) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.out_dir / f"{stem}.{cfg.fmt}"
+def _out_path(args: argparse.Namespace, stem: str) -> Path:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / f"{stem}.{args.format}"
 
 
-def _series_columns(series: AnnualSeries) -> dict[int, float]:
-    return {int(y): float(v) for y, v in zip(series.years, series.values)}
-
-
-def cmd_fit(cfg: RunConfig) -> int:
-    res = _resolve_fit(cfg)
+def cmd_fit(args: argparse.Namespace) -> int:
+    res = _resolve_fit(args)
     m = res.model
     grid = m.lambda_series.years
     path = write_table(
-        _out_path(cfg, "lambda_series"),
+        _out_path(args, "lambda_series"),
         grid,
         {
             "lambda": m.lambda_series,
@@ -134,7 +91,7 @@ def cmd_fit(cfg: RunConfig) -> int:
             "f": Unit.USD2005_PER_JOULE,
             "wealth": Unit.WEALTH_TRILLION_USD2005,
         },
-        fmt=cfg.fmt,
+        fmt=args.format,
         comments=[
             _VERSION_COMMENT,
             f"fit window {m.window[0]}:{m.window[1]}",
@@ -160,52 +117,54 @@ def cmd_fit(cfg: RunConfig) -> int:
         f"{dec.predicted_growth!r}",
         f"predicted gdp growth: {dec.predicted_growth * 100:.2f} %/yr",
     ]
-    summary_path = cfg.out_dir / "summary.txt"
+    summary_path = Path(args.out) / "summary.txt"
     summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     print(f"wrote {path} and {summary_path}")
     return 0
 
 
-def _resolve_scenario(cfg: RunConfig) -> Scenario:
-    if cfg.builtin and cfg.gdp_path is None:
+def _resolve_scenario(args: argparse.Namespace) -> Scenario:
+    if args.builtin_table1 and args.gdp is None:
+        if args.window is not None:
+            _parse_window(args.window)  # unused by the built-in seed, still checked
         start = _BUILTIN_SEED_YEAR
         c0 = _BUILTIN_SEED_C0
         eta0 = _BUILTIN_SEED_ETA0
         lambda0 = _BUILTIN_SEED_LAMBDA0
         default_tau = fit_innovation(builtin_table1().rate_of_return).tau_eta
     else:
-        res = _resolve_fit(cfg)
+        res = _resolve_fit(args)
         end = res.model.window[1]
         start = end
         c0 = float(res.wealth.value_at(end))
         eta0 = float(res.model.eta_series.value_at(end))
         lambda0 = float(res.model.lambda_series.value_at(end))
         default_tau = res.innovation.tau_eta
-    if cfg.eta0 is not None:
-        eta0 = cfg.eta0
-    if cfg.tau_eta is None:
+    if args.eta0 is not None:
+        eta0 = args.eta0
+    if args.tau_eta is None:
         tau = default_tau
-    elif cfg.tau_eta == 0.0:
+    elif args.tau_eta == 0.0:
         tau = None  # 0 is the no-innovation sentinel on the command line
     else:
-        tau = cfg.tau_eta
+        tau = args.tau_eta
     return Scenario(
         c0=c0,
         eta0=eta0,
         lambda0=lambda0,
         start_year=start,
-        horizon_years=cfg.horizon_years,
+        horizon_years=args.horizon,
         tau_eta=tau,
     )
 
 
-def cmd_forecast(cfg: RunConfig) -> int:
-    scenario = _resolve_scenario(cfg)
+def cmd_forecast(args: argparse.Namespace) -> int:
+    scenario = _resolve_scenario(args)
     path_obj = forecast(scenario)
     tau_text = "none" if scenario.tau_eta is None else repr(scenario.tau_eta)
     out = write_table(
-        _out_path(cfg, "forecast"),
+        _out_path(args, "forecast"),
         scenario.years,
         {
             "wealth": path_obj.wealth,
@@ -219,7 +178,7 @@ def cmd_forecast(cfg: RunConfig) -> int:
             "gdp": Unit.GDP_TRILLION_USD2005_PER_YEAR,
             "power": Unit.POWER_TERAWATT,
         },
-        fmt=cfg.fmt,
+        fmt=args.format,
         comments=[
             _VERSION_COMMENT,
             f"scenario: c0 = {scenario.c0!r} T$, eta0 = {scenario.eta0!r} /yr, "
@@ -239,32 +198,39 @@ def cmd_forecast(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_table1(cfg: RunConfig) -> int:
+def _round4(values: np.ndarray) -> np.ndarray:
+    # round() is correctly rounded; np.round scales by 1e4 first and can
+    # land on the other side of a near-tie
+    return np.array([round(v, 4) for v in values.tolist()])
+
+
+def cmd_table1(args: argparse.Namespace) -> int:
     t1 = builtin_table1()
-    lambda0 = cfg.lambda0 if cfg.lambda0 is not None else _BUILTIN_LAMBDA0_CALIBRATION
+    lambda0 = _BUILTIN_LAMBDA0_CALIBRATION if args.lambda0 is None else args.lambda0
     res = run_fit(t1.gdp, t1.power, lambda0=lambda0)
-    years = [int(y) for y in t1.power.years]
-    wealth = {y: float(res.wealth.value_at(y)) for y in years}
-    ratio_computed = {y: 1000.0 * t1.power.value_at(y) / wealth[y] for y in years}
-    ratio_printed = _series_columns(t1.power_over_wealth)
+    years = t1.power.years
+    power, gdp = t1.power.values, t1.gdp.values
+    wealth = res.wealth.values[np.isin(res.wealth.years, years)]
+    ratio_computed = 1000.0 * power / wealth
+    ratio_printed = t1.power_over_wealth.values
     # the printed ratio row defines its own implied wealth; reconstructing
     # the return column through it reproduces the printed rounding, the
     # trapezoid wealth does not quite
-    implied_wealth = {
-        y: 1000.0 * t1.power.value_at(y) / ratio_printed[y] for y in years
-    }
-    ror_computed = {y: 100.0 * t1.gdp.value_at(y) / implied_wealth[y] for y in years}
-    ror_printed = {y: 100.0 * v for y, v in _series_columns(t1.rate_of_return).items()}
+    implied_wealth = 1000.0 * power / ratio_printed
+    ror_computed = 100.0 * gdp / implied_wealth
+    ror_printed = 100.0 * t1.rate_of_return.values
+    ratio_deviation = ratio_computed - ratio_printed
+    ror_deviation = ror_computed - ror_printed
     columns = {
         "power": t1.power,
         "gdp": t1.gdp,
         "wealth": wealth,
         "ratio_computed": ratio_computed,
         "ratio_printed": ratio_printed,
-        "ratio_deviation": {y: round(ratio_computed[y] - ratio_printed[y], 4) for y in years},
+        "ratio_deviation": _round4(ratio_deviation),
         "ror_computed": ror_computed,
         "ror_printed": ror_printed,
-        "ror_deviation": {y: round(ror_computed[y] - ror_printed[y], 4) for y in years},
+        "ror_deviation": _round4(ror_deviation),
     }
     units = {
         "power": Unit.POWER_TERAWATT,
@@ -277,9 +243,8 @@ def cmd_table1(cfg: RunConfig) -> int:
         "ror_printed": "percent_per_year",
         "ror_deviation": "percent_per_year",
     }
-    if cfg.index_1970:
-        base = wealth[1970]
-        columns["wealth_indexed"] = {y: wealth[y] / base for y in years}
+    if args.index_1970:
+        columns["wealth_indexed"] = wealth / res.wealth.value_at(1970)
         units["wealth_indexed"] = Unit.DIMENSIONLESS
     comments = [
         _VERSION_COMMENT,
@@ -288,33 +253,31 @@ def cmd_table1(cfg: RunConfig) -> int:
         "ror columns are percent per year; see the unit.* headers for scaling",
     ]
     out = write_table(
-        _out_path(cfg, "table1_reconstruction"),
+        _out_path(args, "table1_reconstruction"),
         years,
         columns,
         units,
-        fmt=cfg.fmt,
+        fmt=args.format,
         comments=comments,
     )
-    max_ratio_dev = max(abs(ratio_computed[y] - ratio_printed[y]) for y in years)
-    max_ror_dev = max(abs(ror_computed[y] - ror_printed[y]) for y in years)
-    print(f"max |ratio deviation| = {max_ratio_dev:.4f} W/k$")
-    print(f"max |ror deviation| = {max_ror_dev:.4f} %/yr")
+    print(f"max |ratio deviation| = {np.max(np.abs(ratio_deviation)):.4f} W/k$")
+    print(f"max |ror deviation| = {np.max(np.abs(ror_deviation)):.4f} %/yr")
     print(f"wrote {out}")
     return 0
 
 
-def cmd_figure2(cfg: RunConfig) -> int:
-    res = _resolve_fit(cfg)
+def cmd_figure2(args: argparse.Namespace) -> int:
+    res = _resolve_fit(args)
     delta_c, delta_eta = doubling_time_series(
         res.model.eta_series, window_years=_SMOOTHING_WINDOW_YEARS
     )
     years = delta_c.years
     out = write_table(
-        _out_path(cfg, "figure2_data"),
+        _out_path(args, "figure2_data"),
         years,
         {"delta_c_years": delta_c, "delta_eta_years": delta_eta},
         {"delta_c_years": Unit.YEARS, "delta_eta_years": Unit.YEARS},
-        fmt=cfg.fmt,
+        fmt=args.format,
         comments=[
             _VERSION_COMMENT,
             f"doubling times smoothed over {_SMOOTHING_WINDOW_YEARS} years",
@@ -400,8 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config(args)
-        return args.func(cfg)
+        return args.func(args)
     except (ThermoeconError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -175,58 +175,12 @@ def forecast(scenario: Scenario) -> ForecastPath:
     return _materialize(scenario, log_c, eta)
 
 
-def forecast_limit_exponential(scenario: Scenario) -> ForecastPath:
-    """The tau -> infinity limit: plain exponential growth at eta0."""
-    t = (scenario.years - scenario.start_year).astype(float)
-    log_c = math.log(scenario.c0) + scenario.eta0 * t
-    eta = np.full_like(t, scenario.eta0)
-    return _materialize(scenario, log_c, eta)
-
-
-def forecast_base2(scenario: Scenario) -> ForecastPath:
-    """Same trajectory computed entirely in doubling-time arithmetic.
-
-    With delta_c = ln2/eta0 (initial wealth doubling time) and
-    delta_eta = tau * ln2 (doubling time of the rate of return),
-
-        C(t) = C0 * 2 ** (delta_eta / (delta_c * ln2) * (2 ** (t/delta_eta) - 1))
-
-    Note the ln2 in the denominator of the prefactor; dropping it, as a
-    naive change of base suggests, overstates every exponent by ln2.
-    Agrees with forecast() to rounding error, which is the point: the
-    base-2 form is a reformulation, not an approximation.
-    """
-    t = (scenario.years - scenario.start_year).astype(float)
-    delta_c = LN2 / scenario.eta0
-    if scenario.tau_eta is None:
-        log2_ratio = t / delta_c
-        eta = np.full_like(t, scenario.eta0)
-    else:
-        delta_eta = scenario.tau_eta * LN2
-        log2_ratio = delta_eta / (delta_c * LN2) * (2.0 ** (t / delta_eta) - 1.0)
-        eta = scenario.eta0 * 2.0 ** (t / delta_eta)
-    log_c = math.log(scenario.c0) + log2_ratio * LN2
-    return _materialize(scenario, log_c, eta)
-
-
+@dataclass(frozen=True, slots=True)
 class DoublingTimes:
     """Doubling times of wealth and of the rate of return, in years."""
 
-    __slots__ = ("wealth_years", "eta_years")
-
-    def __init__(self, wealth_years: float, eta_years: float | None):
-        self.wealth_years = wealth_years
-        self.eta_years = eta_years
-
-    def __repr__(self):
-        return f"DoublingTimes(wealth_years={self.wealth_years!r}, eta_years={self.eta_years!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DoublingTimes)
-            and self.wealth_years == other.wealth_years
-            and self.eta_years == other.eta_years
-        )
+    wealth_years: float
+    eta_years: float | None
 
 
 def doubling_times(eta: float, tau_eta: float | None = None) -> DoublingTimes:

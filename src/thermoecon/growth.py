@@ -7,9 +7,11 @@ The model ties three observables together on an annual grid:
   lambda in W per thousand dollars and C in trillion dollars;
 * the rate of return eta = Y/C doubles as the growth rate of both C and a.
 
-Fitting means building C from a GDP record, forming the pointwise ratios
-lambda, eta and the energy productivity f = Y/a, and regressing ln(eta)
-on time to get the innovation rate.
+`run_fit` is the one pipeline: it interpolates GDP and power onto the
+annual grid of the fit window once, integrates that GDP into C from an
+anchor value, forms the pointwise ratios lambda, eta and the energy
+productivity f = Y/a on the same grid, and regresses ln(eta) on time to
+get the innovation rate.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     SeriesRangeError,
+    ValidationError,
 )
 from .series import (
     AnnualSeries,
@@ -34,46 +37,37 @@ from .series import (
 )
 from .units import Unit
 
+#: Minimum length, in consecutive calendar years, of the GDP/power overlap.
+MIN_FIT_OVERLAP_YEARS = 10
+
 
 def build_wealth(
     gdp: AnnualSeries,
-    mode: str = "calibrated_from_lambda",
-    calibration: tuple[AnnualSeries, float] | None = None,
+    power: AnnualSeries,
+    lambda0: float | None = None,
     historical_gdp: AnnualSeries | None = None,
 ) -> WealthSeries:
-    """Accumulate a GDP record into a wealth series.
+    """Accumulate a dense annual GDP record into wealth over its years.
 
-    Two initialisations are supported.  "calibrated_from_lambda" anchors
-    the first year at C0 = 1000 * power(start) / lambda0, which is the only
-    option when the record starts long after economic activity did.
-    "integrated_from_epoch" prepends a sparse historical GDP record and
-    integrates from its first year with zero initial wealth; only the years
-    covered by `gdp` are returned.  Interior years are filled by log-linear
-    interpolation before the trapezoid sum in both modes.
+    The anchor is chosen in this order. With a historical GDP record, the
+    record's years before `gdp` are merged in front of it, the merged record
+    is interpolated log-linearly onto every year from its first, and the
+    integral starts from zero wealth there ("integrated_from_epoch").
+    Otherwise wealth starts at C0 = 1000 * power / lambda0 in the first
+    year ("calibrated_from_lambda"), which is the only option when the
+    record starts long after economic activity did. Either way one
+    trapezoid sum runs over the annual GDP, and only the years of `gdp` are
+    returned. `power` only supplies the calibration value, so it must start
+    in the same year as `gdp`.
     """
     if gdp.unit is not Unit.GDP_TRILLION_USD2005_PER_YEAR:
         raise ConfigurationError(f"expected a GDP series, got {gdp.unit.token}")
     start, end = gdp.first_year, gdp.last_year
-    if mode == "calibrated_from_lambda":
-        if calibration is None:
-            raise ConfigurationError(
-                "calibrated_from_lambda needs calibration=(power_series, lambda0)"
-            )
-        power, lambda0 = calibration
-        if not np.isfinite(lambda0) or lambda0 <= 0.0:
-            raise DomainError(f"lambda0 must be positive, got {lambda0}")
-        p0 = interpolate(power, np.array([start]), mode="log_linear").values[0]
-        c0 = float(1000.0 * p0 / lambda0)
-        dense = interpolate(gdp, annual_grid(start, end), mode="log_linear")
-        integral = cumulative_integral(dense, from_year=start, initial=c0)
-        return WealthSeries(
-            series=integral, init_mode=mode, init_year=start, init_value=c0
+    if power.first_year != start:
+        raise ValidationError(
+            f"power starts in {power.first_year}, GDP in {start}; align them first"
         )
-    if mode == "integrated_from_epoch":
-        if historical_gdp is None:
-            raise ConfigurationError(
-                "integrated_from_epoch needs a historical_gdp series"
-            )
+    if historical_gdp is not None:
         if historical_gdp.unit is not gdp.unit:
             raise ConfigurationError("historical GDP must share the GDP unit")
         epoch = historical_gdp.first_year
@@ -88,23 +82,25 @@ def build_wealth(
             gdp.unit,
             gdp.label,
         )
-        dense = interpolate(merged, annual_grid(epoch, end), mode="log_linear")
-        v = dense.values
-        # running trapezoid from zero wealth at the epoch; the epoch itself
-        # and any other pre-window years are dropped before validation so
-        # the zero start never enters a positive-definite series
-        run = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]))])
-        mask = dense.years >= start
-        sliced = AnnualSeries(
-            dense.years[mask], run[mask], Unit.WEALTH_TRILLION_USD2005, "wealth"
+        rate = interpolate(merged, annual_grid(epoch, end), mode="log_linear")
+        init_mode, initial = "integrated_from_epoch", 0.0
+    elif lambda0 is not None:
+        if not np.isfinite(lambda0) or lambda0 <= 0.0:
+            raise DomainError(f"lambda0 must be positive, got {lambda0}")
+        rate = gdp
+        init_mode = "calibrated_from_lambda"
+        initial = float(1000.0 * power.values[0] / lambda0)
+    else:
+        raise ConfigurationError(
+            "need lambda0 for calibrated wealth or a historical GDP record"
         )
-        return WealthSeries(
-            series=sliced,
-            init_mode=mode,
-            init_year=start,
-            init_value=float(run[mask][0]),
-        )
-    raise ConfigurationError(f"unknown wealth mode {mode!r}")
+    wealth = cumulative_integral(rate, from_year=start, initial=initial)
+    return WealthSeries(
+        series=wealth,
+        init_mode=init_mode,
+        init_year=start,
+        init_value=float(wealth.values[0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,6 @@ class ModelFit:
     """Pointwise ratio series and their summary statistics over one window."""
 
     window: tuple[int, int]
-    wealth: WealthSeries
     lambda_series: AnnualSeries
     lambda_mean: float
     lambda_rel_std: float
@@ -122,38 +117,20 @@ class ModelFit:
     f_mean: float
 
 
-def fit_lambda(
-    power: AnnualSeries,
-    wealth: WealthSeries | AnnualSeries,
-    gdp: AnnualSeries,
-    window: tuple[int, int] | None = None,
-) -> ModelFit:
-    """Form lambda = a/C, eta = Y/C and f = Y/a on the wealth grid.
+def fit_lambda(power: AnnualSeries, wealth: AnnualSeries, gdp: AnnualSeries) -> ModelFit:
+    """Form lambda = a/C, eta = Y/C and f = Y/a from three aligned series.
 
-    power and gdp are log-linearly interpolated onto the wealth years when
-    their grids differ; all three must cover the window. Relative spread is
-    the population standard deviation over the mean, the figure of merit
-    for "is lambda actually constant".
+    The three series must share one year grid; the fit window is that grid.
+    Relative spread is the population standard deviation over the mean,
+    the figure of merit for "is lambda actually constant".
     """
-    wseries = wealth.series if isinstance(wealth, WealthSeries) else wealth
-    if window is not None:
-        wseries = wseries.window(*window)
-    if len(wseries) == 0:
+    if len(wealth) == 0:
         raise SeriesRangeError("empty fit window")
-    grid = wseries.years
-    power_g = interpolate(power, grid, mode="log_linear")
-    gdp_g = interpolate(gdp, grid, mode="log_linear")
-    lam = power_g / wseries
-    eta = gdp_g / wseries
-    f = gdp_g / power_g
+    lam = power / wealth
+    eta = gdp / wealth
+    f = gdp / power
     return ModelFit(
-        window=(int(grid[0]), int(grid[-1])),
-        wealth=wealth if isinstance(wealth, WealthSeries) else WealthSeries(
-            series=wseries,
-            init_mode="calibrated_from_lambda",
-            init_year=int(grid[0]),
-            init_value=float(wseries.values[0]),
-        ),
+        window=(wealth.first_year, wealth.last_year),
         lambda_series=lam,
         lambda_mean=float(np.mean(lam.values)),
         lambda_rel_std=float(np.std(lam.values) / np.mean(lam.values)),
@@ -281,36 +258,32 @@ def run_fit(
     lambda0: float | None = None,
     historical_gdp: AnnualSeries | None = None,
 ) -> FitResult:
-    """Whole fitting pipeline on an annual grid.
+    """Whole fitting pipeline on one annual grid.
 
-    The window defaults to the GDP/power overlap. Wealth is integrated
-    from a historical record when one is supplied, otherwise calibrated at
-    the window start with lambda0.
+    GDP and power must overlap on at least MIN_FIT_OVERLAP_YEARS years.
+    The window defaults to that overlap; both series are interpolated onto
+    its annual grid once, and every later stage works on those dense,
+    aligned series. Wealth is integrated from a historical record when one
+    is supplied, otherwise calibrated at the window start with lambda0.
     """
-    if window is None:
-        window = (
-            max(gdp.first_year, power.first_year),
-            min(gdp.last_year, power.last_year),
+    overlap = (
+        max(gdp.first_year, power.first_year),
+        min(gdp.last_year, power.last_year),
+    )
+    n_overlap = overlap[1] - overlap[0] + 1
+    if n_overlap < MIN_FIT_OVERLAP_YEARS:
+        raise ValidationError(
+            f"GDP and power overlap on {max(n_overlap, 0)} years; "
+            f"need at least {MIN_FIT_OVERLAP_YEARS} consecutive years for fitting"
         )
-    start, end = window
+    start, end = overlap if window is None else window
     if end < start:
         raise SeriesRangeError(f"window {start}:{end} is empty")
     grid = annual_grid(start, end)
     gdp_d = interpolate(gdp, grid, mode="log_linear")
     power_d = interpolate(power, grid, mode="log_linear")
-    if historical_gdp is not None:
-        wealth = build_wealth(
-            gdp_d, mode="integrated_from_epoch", historical_gdp=historical_gdp
-        )
-    elif lambda0 is not None:
-        wealth = build_wealth(
-            gdp_d, mode="calibrated_from_lambda", calibration=(power_d, lambda0)
-        )
-    else:
-        raise ConfigurationError(
-            "need lambda0 for calibrated wealth or a historical GDP record"
-        )
-    model = fit_lambda(power_d, wealth, gdp_d)
+    wealth = build_wealth(gdp_d, power_d, lambda0=lambda0, historical_gdp=historical_gdp)
+    model = fit_lambda(power_d, wealth.series, gdp_d)
     innovation = fit_innovation(model.eta_series)
     decomposition = gdp_growth_decomposition(model, innovation)
     return FitResult(

@@ -22,19 +22,13 @@ point is skipped, which is how sparse columns round-trip.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    InsufficientDataError,
-    ParseError,
-    UnitError,
-    ValidationError,
-)
+from .errors import InsufficientDataError, ParseError, UnitError, ValidationError
 from .series import AnnualSeries
 from .units import FILE_TOKENS, Unit, parse_unit_token
 
@@ -181,9 +175,15 @@ def write_series(
 
 
 def _column_cells(
-    grid: np.ndarray, column: AnnualSeries | Mapping[int, float], precision: int | None
+    grid: np.ndarray,
+    column: AnnualSeries | np.ndarray | Mapping[int, float],
+    precision: int | None,
 ) -> list[str]:
     """One formatted cell per grid year; "" where the column has no value."""
+    if isinstance(column, np.ndarray):
+        if column.shape != grid.shape:
+            raise ValidationError(f"{column.size} values for {grid.size} grid years")
+        return _format_column(column, precision)
     if isinstance(column, AnnualSeries):
         years, values = column.years, column.values
     else:
@@ -205,7 +205,7 @@ def _column_cells(
 def write_table(
     path: str | Path,
     year_grid: Sequence[int] | np.ndarray,
-    columns: Mapping[str, AnnualSeries | Mapping[int, float]],
+    columns: Mapping[str, AnnualSeries | np.ndarray | Mapping[int, float]],
     units: Mapping[str, Unit | str],
     fmt: str = "csv",
     precision: int | None = 12,
@@ -213,12 +213,12 @@ def write_table(
 ) -> Path:
     """Write a multi-column report, one row per year of `year_grid`.
 
-    Each column is an AnnualSeries or a {year: value} mapping. Grid years
-    missing from a column become empty cells (sparse columns such as
-    doubling times that are undefined in non-innovating stretches); values
-    at years off the grid are not written. Units may be given as raw file
-    tokens, e.g. "percent_per_year" for columns stored at presentation
-    scale.
+    Each column is an AnnualSeries, an array with one value per grid year,
+    or a {year: value} mapping. Grid years missing from a column become
+    empty cells (sparse columns such as doubling times that are undefined
+    in non-innovating stretches); values at years off the grid are not
+    written. Units may be given as raw file tokens, e.g. "percent_per_year"
+    for columns stored at presentation scale.
     """
     path = Path(path)
     delim = "\t" if fmt == "tsv" else ","
@@ -286,60 +286,3 @@ def builtin_table1() -> Table1:
         ),
     )
 
-
-_ROLE_UNITS = {
-    "gdp": Unit.GDP_TRILLION_USD2005_PER_YEAR,
-    "power": Unit.POWER_TERAWATT,
-    "historical_gdp": Unit.GDP_TRILLION_USD2005_PER_YEAR,
-}
-
-#: Minimum length, in consecutive calendar years, of the GDP/power overlap.
-MIN_FIT_OVERLAP_YEARS = 10
-
-
-def _default_units() -> dict[str, Unit]:
-    return dict(_ROLE_UNITS)
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Paths plus declared units for one input dataset."""
-
-    gdp_path: Path
-    power_path: Path
-    historical_gdp_path: Path | None = None
-    unit_declarations: dict[str, Unit] = field(default_factory=_default_units)
-
-    def validate(self):
-        for role, expected in _ROLE_UNITS.items():
-            declared = self.unit_declarations.get(role, expected)
-            if declared is not expected:
-                raise UnitError(
-                    f"series role {role!r} must be declared {expected.token}, "
-                    f"got {declared.token}"
-                )
-
-
-class DatasetBundle(NamedTuple):
-    gdp: AnnualSeries
-    power: AnnualSeries
-    historical_gdp: AnnualSeries | None
-
-
-def load_dataset(manifest: DatasetManifest) -> DatasetBundle:
-    """Load and cross-validate the series named by a manifest."""
-    manifest.validate()
-    gdp = load_series(manifest.gdp_path, manifest.unit_declarations["gdp"])
-    power = load_series(manifest.power_path, manifest.unit_declarations["power"])
-    historical = None
-    if manifest.historical_gdp_path is not None:
-        historical = load_series(
-            manifest.historical_gdp_path, manifest.unit_declarations["historical_gdp"]
-        )
-    overlap = min(gdp.last_year, power.last_year) - max(gdp.first_year, power.first_year) + 1
-    if overlap < MIN_FIT_OVERLAP_YEARS:
-        raise ValidationError(
-            f"GDP and power overlap on {max(overlap, 0)} years; "
-            f"need at least {MIN_FIT_OVERLAP_YEARS} consecutive years for fitting"
-        )
-    return DatasetBundle(gdp=gdp, power=power, historical_gdp=historical)

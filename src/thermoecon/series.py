@@ -86,10 +86,6 @@ class AnnualSeries:
         return int(self.years.size)
 
     @property
-    def points(self) -> list[tuple[int, float]]:
-        return [(int(y), float(v)) for y, v in zip(self.years, self.values)]
-
-    @property
     def first_year(self) -> int:
         if not len(self):
             raise InsufficientDataError("empty series has no coverage")
@@ -248,10 +244,12 @@ def interpolate(
 
 
 def cumulative_integral(series: AnnualSeries, from_year: int, initial: float) -> AnnualSeries:
-    """Trapezoidal running integral of an annual rate series, seeded at `initial`.
+    """Trapezoidal running integral of a dense annual rate series.
 
-    The first output point (at `from_year`) equals `initial` exactly; each
-    later point adds the trapezoid of one annual step. Output unit is the
+    The integral starts at the series' first year with the value `initial`,
+    and each later year adds the trapezoid of one annual step. Only the
+    years from `from_year` on are returned, so a stock that starts at zero
+    before them never has to be a series of its own. Output unit is the
     rate unit integrated over years (e.g. T$/yr -> T$).
     """
     out_unit = series.unit.integral_unit
@@ -262,19 +260,12 @@ def cumulative_integral(series: AnnualSeries, from_year: int, initial: float) ->
             f"from_year {from_year} outside series coverage "
             f"[{series.first_year}, {series.last_year}]"
         )
-    part = series.window(from_year, series.last_year)
-    if part.years[0] != from_year:
-        raise SeriesRangeError(f"series has no point at from_year {from_year}")
-    if not part.is_dense:
-        raise GapError(
-            f"series {series.label!r} has gaps after {from_year}; interpolate before integrating"
-        )
-    v = part.values
-    steps = 0.5 * (v[1:] + v[:-1])
-    out = np.empty_like(v)
-    out[0] = initial
-    out[1:] = initial + np.cumsum(steps)
-    return AnnualSeries(part.years, out, out_unit, series.label)
+    if not series.is_dense:
+        raise GapError(f"series {series.label!r} has gaps; interpolate before integrating")
+    v = series.values
+    run = initial + np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]))])
+    k = from_year - series.first_year
+    return AnnualSeries(series.years[k:], run[k:], out_unit, series.label)
 
 
 def log_derivative(series: AnnualSeries) -> AnnualSeries:

@@ -38,11 +38,6 @@ class Unit(enum.Enum):
         return self in _POSITIVE_UNITS
 
     @property
-    def is_annual_rate(self) -> bool:
-        """True for units that can be integrated over years."""
-        return self in _INTEGRAL_UNIT
-
-    @property
     def integral_unit(self) -> "Unit":
         """Unit of the cumulative integral over years of a series in this unit."""
         try:

@@ -234,6 +234,30 @@ class TestErrorHandling:
         assert run("fit", "--builtin-table1", "--window", "2009:1970") == 2
         assert "ends before" in capsys.readouterr().err
 
+    def test_bad_window_spec_with_builtin_forecast(self, tmp_path, capsys):
+        # the built-in seed ignores the window, but a malformed one is an error
+        rc = run(
+            "forecast", "--builtin-table1", "--window", "1970-2009", "--out", str(tmp_path)
+        )
+        assert rc == 2
+        assert "START:END" in capsys.readouterr().err
+
+    def test_short_overlap(self, tmp_path, capsys):
+        gdp = exponential_series(2000, 20, 40.0, 0.02, GDP, "gdp")
+        power = exponential_series(2018, 20, 15.0, 0.02, POWER, "power")
+        rc = run(
+            "fit",
+            "--gdp", str(write_series(gdp, tmp_path / "gdp.csv")),
+            "--power", str(write_series(power, tmp_path / "power.csv")),
+            "--lambda0", "7.0",
+            "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: GDP and power overlap on 2 years; "
+            "need at least 10 consecutive years for fitting\n"
+        )
+
     def test_unit_mismatch_in_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("# unit: years\n1970,1.0\n1971,2.0\n")

@@ -1,9 +1,11 @@
 """Byte-for-byte golden outputs of the command line front end.
 
-Each case runs one subcommand on the built-in benchmark data and compares
-every file it writes, plus its stdout, with the frozen copy under
-tests/golden/<case>/. The output directory in "wrote ..." lines is
-replaced by "<out>" so the goldens do not depend on where the test runs.
+Each case runs one subcommand, on the built-in benchmark data or on the
+files under data/ and tests/golden/inputs/, and compares every file it
+writes, plus its stdout, with the frozen copy under tests/golden/<case>/.
+The output directory in "wrote ..." lines is replaced by "<out>" so the
+goldens do not depend on where the test runs; input paths never appear
+in the outputs.
 A deliberate change to the output format means regenerating these files
 with `write_golden` below and reviewing the diff.
 """
@@ -15,7 +17,13 @@ import pytest
 from thermoecon.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+DATA_DIR = GOLDEN_DIR.parent.parent / "data"
+HISTORICAL_GDP = str(GOLDEN_DIR / "inputs" / "historical_gdp.csv")
 STDOUT_NAME = "stdout.txt"
+
+DATA_FILES = [
+    "--gdp", str(DATA_DIR / "world_gdp.csv"), "--power", str(DATA_DIR / "world_power.csv"),
+]
 
 CASES = {
     "fit": ["fit", "--builtin-table1"],
@@ -26,6 +34,12 @@ CASES = {
     "table1_index_1970": ["table1", "--index-1970"],
     "figure2": ["figure2", "--builtin-table1"],
     "figure2_tsv": ["figure2", "--builtin-table1", "--format", "tsv"],
+    "fit_files_window": ["fit", *DATA_FILES, "--lambda0", "7.3", "--window", "1980:2000"],
+    "fit_historical": ["fit", *DATA_FILES, "--historical-gdp", HISTORICAL_GDP],
+    "forecast_historical_horizon_91": [
+        "forecast", *DATA_FILES, "--historical-gdp", HISTORICAL_GDP, "--horizon", "91",
+    ],
+    "table1_lambda0_7_1": ["table1", "--lambda0", "7.1"],
 }
 
 

@@ -7,10 +7,12 @@ from thermoecon import (
     AnnualSeries,
     ConfigurationError,
     DomainError,
+    GapError,
     InsufficientDataError,
     SECONDS_PER_YEAR,
     SeriesRangeError,
     Unit,
+    ValidationError,
     annual_grid,
     build_wealth,
     energy_productivity,
@@ -18,6 +20,7 @@ from thermoecon import (
     fit_innovation,
     fit_lambda,
     gdp_growth_decomposition,
+    interpolate,
     run_fit,
 )
 
@@ -36,6 +39,18 @@ BENCHMARK_WEALTH = {
 }
 
 
+def dense(series, start=1970, end=2009):
+    """A benchmark series on the annual grid of [start, end], as run_fit makes it."""
+    return interpolate(series, annual_grid(start, end), mode="log_linear")
+
+
+HISTORY = AnnualSeries(
+    np.array([1800, 1900, 1950, 1969]),
+    np.array([1.0, 3.0, 7.0, 15.0]),
+    Unit.GDP_TRILLION_USD2005_PER_YEAR,
+)
+
+
 def exact_model(lambda0=7.0, eta0=0.02, c0=1500.0, n=30, start=1980):
     """Series generated from the closed-form model with frozen eta."""
     years = np.arange(start, start + n)
@@ -49,9 +64,8 @@ def exact_model(lambda0=7.0, eta0=0.02, c0=1500.0, n=30, start=1980):
 
 class TestBuildWealth:
     def test_calibrated_anchor_is_exact(self, table1):
-        w = build_wealth(
-            table1.gdp, calibration=(table1.power, 6.4)
-        )
+        w = build_wealth(dense(table1.gdp), dense(table1.power), lambda0=6.4)
+        assert w.init_mode == "calibrated_from_lambda"
         assert w.init_year == 1970
         assert w.init_value == 1125.0  # 1000 * 7.2 / 6.4
         assert w.value_at(1970) == 1125.0
@@ -63,36 +77,51 @@ class TestBuildWealth:
             )
 
     def test_calibration_required(self, table1):
-        with pytest.raises(ConfigurationError, match="calibration"):
-            build_wealth(table1.gdp)
+        with pytest.raises(ConfigurationError, match="lambda0"):
+            build_wealth(dense(table1.gdp), dense(table1.power))
 
     def test_bad_lambda0(self, table1):
         with pytest.raises(DomainError):
-            build_wealth(table1.gdp, calibration=(table1.power, -2.0))
-
-    def test_unknown_mode(self, table1):
-        with pytest.raises(ConfigurationError, match="unknown wealth mode"):
-            build_wealth(table1.gdp, mode="oracle")
+            build_wealth(dense(table1.gdp), dense(table1.power), lambda0=-2.0)
 
     def test_gdp_unit_enforced(self, table1):
+        power = dense(table1.power)
         with pytest.raises(ConfigurationError, match="GDP"):
-            build_wealth(table1.power, calibration=(table1.power, 6.4))
+            build_wealth(power, power, lambda0=6.4)
+
+    def test_power_must_start_with_gdp(self, table1):
+        with pytest.raises(ValidationError, match="power starts in 1971"):
+            build_wealth(dense(table1.gdp), dense(table1.power, 1971), lambda0=6.4)
+
+    def test_sparse_gdp_needs_interpolating_first(self, table1):
+        with pytest.raises(GapError):
+            build_wealth(table1.gdp, table1.power, lambda0=6.4)
 
     def test_integrated_mode_drops_pre_window_years(self, table1):
-        hist = AnnualSeries(
-            np.array([1800, 1900, 1950, 1969]),
-            np.array([1.0, 3.0, 7.0, 15.0]),
-            Unit.GDP_TRILLION_USD2005_PER_YEAR,
-        )
-        w = build_wealth(table1.gdp, mode="integrated_from_epoch", historical_gdp=hist)
+        w = build_wealth(dense(table1.gdp), dense(table1.power), historical_gdp=HISTORY)
         assert w.init_mode == "integrated_from_epoch"
         assert int(w.years[0]) == 1970
         assert w.init_value > 0.0
         assert np.all(np.diff(w.values) > 0.0)
 
-    def test_integrated_mode_needs_history(self, table1):
-        with pytest.raises(ConfigurationError, match="historical"):
-            build_wealth(table1.gdp, mode="integrated_from_epoch")
+    def test_integrated_mode_is_one_trapezoid_sum_from_zero(self, table1):
+        gdp = dense(table1.gdp)
+        w = build_wealth(gdp, dense(table1.power), historical_gdp=HISTORY)
+        merged = AnnualSeries(
+            np.concatenate([HISTORY.years, gdp.years]),
+            np.concatenate([HISTORY.values, gdp.values]),
+            gdp.unit,
+        )
+        v = interpolate(merged, annual_grid(1800, 2009), mode="log_linear").values
+        run = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]))])
+        assert np.array_equal(w.values, run[-40:])
+
+    def test_history_takes_precedence_over_lambda0(self, table1):
+        gdp, power = dense(table1.gdp), dense(table1.power)
+        both = build_wealth(gdp, power, lambda0=6.4, historical_gdp=HISTORY)
+        only = build_wealth(gdp, power, historical_gdp=HISTORY)
+        assert both.init_mode == only.init_mode == "integrated_from_epoch"
+        assert np.array_equal(both.values, only.values)
 
     def test_history_must_predate_window(self, table1):
         late = AnnualSeries(
@@ -101,7 +130,7 @@ class TestBuildWealth:
             Unit.GDP_TRILLION_USD2005_PER_YEAR,
         )
         with pytest.raises(ConfigurationError, match="begin before"):
-            build_wealth(table1.gdp, mode="integrated_from_epoch", historical_gdp=late)
+            build_wealth(dense(table1.gdp), dense(table1.power), historical_gdp=late)
 
     @given(
         rate=st.floats(0.001, 0.06),
@@ -113,7 +142,7 @@ class TestBuildWealth:
             1990, 25, 0.02 * c0, rate, Unit.GDP_TRILLION_USD2005_PER_YEAR
         )
         power = exponential_series(1990, 25, 10.0, rate, Unit.POWER_TERAWATT)
-        w = build_wealth(gdp, calibration=(power, 7.0))
+        w = build_wealth(gdp, power, lambda0=7.0)
         assert np.all(np.diff(w.values) >= 0.0)
 
 
@@ -153,17 +182,28 @@ class TestFitLambda:
         assert np.max(np.abs(m.eta_series.values - rhs)) < 1e-15
 
     def test_window_restricts_the_fit(self, benchmark_fit, table1):
+        # the window is the grid of the inputs; clip all three to narrow it
+        wealth = benchmark_fit.wealth.series.window(1980, 2000)
         m = fit_lambda(
-            table1.power, benchmark_fit.wealth, table1.gdp, window=(1980, 2000)
+            dense(table1.power, 1980, 2000), wealth, dense(table1.gdp, 1980, 2000)
         )
         assert m.window == (1980, 2000)
         assert len(m.lambda_series) == 21
+        full = benchmark_fit.model.lambda_series.window(1980, 2000)
+        assert np.array_equal(m.lambda_series.values, full.values)
 
     def test_empty_window_rejected(self, benchmark_fit, table1):
+        def empty(s):
+            return s.window(2050, 2060)
+
         with pytest.raises(SeriesRangeError):
             fit_lambda(
-                table1.power, benchmark_fit.wealth, table1.gdp, window=(2050, 2060)
+                empty(table1.power), empty(benchmark_fit.wealth.series), empty(table1.gdp)
             )
+
+    def test_misaligned_grids_rejected(self, benchmark_fit, table1):
+        with pytest.raises(ValidationError, match="different year grids"):
+            fit_lambda(table1.power, benchmark_fit.wealth.series, table1.gdp)
 
 
 class TestFitInnovation:
@@ -303,6 +343,25 @@ class TestRunFit:
         res = run_fit(table1.gdp, table1.power, historical_gdp=hist)
         assert res.wealth.init_mode == "integrated_from_epoch"
         assert res.model.window == (1970, 2009)
+
+    def test_short_overlap_rejected(self):
+        gdp = AnnualSeries(
+            np.arange(2000, 2020),
+            np.full(20, 40.0),
+            Unit.GDP_TRILLION_USD2005_PER_YEAR,
+        )
+        power = AnnualSeries(
+            np.arange(2015, 2035), np.full(20, 15.0), Unit.POWER_TERAWATT
+        )
+        with pytest.raises(ValidationError, match="overlap on 5 years.*at least 10"):
+            run_fit(gdp, power, lambda0=7.0)
+
+    def test_disjoint_records_rejected(self, table1):
+        power = AnnualSeries(
+            np.arange(2020, 2040), np.full(20, 17.0), Unit.POWER_TERAWATT
+        )
+        with pytest.raises(ValidationError, match="overlap on 0 years"):
+            run_fit(table1.gdp, power, lambda0=7.0)
 
     def test_exact_model_round_trips_through_pipeline(self):
         wealth, gdp, power = exact_model(lambda0=9.0, eta0=0.015, n=25, start=1985)

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from thermoecon import (
     AnnualSeries,
-    DatasetManifest,
     InsufficientDataError,
     ParseError,
     Unit,
     UnitError,
     ValidationError,
     builtin_table1,
-    load_dataset,
     load_series,
     write_series,
     write_table,
@@ -30,6 +28,12 @@ def write(tmp_path, text, name="input.csv"):
 
 
 class TestLoadSeries:
+    def test_load_bundled_dataset(self):
+        gdp = load_series(DATA_DIR / "world_gdp.csv", Unit.GDP_TRILLION_USD2005_PER_YEAR)
+        power = load_series(DATA_DIR / "world_power.csv", Unit.POWER_TERAWATT)
+        assert gdp.first_year == 1970
+        assert power.last_year == 2009
+
     def test_minimal_file(self, tmp_path):
         p = write(tmp_path, "# unit: power_terawatt\n1970,7.2\n1975,8.3\n")
         s = load_series(p, Unit.POWER_TERAWATT)
@@ -211,6 +215,18 @@ class TestMultiColumn:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[-1].startswith("2005,")
 
+    def test_array_column_matches_series_column(self, tmp_path):
+        s = AnnualSeries(np.arange(2000, 2006), np.linspace(-0.3, 3.7, 6) ** 3, Unit.YEARS)
+        a = write_table(tmp_path / "a.csv", s.years, {"x": s}, {"x": Unit.YEARS})
+        b = write_table(tmp_path / "b.csv", s.years, {"x": s.values}, {"x": Unit.YEARS})
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_array_column_must_match_grid(self, tmp_path):
+        with pytest.raises(ValidationError, match="5 values for 6 grid years"):
+            write_table(
+                tmp_path / "t.csv", np.arange(2000, 2006), {"x": np.ones(5)}, {"x": Unit.YEARS}
+            )
+
     def test_sparse_series_column_round_trips(self, tmp_path):
         years = np.arange(2000, 2008)
         dense = AnnualSeries(years, np.linspace(1.0, 8.0, 8), Unit.YEARS)
@@ -282,43 +298,3 @@ class TestBuiltinTable:
             s = load_series(DATA_DIR / name, unit)
             assert np.array_equal(s.years, expected.years)
             assert np.allclose(s.values, expected.values, rtol=1e-15)
-
-
-class TestDatasetManifest:
-    def test_load_bundled_dataset(self):
-        manifest = DatasetManifest(
-            gdp_path=DATA_DIR / "world_gdp.csv",
-            power_path=DATA_DIR / "world_power.csv",
-        )
-        bundle = load_dataset(manifest)
-        assert bundle.historical_gdp is None
-        assert bundle.gdp.first_year == 1970
-        assert bundle.power.last_year == 2009
-
-    def test_role_units_are_checked(self):
-        manifest = DatasetManifest(
-            gdp_path=DATA_DIR / "world_gdp.csv",
-            power_path=DATA_DIR / "world_power.csv",
-            unit_declarations={
-                "gdp": Unit.YEARS,
-                "power": Unit.POWER_TERAWATT,
-                "historical_gdp": Unit.GDP_TRILLION_USD2005_PER_YEAR,
-            },
-        )
-        with pytest.raises(UnitError, match="gdp"):
-            load_dataset(manifest)
-
-    def test_short_overlap_rejected(self, tmp_path):
-        gdp = AnnualSeries(
-            np.arange(2000, 2020),
-            np.full(20, 40.0),
-            Unit.GDP_TRILLION_USD2005_PER_YEAR,
-        )
-        power = AnnualSeries(
-            np.arange(2015, 2035), np.full(20, 15.0), Unit.POWER_TERAWATT
-        )
-        gp = write_series(gdp, tmp_path / "gdp.csv")
-        pp = write_series(power, tmp_path / "power.csv")
-        manifest = DatasetManifest(gdp_path=gp, power_path=pp)
-        with pytest.raises(ValidationError, match="at least 10"):
-            load_dataset(manifest)

@@ -232,6 +232,14 @@ class TestCumulativeIntegral:
         with pytest.raises(GapError):
             cumulative_integral(s, from_year=2000, initial=0.0)
 
+    def test_later_from_year_returns_the_tail(self):
+        # the sum always starts at the first year; earlier years are dropped
+        # after integrating, so a zero start never becomes a wealth point
+        s = series([1.0, 2.0, 3.0, 4.0], unit=Unit.GDP_TRILLION_USD2005_PER_YEAR)
+        c = cumulative_integral(s, from_year=2002, initial=0.0)
+        assert list(c.years) == [2002, 2003]
+        assert list(c.values) == [4.0, 7.5]
+
     def test_from_year_must_be_on_grid(self):
         s = series([1.0, 2.0, 3.0], unit=Unit.GDP_TRILLION_USD2005_PER_YEAR)
         with pytest.raises(SeriesRangeError):
