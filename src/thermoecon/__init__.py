@@ -12,6 +12,7 @@ from .errors import (
     DomainError,
     GapError,
     HorizonOverflowError,
+    HorizonUnderflowError,
     InsufficientDataError,
     ParseError,
     SeriesRangeError,
@@ -73,6 +74,7 @@ __all__ = [
     "GapError",
     "GrowthDecomposition",
     "HorizonOverflowError",
+    "HorizonUnderflowError",
     "InnovationFit",
     "InsufficientDataError",
     "ModelFit",

@@ -165,7 +165,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     tau_text = "none" if scenario.tau_eta is None else repr(scenario.tau_eta)
     out = write_table(
         _out_path(args, "forecast"),
-        scenario.years,
+        path_obj.wealth.years,
         {
             "wealth": path_obj.wealth,
             "eta": path_obj.eta,
@@ -187,7 +187,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             f"horizon {scenario.horizon_years} yr",
         ],
     )
-    end = int(scenario.years[-1])
+    end = path_obj.wealth.last_year
     print(
         f"forecast {scenario.start_year} to {end}: "
         f"wealth {path_obj.wealth.value_at(end):.6g} T$, "

@@ -49,13 +49,30 @@ class ConfigurationError(ThermoeconError):
     """Inconsistent or incomplete run configuration."""
 
 
-class HorizonOverflowError(ThermoeconError):
-    """Forecast left the representable range. Carries the first failing year."""
+class _HorizonRangeError(ThermoeconError):
+    """Forecast left double range. Carries the first failing year and quantity."""
 
-    def __init__(self, year: int, quantity: str = "wealth"):
+    _verb = ""
+
+    def __init__(self, year: int, quantity: str):
         super().__init__(
-            f"forecast overflows double precision at year {year} ({quantity}); "
+            f"forecast {self._verb} double precision at year {year} ({quantity}); "
             f"shorten the horizon"
         )
         self.year = year
         self.quantity = quantity
+
+
+class HorizonOverflowError(_HorizonRangeError):
+    """Forecast passed the largest double."""
+
+    _verb = "overflows"
+
+    def __init__(self, year: int, quantity: str = "wealth"):
+        super().__init__(year, quantity)
+
+
+class HorizonUnderflowError(_HorizonRangeError):
+    """Forecast eta or gdp rounded to zero."""
+
+    _verb = "underflows"

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HorizonOverflowError, ValidationError
+from .errors import (
+    DomainError,
+    HorizonOverflowError,
+    HorizonUnderflowError,
+    ValidationError,
+)
 from .series import AnnualSeries, log_derivative, rolling_mean
 from .units import SECONDS_PER_YEAR, Unit
 
@@ -65,6 +70,16 @@ class Scenario:
         if int(self.step_years) != self.step_years or self.step_years < 1:
             raise ValidationError(
                 f"step_years must be a positive integer, got {self.step_years}"
+            )
+        if self.eta0 * self.c0 == 0.0:
+            raise ValidationError(
+                f"initial gdp eta0 * c0 = {self.eta0} * {self.c0} "
+                "rounds to zero in double precision"
+            )
+        if self.lambda0 / 1000.0 * self.c0 == 0.0:
+            raise ValidationError(
+                f"initial power lambda0/1000 * c0 = {self.lambda0}/1000 * {self.c0} "
+                "rounds to zero in double precision"
             )
 
     @property
@@ -126,8 +141,17 @@ class ForecastPath:
             raise ValidationError("trajectory columns differ in length")
 
 
-def _materialize(scenario: Scenario, log_c: np.ndarray, eta: np.ndarray) -> ForecastPath:
-    years = scenario.years
+def _materialize(
+    scenario: Scenario, years: np.ndarray, log_c: np.ndarray, eta: np.ndarray
+) -> ForecastPath:
+    """Exponentiate the log-space columns; takes ownership of `eta`.
+
+    Raises HorizonOverflowError for the first grid year at which wealth,
+    gdp or power (checked in that order) would pass the largest double,
+    and HorizonUnderflowError for the first year at which gdp rounds to
+    zero, naming eta if eta itself is zero there. The columns may hold
+    inf, 0 or NaN; call under np.errstate(all="ignore").
+    """
     t_label = scenario.start_year
     log_gdp = log_c + np.log(eta)
     log_power = log_c + math.log(scenario.lambda0 / 1000.0)
@@ -136,19 +160,24 @@ def _materialize(scenario: Scenario, log_c: np.ndarray, eta: np.ndarray) -> Fore
         ("gdp", log_gdp),
         ("power", log_power),
     ):
-        over = log_values > _LOG_FLOAT_MAX
-        if np.any(over):
-            raise HorizonOverflowError(int(years[np.argmax(over)]), quantity)
+        # fmax skips the NaN an inf * 0 start row can hold, where max would
+        # return it and hide an overflow later in the column
+        if np.fmax.reduce(log_values) > _LOG_FLOAT_MAX:
+            over = log_values > _LOG_FLOAT_MAX
+            raise HorizonOverflowError(int(years[over.argmax()]), quantity)
     c = np.exp(log_c)
     gdp = np.exp(log_gdp)
     power = np.exp(log_power)
     # pin the start row to the exact scenario state; exp(log(c0)) is off
     # by an ulp and the t=0 identity C(start) == c0 is worth keeping
     c[0] = scenario.c0
-    eta = eta.copy()
     eta[0] = scenario.eta0
     gdp[0] = scenario.eta0 * scenario.c0
     power[0] = scenario.lambda0 / 1000.0 * scenario.c0
+    # Scenario keeps gdp[0] off zero, so a zero here is a later year
+    if gdp.min() == 0.0:
+        i = int((gdp == 0.0).argmax())
+        raise HorizonUnderflowError(int(years[i]), "eta" if eta[i] == 0.0 else "gdp")
     return ForecastPath(
         scenario=scenario,
         wealth=AnnualSeries(
@@ -164,15 +193,21 @@ def forecast(scenario: Scenario) -> ForecastPath:
     """Closed-form trajectory of the scenario on its year grid.
 
     Raises HorizonOverflowError naming the first grid year at which any
-    emitted quantity would leave double range; super-exponential paths get
-    there fast.
+    emitted quantity would exceed double range; super-exponential paths get
+    there fast. Raises HorizonUnderflowError naming the first grid year at
+    which eta or gdp would round to zero, as a decaying eta (tau < 0) does
+    over a long horizon.
     """
-    t = (scenario.years - scenario.start_year).astype(float)
-    log_c = math.log(scenario.c0) + np.asarray(
-        log_wealth_ratio(scenario.eta0, scenario.tau_eta, t)
-    )
-    eta = np.asarray(eta_trajectory(scenario.eta0, scenario.tau_eta, t))
-    return _materialize(scenario, log_c, eta)
+    years = scenario.years
+    t = (years - scenario.start_year).astype(float)
+    # paths past the limits hold inf, 0 or NaN until _materialize names
+    # the first failing year; numpy's float warnings would only repeat it
+    with np.errstate(all="ignore"):
+        log_c = math.log(scenario.c0) + np.asarray(
+            log_wealth_ratio(scenario.eta0, scenario.tau_eta, t)
+        )
+        eta = np.asarray(eta_trajectory(scenario.eta0, scenario.tau_eta, t))
+        return _materialize(scenario, years, log_c, eta)
 
 
 @dataclass(frozen=True, slots=True)

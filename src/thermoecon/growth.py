@@ -39,6 +39,8 @@ from .units import Unit
 
 #: Minimum length, in consecutive calendar years, of the GDP/power overlap.
 MIN_FIT_OVERLAP_YEARS = 10
+#: Fewest points the ln(eta) regression takes, so the shortest fit window.
+MIN_INNOVATION_POINTS = 3
 
 
 def build_wealth(
@@ -171,9 +173,9 @@ def fit_innovation(
     """Regress ln(eta) on year; needs at least 3 points and positive eta."""
     if window is not None:
         eta = eta.window(*window)
-    if len(eta) < 3:
+    if len(eta) < MIN_INNOVATION_POINTS:
         raise InsufficientDataError(
-            f"innovation fit needs at least 3 points, got {len(eta)}"
+            f"innovation fit needs at least {MIN_INNOVATION_POINTS} points, got {len(eta)}"
         )
     if np.any(eta.values <= 0.0):
         raise DomainError("eta must be positive to fit ln(eta)")
@@ -260,8 +262,9 @@ def run_fit(
 ) -> FitResult:
     """Whole fitting pipeline on one annual grid.
 
-    GDP and power must overlap on at least MIN_FIT_OVERLAP_YEARS years.
-    The window defaults to that overlap; both series are interpolated onto
+    GDP and power must overlap on at least MIN_FIT_OVERLAP_YEARS years,
+    and the window must span at least MIN_INNOVATION_POINTS years. The
+    window defaults to that overlap; both series are interpolated onto
     its annual grid once, and every later stage works on those dense,
     aligned series. Wealth is integrated from a historical record when one
     is supplied, otherwise calibrated at the window start with lambda0.
@@ -279,6 +282,11 @@ def run_fit(
     start, end = overlap if window is None else window
     if end < start:
         raise SeriesRangeError(f"window {start}:{end} is empty")
+    if end - start + 1 < MIN_INNOVATION_POINTS:
+        raise InsufficientDataError(
+            f"fit window {start}:{end} covers {end - start + 1} years; "
+            f"the innovation fit needs at least {MIN_INNOVATION_POINTS}"
+        )
     grid = annual_grid(start, end)
     gdp_d = interpolate(gdp, grid, mode="log_linear")
     power_d = interpolate(power, grid, mode="log_linear")

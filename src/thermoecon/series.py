@@ -27,18 +27,24 @@ from .units import Unit, division_rule, multiplication_rule
 InterpolationMode = Literal["log_linear", "linear"]
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class AnnualSeries:
     """Ordered (year, value) points with a declared unit.
 
-    Invariants enforced at construction: strictly increasing integer years,
-    finite values, and strict positivity for GDP/power/wealth units.
+    Invariants enforced at construction, in this order, each with its own
+    ValidationError:
+
+    * `years` and `values` are 1-d and the same length; a 0-d scalar pair
+      counts as one point;
+    * every year is an integer (integral floats and bools pass, since the
+      check compares against the int64 cast);
+    * years are strictly increasing, so no duplicates;
+    * every value is finite;
+    * for units that require it (GDP, power, wealth), every value is
+      strictly positive.
+
+    `years` is stored as a read-only int64 array and `values` as a
+    read-only float64 array, each a private copy of the input.
     """
 
     years: np.ndarray
@@ -47,23 +53,33 @@ class AnnualSeries:
     label: str = ""
 
     def __post_init__(self):
-        years = np.atleast_1d(np.asarray(self.years))
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
+        years = np.asarray(self.years)
+        if years.ndim == 0:
+            years = years.reshape(1)
+        values = np.array(self.values, dtype=float, ndmin=1)
         if years.shape != values.shape or years.ndim != 1:
             raise ValidationError("years and values must be 1-d and the same length")
-        if years.size and not np.array_equal(years, years.astype(np.int64)):
+        # signed-integer years pass this check by construction
+        if (
+            years.dtype.kind != "i"
+            and years.size
+            and not np.array_equal(years, years.astype(np.int64))
+        ):
             raise ValidationError("years must be integers")
         years = years.astype(np.int64)
-        if years.size > 1 and not np.all(np.diff(years) > 0):
+        # compares neighbours directly: np.diff would wrap at extreme years
+        if (years[1:] <= years[:-1]).any():
             raise ValidationError("years must be strictly increasing with no duplicates")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValidationError(f"non-finite value in series {self.label!r}")
-        if self.unit.requires_positive and years.size and not np.all(values > 0.0):
+        if self.unit.requires_positive and years.size and values.min() <= 0.0:
             raise ValidationError(
                 f"{self.unit.token} series {self.label!r} must be strictly positive"
             )
-        object.__setattr__(self, "years", _frozen_array(years, np.int64))
-        object.__setattr__(self, "values", _frozen_array(values, float))
+        years.flags.writeable = False
+        values.flags.writeable = False
+        object.__setattr__(self, "years", years)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_points(
@@ -222,8 +238,8 @@ def interpolate(
         return AnnualSeries(grid, np.array([]), series.unit, series.label)
     if grid.min() < series.first_year or grid.max() > series.last_year:
         raise SeriesRangeError(
-            f"grid [{grid.min()}, {grid.max()}] extrapolates beyond series coverage "
-            f"[{series.first_year}, {series.last_year}]"
+            f"grid [{grid.min()}, {grid.max()}] extrapolates beyond series "
+            f"{series.label!r} coverage [{series.first_year}, {series.last_year}]"
         )
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("year_grid must be strictly increasing")

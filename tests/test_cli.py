@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from thermoecon.cli import main
 
 GDP = Unit.GDP_TRILLION_USD2005_PER_YEAR
 POWER = Unit.POWER_TERAWATT
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def run(*argv):
@@ -257,6 +259,44 @@ class TestErrorHandling:
             "error: GDP and power overlap on 2 years; "
             "need at least 10 consecutive years for fitting\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["fit", "--builtin-table1", "--window", "1980:1981"],
+                "fit window 1980:1981 covers 2 years; "
+                "the innovation fit needs at least 3",
+            ),
+            (
+                [
+                    "fit",
+                    "--gdp", str(DATA_DIR / "world_gdp.csv"),
+                    "--power", str(DATA_DIR / "world_power.csv"),
+                    "--lambda0", "7",
+                    "--window", "1960:2000",
+                ],
+                "grid [1960, 2000] extrapolates beyond series 'world_gdp' "
+                "coverage [1970, 2009]",
+            ),
+            (
+                ["forecast", "--builtin-table1", "--tau-eta", "-1", "--horizon", "5000"],
+                "forecast underflows double precision at year 2751 (eta); "
+                "shorten the horizon",
+            ),
+            (
+                ["forecast", "--builtin-table1", "--tau-eta", "1", "--horizon", "2000"],
+                "forecast overflows double precision at year 2020 (wealth); "
+                "shorten the horizon",
+            ),
+        ],
+        ids=["short_window", "short_series", "eta_underflow", "overflow"],
+    )
+    def test_one_error_line(self, argv, message, tmp_path, capsys):
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_unit_mismatch_in_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

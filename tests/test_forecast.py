@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from thermoecon import (
     AnnualSeries,
     DomainError,
     HorizonOverflowError,
+    HorizonUnderflowError,
     Scenario,
     SECONDS_PER_YEAR,
     Unit,
@@ -22,7 +24,7 @@ from thermoecon import (
     forecast,
     log_wealth_ratio,
 )
-from thermoecon.forecast import LN2, ForecastPath, _materialize
+from thermoecon.forecast import _LOG_FLOAT_MAX, LN2, ForecastPath, _materialize
 
 
 def forecast_base2(scenario: Scenario) -> ForecastPath:
@@ -38,7 +40,8 @@ def forecast_base2(scenario: Scenario) -> ForecastPath:
     Agrees with forecast() to rounding error, which is the point: the
     base-2 form is a reformulation, not an approximation.
     """
-    t = (scenario.years - scenario.start_year).astype(float)
+    years = scenario.years
+    t = (years - scenario.start_year).astype(float)
     delta_c = LN2 / scenario.eta0
     if scenario.tau_eta is None:
         log2_ratio = t / delta_c
@@ -48,7 +51,72 @@ def forecast_base2(scenario: Scenario) -> ForecastPath:
         log2_ratio = delta_eta / (delta_c * LN2) * (2.0 ** (t / delta_eta) - 1.0)
         eta = scenario.eta0 * 2.0 ** (t / delta_eta)
     log_c = math.log(scenario.c0) + log2_ratio * LN2
-    return _materialize(scenario, log_c, eta)
+    return _materialize(scenario, years, log_c, eta)
+
+
+def forecast_reference(scenario: Scenario):
+    """The original forecast() arithmetic and overflow check, kept as the oracle.
+
+    Returns the grid years and the raw (wealth, eta, gdp, power) columns
+    without building series, so a column that rounded to zero can be seen.
+    """
+    years = scenario.years
+    t = (years - scenario.start_year).astype(float)
+    log_c = math.log(scenario.c0) + np.asarray(
+        log_wealth_ratio(scenario.eta0, scenario.tau_eta, t)
+    )
+    eta = np.asarray(eta_trajectory(scenario.eta0, scenario.tau_eta, t))
+    log_gdp = log_c + np.log(eta)
+    log_power = log_c + math.log(scenario.lambda0 / 1000.0)
+    for quantity, log_values in (
+        ("wealth", log_c),
+        ("gdp", log_gdp),
+        ("power", log_power),
+    ):
+        over = log_values > _LOG_FLOAT_MAX
+        if np.any(over):
+            raise HorizonOverflowError(int(years[np.argmax(over)]), quantity)
+    c = np.exp(log_c)
+    gdp = np.exp(log_gdp)
+    power = np.exp(log_power)
+    c[0] = scenario.c0
+    eta = eta.copy()
+    eta[0] = scenario.eta0
+    gdp[0] = scenario.eta0 * scenario.c0
+    power[0] = scenario.lambda0 / 1000.0 * scenario.c0
+    return years, (c, eta, gdp, power)
+
+
+def assert_matches_reference(sc: Scenario):
+    """forecast() agrees with the oracle bit for bit, or fails as it did.
+
+    Where the oracle's gdp rounds to zero (the old code then failed on a
+    non-positive gdp series) forecast() must name that first year in a
+    HorizonUnderflowError instead. No numpy warning may escape forecast().
+    """
+    with np.errstate(all="ignore"):
+        try:
+            years, want = forecast_reference(sc)
+        except HorizonOverflowError as exc:
+            expected = exc
+        else:
+            expected = None
+            zero = want[2] == 0.0
+            if zero.any():
+                i = int(zero.argmax())
+                quantity = "eta" if want[1][i] == 0.0 else "gdp"
+                expected = HorizonUnderflowError(int(years[i]), quantity)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is not None:
+            with pytest.raises(type(expected)) as err:
+                forecast(sc)
+            assert str(err.value) == str(expected)
+            return
+        path = forecast(sc)
+    for got, col in zip((path.wealth, path.eta, path.gdp, path.power), want):
+        assert np.array_equal(got.years, years)
+        assert np.array_equal(got.values.view(np.int64), col.view(np.int64))
 
 
 BASE = dict(c0=2300.0, eta0=0.0214, lambda0=7.0, start_year=2009)
@@ -196,6 +264,92 @@ class TestBase2Form:
         gap = abs(slow.wealth.value_at(2059) / frozen.wealth.value_at(2059) - 1.0)
         assert gap == pytest.approx(2.675e-5, abs=2e-8)
         assert gap < 1e-4
+
+
+class TestReference:
+    @given(
+        sc=st.builds(
+            scenario,
+            c0=st.floats(1.0, 1e5),
+            eta0=st.floats(1e-3, 0.05),
+            lambda0=st.floats(1.0, 20.0),
+            horizon_years=st.integers(0, 400),
+            step_years=st.integers(1, 5),
+            tau_eta=st.one_of(
+                st.none(), st.floats(100.0, 5000.0), st.floats(-5000.0, -100.0)
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_on_valid_scenarios(self, sc):
+        # ln C stays below about 280 here, far inside double range
+        assert_matches_reference(sc)
+        forecast(sc)
+
+    @given(
+        sc=st.builds(
+            scenario,
+            c0=st.floats(1e-200, 1e200),
+            eta0=st.floats(1e-5, 10.0),
+            lambda0=st.floats(1e-3, 1e3),
+            horizon_years=st.integers(0, 3000),
+            step_years=st.integers(1, 3),
+            tau_eta=st.one_of(
+                st.none(), st.floats(0.1, 1e6), st.floats(-1e6, -0.1)
+            ),
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_same_values_or_named_error_out_to_the_limits(self, sc):
+        assert_matches_reference(sc)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(horizon_years=700, tau_eta=-1.0),  # eta subnormal, still valid
+            dict(horizon_years=5000, tau_eta=-1.0),  # eta rounds to zero
+            dict(horizon_years=650, c0=1e-200, tau_eta=-1.0),  # gdp, not eta, hits 0
+            dict(horizon_years=2000, tau_eta=1.0),  # expm1 itself overflows
+            dict(horizon_years=32500, tau_eta=None),  # ln C = 703, still valid
+            dict(horizon_years=33300, tau_eta=None),  # ln C = 720
+            dict(horizon_years=40000, tau_eta=None),
+            dict(c0=1.0, eta0=0.1, lambda0=1e8, horizon_years=6990, tau_eta=None),  # power
+            dict(c0=1e300, eta0=1e10, horizon_years=0, tau_eta=None),  # gdp at t=0
+            dict(horizon_years=0, eta0=1e200, tau_eta=1e200),  # inf * 0 at t=0
+            dict(horizon_years=5, eta0=1e200, tau_eta=1e200),  # NaN, then overflow
+        ],
+    )
+    def test_edge_scenarios(self, kw):
+        assert_matches_reference(scenario(**kw))
+
+
+class TestUnderflow:
+    def test_decaying_eta_names_the_first_zero_year(self):
+        with pytest.raises(HorizonUnderflowError) as err:
+            forecast(scenario(horizon_years=5000, tau_eta=-1.0))
+        assert (err.value.year, err.value.quantity) == (2751, "eta")
+        assert "2751" in str(err.value)
+
+    def test_small_wealth_sends_gdp_to_zero_first(self):
+        # eta is still a normal double when C * eta rounds to zero
+        with pytest.raises(HorizonUnderflowError) as err:
+            forecast(scenario(horizon_years=800, c0=1e-200, tau_eta=-1.0))
+        assert err.value.quantity == "gdp"
+        assert err.value.year < 2009 + 700
+
+    def test_zero_start_gdp_names_the_initial_state(self):
+        # no horizon helps here, so the scenario itself is rejected
+        with pytest.raises(ValidationError, match=r"initial gdp eta0 \* c0"):
+            scenario(c0=1e-300, eta0=1e-30, horizon_years=10)
+
+    def test_zero_start_power_names_the_initial_state(self):
+        with pytest.raises(ValidationError, match=r"initial power lambda0/1000 \* c0"):
+            scenario(c0=1e-300, lambda0=1e-30, horizon_years=10)
+
+    def test_tiny_but_representable_start_is_kept(self):
+        path = forecast(scenario(c0=1e-300, eta0=1e-10, lambda0=1e-5, horizon_years=3))
+        assert path.gdp.values[0] == 1e-10 * 1e-300 > 0.0
+        assert path.power.values[0] == 1e-5 / 1000.0 * 1e-300 > 0.0
 
 
 class TestOverflow:

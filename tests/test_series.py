@@ -9,6 +9,7 @@ from thermoecon import (
     GapError,
     InsufficientDataError,
     SeriesRangeError,
+    ThermoeconError,
     Unit,
     UnitError,
     ValidationError,
@@ -43,7 +44,102 @@ def rolling_mean_reference(v, window_years):
     return out
 
 
+def annual_series_reference(years, values, unit, label=""):
+    """The original AnnualSeries checks and copies, kept as the oracle.
+
+    Returns the (years, values) arrays a series would store, or raises the
+    error construction would raise.
+    """
+    years = np.atleast_1d(np.asarray(years))
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if years.shape != values.shape or years.ndim != 1:
+        raise ValidationError("years and values must be 1-d and the same length")
+    if years.size and not np.array_equal(years, years.astype(np.int64)):
+        raise ValidationError("years must be integers")
+    years = years.astype(np.int64)
+    if years.size > 1 and not np.all(np.diff(years) > 0):
+        raise ValidationError("years must be strictly increasing with no duplicates")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"non-finite value in series {label!r}")
+    if unit.requires_positive and years.size and not np.all(values > 0.0):
+        raise ValidationError(f"{unit.token} series {label!r} must be strictly positive")
+    return np.array(years, dtype=np.int64), np.array(values, dtype=float)
+
+
+# year strategies per dtype; int64 stays inside +-2**62 so that the
+# reference's np.diff cannot wrap (see test_extreme_years_do_not_wrap)
+_YEAR_DTYPES = {
+    "int8": (np.int8, st.integers(-(2**7), 2**7 - 1)),
+    "int16": (np.int16, st.integers(-(2**15), 2**15 - 1)),
+    "int32": (np.int32, st.integers(-(2**31), 2**31 - 1)),
+    "int64": (np.int64, st.integers(-(2**62), 2**62)),
+    "uint64": (np.uint64, st.integers(0, 2**64 - 1)),
+    "bool": (np.bool_, st.booleans()),
+    "float integral": (np.float64, st.integers(-(2**52), 2**52).map(float)),
+    # bounded so the int64 cast of the reference stays defined
+    "float": (np.float64, st.floats(-1e15, 1e15)),
+}
+_VALUES = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf]),
+)
+
+
+@st.composite
+def series_inputs(draw):
+    dtype, elements = _YEAR_DTYPES[draw(st.sampled_from(sorted(_YEAR_DTYPES)))]
+    years = np.array(draw(st.lists(elements, max_size=6)), dtype=dtype)
+    order = draw(st.sampled_from(["as drawn", "sorted", "sorted unique"]))
+    if order == "sorted":
+        years = np.sort(years)
+    elif order == "sorted unique":
+        years = np.unique(years)
+    shape = draw(st.sampled_from(["1-d", "1-d", "1-d", "0-d", "2-d", "mismatched"]))
+    n = years.size + (shape == "mismatched")
+    values = np.array(draw(st.lists(_VALUES, min_size=n, max_size=n)), dtype=float)
+    if shape == "0-d":
+        years = np.array(draw(elements), dtype=dtype)
+        values = np.array(draw(_VALUES))
+    elif shape == "2-d":
+        years, values = years.reshape(1, -1), values.reshape(1, -1)
+    unit = draw(st.sampled_from([Unit.DIMENSIONLESS, Unit.POWER_TERAWATT]))
+    return years, values, unit
+
+
 class TestAnnualSeries:
+    @given(series_inputs())
+    @settings(max_examples=500, deadline=None)
+    def test_checks_match_the_reference(self, inputs):
+        years, values, unit = inputs
+        try:
+            want = annual_series_reference(years, values, unit, "x")
+        except ThermoeconError as exc:
+            with pytest.raises(type(exc)) as err:
+                AnnualSeries(years, values, unit, "x")
+            assert str(err.value) == str(exc)
+            return
+        s = AnnualSeries(years, values, unit, "x")
+        assert s.years.dtype == want[0].dtype and np.array_equal(s.years, want[0])
+        assert s.values.dtype == want[1].dtype
+        assert np.array_equal(s.values.view(np.int64), want[1].view(np.int64))
+        assert not s.years.flags.writeable and not s.values.flags.writeable
+
+    def test_stores_a_private_copy(self):
+        years, values = np.arange(2000, 2003), np.ones(3)
+        s = AnnualSeries(years, values, Unit.DIMENSIONLESS)
+        years[0], values[0] = 1990, 9.0
+        assert s.years[0] == 2000 and s.values[0] == 1.0
+        assert years.flags.writeable and values.flags.writeable
+
+    def test_extreme_years_do_not_wrap(self):
+        # the reference's np.diff wraps to -1 here and rejects sorted years
+        years = np.array([-(2**63), 2**63 - 1])
+        s = AnnualSeries(years, np.ones(2), Unit.DIMENSIONLESS)
+        assert list(s.years) == [-(2**63), 2**63 - 1]
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            annual_series_reference(years, np.ones(2), Unit.DIMENSIONLESS)
+
     def test_basic_accessors(self):
         s = series([1.0, 2.0, 3.0])
         assert len(s) == 3
