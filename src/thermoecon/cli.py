@@ -359,9 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser unchanged, so one per process serves every call
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ThermoeconError, OSError) as exc:

@@ -36,13 +36,18 @@ class ValidationError(ThermoeconError):
 
 
 class ParseError(ThermoeconError):
-    """Malformed input file. Carries the 1-based line number when known."""
+    """Malformed input file. Carries the file name and 1-based line number when known."""
 
-    def __init__(self, message: str, line_number: int | None = None):
+    def __init__(
+        self, message: str, line_number: int | None = None, source: str | None = None
+    ):
         if line_number is not None:
             message = f"line {line_number}: {message}"
+        if source is not None:
+            message = f"{source}: {message}"
         super().__init__(message)
         self.line_number = line_number
+        self.source = source
 
 
 class ConfigurationError(ThermoeconError):

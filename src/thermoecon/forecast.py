@@ -32,6 +32,9 @@ LN2 = math.log(2.0)
 # emitted quantity would exceed this
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
+# longest forecast a Scenario accepts; a million years is 8 MB per column
+MAX_HORIZON_YEARS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -57,7 +60,12 @@ class Scenario:
             raise ValidationError(f"eta0 must be positive, got {self.eta0}")
         if not np.isfinite(self.lambda0) or self.lambda0 <= 0.0:
             raise ValidationError(f"lambda0 must be positive, got {self.lambda0}")
-        if int(self.horizon_years) != self.horizon_years or self.horizon_years < 0:
+        # the cap comes first, so int() below never sees an infinite horizon
+        if self.horizon_years > MAX_HORIZON_YEARS:
+            raise ValidationError(
+                f"horizon_years must be at most {MAX_HORIZON_YEARS}, got {self.horizon_years}"
+            )
+        if not self.horizon_years >= 0 or int(self.horizon_years) != self.horizon_years:
             raise ValidationError(
                 f"horizon_years must be a non-negative integer, got {self.horizon_years}"
             )

@@ -1,6 +1,6 @@
 """Dataset loading, validation, writing, and the built-in benchmark table.
 
-File format (UTF-8, LF or CRLF):
+File format (UTF-8 with or without a byte order mark, LF or CRLF):
 
     # free comment lines
     # unit: gdp_trillion_usd2005_per_year
@@ -16,13 +16,14 @@ Report files with several value columns declare them explicitly:
     2009,2300,0.0214
 
 An empty cell in a multi-column file means "no value that year" and the
-point is skipped, which is how sparse columns round-trip.
+point is skipped, which is how sparse columns round-trip. Years must fit
+in int64 and values must be finite (no nan, inf or 1e400).
 """
 
 from __future__ import annotations
 
+import math
 import re
-from itertools import repeat
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -36,11 +37,7 @@ _UNIT_RE = re.compile(r"^#\s*unit:\s*(\S+)\s*$")
 _COLUMNS_RE = re.compile(r"^#\s*columns:\s*(\S+)\s*$")
 _COLUMN_UNIT_RE = re.compile(r"^#\s*unit\.([A-Za-z0-9_]+):\s*(\S+)\s*$")
 
-
-def _split_row(line: str) -> list[str]:
-    if "\t" in line:
-        return [f.strip() for f in line.split("\t")]
-    return [f.strip() for f in line.split(",")]
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def load_series(
@@ -52,21 +49,31 @@ def load_series(
 
     `column` selects the value column in multi-column report files; plain
     two-column files always expose their data as column "value". Rows may
-    appear in any order; the result is sorted by year.
+    appear in any order; the result is sorted by year. Every error names
+    the file, and a malformed row its line.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    name = path.name
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # everything before the bad byte decoded, so it splits into lines
+        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(
+            f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}", line, name
+        ) from None
 
     unit_token: str | None = None
     columns: list[str] | None = None
     column_units: dict[str, str] = {}
     points: dict[int, float] = {}
+    n_fields, idx = 2, 1  # plain files: year,value; idx None = no such column
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             m = _UNIT_RE.match(line)
             if m:
                 unit_token = m.group(1)
@@ -74,8 +81,10 @@ def load_series(
             m = _COLUMNS_RE.match(line)
             if m:
                 columns = m.group(1).split(",")
-                if not columns or columns[0] != "year":
-                    raise ParseError("first declared column must be 'year'", lineno)
+                if columns[0] != "year":
+                    raise ParseError("first declared column must be 'year'", lineno, name)
+                n_fields = len(columns)
+                idx = columns.index(column) if column in columns else None
                 continue
             m = _COLUMN_UNIT_RE.match(line)
             if m:
@@ -83,72 +92,78 @@ def load_series(
             continue
 
         # split the unstripped row: a sparse last column in TSV ends in a tab
-        fields = _split_row(raw)
-        if columns is None:
-            if len(fields) != 2:
-                raise ParseError(f"expected 'year,value', got {raw!r}", lineno)
-            names = ["year", "value"]
-        else:
-            if len(fields) != len(columns):
-                raise ParseError(
-                    f"expected {len(columns)} fields per '# columns:' header, got {len(fields)}",
-                    lineno,
-                )
-            names = columns
-        try:
-            year = int(fields[0])
-        except ValueError:
-            raise ParseError(f"bad year {fields[0]!r}", lineno)
-        try:
-            idx = names.index(column if columns is not None else "value")
-        except ValueError:
-            raise ParseError(f"file has no column {column!r}", lineno)
-        cell = fields[idx]
-        if cell == "":
+        fields = raw.split("\t" if "\t" in raw else ",")
+        if len(fields) != n_fields:
             if columns is None:
-                raise ParseError("empty value", lineno)
+                raise ParseError(f"expected 'year,value', got {raw!r}", lineno, name)
+            raise ParseError(
+                f"expected {n_fields} fields per '# columns:' header, got {len(fields)}",
+                lineno,
+                name,
+            )
+        year_cell = fields[0].strip()
+        try:
+            year = int(year_cell)
+        except ValueError:
+            raise ParseError(f"bad year {year_cell!r}", lineno, name)
+        if idx is None:
+            raise ParseError(f"file has no column {column!r}", lineno, name)
+        cell = fields[idx].strip()
+        if not cell:
+            if columns is None:
+                raise ParseError("empty value", lineno, name)
             continue  # sparse column: absent point
         try:
             value = float(cell)
         except ValueError:
-            raise ParseError(f"bad value {cell!r}", lineno)
+            raise ParseError(f"bad value {cell!r}", lineno, name)
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite value {cell!r}", lineno, name)
+        if not _INT64_MIN <= year <= _INT64_MAX:
+            raise ParseError(f"year {year_cell!r} is outside the int64 range", lineno, name)
         if year in points:
-            raise ValidationError(f"{path.name}: duplicate year {year}")
+            raise ValidationError(f"{name}: duplicate year {year}")
         points[year] = value
 
     if columns is not None:
         token = column_units.get(column, unit_token)
         if token is None:
-            raise UnitError(f"{path.name}: no '# unit.{column}:' header")
+            raise UnitError(f"{name}: no '# unit.{column}:' header")
     else:
         token = unit_token
         if token is None:
-            raise UnitError(f"{path.name}: missing mandatory '# unit:' header")
-    unit, scale = parse_unit_token(token)
+            raise UnitError(f"{name}: missing mandatory '# unit:' header")
+    try:
+        unit, scale = parse_unit_token(token)
+    except UnitError as exc:
+        raise UnitError(f"{name}: {exc}") from None
     if unit is not expected_unit:
         raise UnitError(
-            f"{path.name}: declared unit {token!r} is {unit.token}, expected {expected_unit.token}"
+            f"{name}: declared unit {token!r} is {unit.token}, expected {expected_unit.token}"
         )
 
     if not points:
-        raise InsufficientDataError(f"{path.name}: no data rows")
+        raise InsufficientDataError(f"{name}: no data rows")
 
-    years = sorted(points)
-    values = [points[y] * scale for y in years]
-    if expected_unit.requires_positive and any(v <= 0.0 for v in values):
-        bad = next(y for y, v in zip(years, values) if v <= 0.0)
-        raise ValidationError(
-            f"{path.name}: non-positive value at year {bad} for unit {expected_unit.token}"
-        )
+    years = np.fromiter(points, dtype=np.int64, count=len(points))
+    values = np.fromiter(points.values(), dtype=float, count=len(points)) * scale
+    if (years[1:] < years[:-1]).any():  # rows out of order; files usually are not
+        order = np.argsort(years)
+        years, values = years[order], values[order]
+    if expected_unit.requires_positive:
+        bad = values <= 0.0
+        if bad.any():
+            raise ValidationError(
+                f"{name}: non-positive value at year {years[bad.argmax()]} "
+                f"for unit {expected_unit.token}"
+            )
     label = column if column != "value" else path.stem
-    return AnnualSeries(np.array(years), np.array(values), expected_unit, label)
+    return AnnualSeries(years, values, expected_unit, label)
 
 
-def _format_column(values: np.ndarray, precision: int | None) -> list[str]:
-    floats = values.tolist()
-    if precision is None:
-        return list(map(repr, floats))
-    return list(map(format, floats, repeat(f".{precision}g")))
+def _float_spec(precision: int | None) -> str:
+    """%-format of one value: round-trip repr, or `precision` significant digits."""
+    return "%r" if precision is None else f"%.{precision}g"
 
 
 def write_series(
@@ -168,8 +183,8 @@ def write_series(
     lines = [f"# {c}" for c in comments]
     lines.append(f"# unit: {series.unit.token}")
     lines.append("# columns: year,value")
-    years = map(str, series.years.tolist())
-    lines.extend(map(delim.join, zip(years, _format_column(series.values, precision))))
+    row = f"%d{delim}{_float_spec(precision)}"
+    lines.extend(map(row.__mod__, zip(series.years.tolist(), series.values.tolist())))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -178,12 +193,18 @@ def _column_cells(
     grid: np.ndarray,
     column: AnnualSeries | np.ndarray | Mapping[int, float],
     precision: int | None,
-) -> list[str]:
-    """One formatted cell per grid year; "" where the column has no value."""
+) -> tuple[list, str]:
+    """One cell per grid year and the %-spec that formats it.
+
+    Dense columns give their values with the float spec; a column missing
+    some grid years gives ready-made strings, "" where it has no value,
+    with spec "%s".
+    """
+    spec = _float_spec(precision)
     if isinstance(column, np.ndarray):
         if column.shape != grid.shape:
             raise ValidationError(f"{column.size} values for {grid.size} grid years")
-        return _format_column(column, precision)
+        return column.tolist(), spec
     if isinstance(column, AnnualSeries):
         years, values = column.years, column.values
     else:
@@ -194,12 +215,13 @@ def _column_cells(
     idx = np.searchsorted(years, grid)
     hit = idx < years.size
     hit[hit] = years[idx[hit]] == grid[hit]
-    formatted = _format_column(values[idx[hit]], precision)
+    present = values[idx[hit]].tolist()
     if hit.all():
-        return formatted
-    cells = np.full(grid.size, "", dtype=object)
-    cells[hit] = formatted
-    return cells.tolist()
+        return present, spec
+    cells = [""] * grid.size
+    for i, text in zip(np.flatnonzero(hit).tolist(), map(spec.__mod__, present)):
+        cells[i] = text
+    return cells, "%s"
 
 
 def write_table(
@@ -232,9 +254,9 @@ def write_table(
             raise UnitError(f"unknown unit token {token!r} for column {name!r}")
         lines.append(f"# unit.{name}: {token}")
     grid = np.asarray(year_grid, dtype=np.int64)
-    cells = [list(map(str, grid.tolist()))]
-    cells.extend(_column_cells(grid, columns[name], precision) for name in names)
-    lines.extend(map(delim.join, zip(*cells)))
+    cells = [_column_cells(grid, columns[name], precision) for name in names]
+    row = delim.join(["%d", *(spec for _, spec in cells)])
+    lines.extend(map(row.__mod__, zip(grid.tolist(), *(values for values, _ in cells))))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

@@ -26,6 +26,9 @@ from .units import Unit, division_rule, multiplication_rule
 
 InterpolationMode = Literal["log_linear", "linear"]
 
+# 2**63 as a float64 scalar, so that float16/32 years compare in float64
+_INT64_FLOAT_BOUND = np.float64(2.0**63)
+
 
 @dataclass(frozen=True)
 class AnnualSeries:
@@ -37,7 +40,8 @@ class AnnualSeries:
     * `years` and `values` are 1-d and the same length; a 0-d scalar pair
       counts as one point;
     * every year is an integer (integral floats and bools pass, since the
-      check compares against the int64 cast);
+      check compares against the int64 cast; NaN, inf and float years
+      outside int64 fail without a cast warning);
     * years are strictly increasing, so no duplicates;
     * every value is finite;
     * for units that require it (GDP, power, wealth), every value is
@@ -59,13 +63,15 @@ class AnnualSeries:
         values = np.array(self.values, dtype=float, ndmin=1)
         if years.shape != values.shape or years.ndim != 1:
             raise ValidationError("years and values must be 1-d and the same length")
-        # signed-integer years pass this check by construction
-        if (
-            years.dtype.kind != "i"
-            and years.size
-            and not np.array_equal(years, years.astype(np.int64))
-        ):
-            raise ValidationError("years must be integers")
+        # signed-integer years pass this check by construction; float years
+        # the int64 cast cannot hold (NaN, inf, 2**63 and beyond) fail
+        # before the cast, which would warn
+        if years.dtype.kind != "i" and years.size:
+            castable = years.dtype.kind != "f" or (
+                (years >= -_INT64_FLOAT_BOUND) & (years < _INT64_FLOAT_BOUND)
+            ).all()
+            if not (castable and np.array_equal(years, years.astype(np.int64))):
+                raise ValidationError("years must be integers")
         years = years.astype(np.int64)
         # compares neighbours directly: np.diff would wrap at extreme years
         if (years[1:] <= years[:-1]).any():

@@ -289,14 +289,54 @@ class TestErrorHandling:
                 "forecast overflows double precision at year 2020 (wealth); "
                 "shorten the horizon",
             ),
+            (
+                ["forecast", "--builtin-table1", "--horizon", "100000000000"],
+                "horizon_years must be at most 1000000, got 100000000000",
+            ),
         ],
-        ids=["short_window", "short_series", "eta_underflow", "overflow"],
+        ids=["short_window", "short_series", "eta_underflow", "overflow", "huge_horizon"],
     )
     def test_one_error_line(self, argv, message, tmp_path, capsys):
         assert run(*argv, "--out", str(tmp_path)) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"1970,15.3\n1971,\xff16\n", "line 3: invalid UTF-8 byte 0xff"),
+            (b"1970,15.3\n1971,nan\n", "line 3: non-finite value 'nan'"),
+            (b"1970,15.3\n1971,inf\n", "line 3: non-finite value 'inf'"),
+            (b"1970,15.3\n1971,1e400\n", "line 3: non-finite value '1e400'"),
+            (
+                b"1970,15.3\n99999999999999999999,1.0\n",
+                "line 3: year '99999999999999999999' is outside the int64 range",
+            ),
+            (b"1970,15.3\n1971,x\n", "line 3: bad value 'x'"),
+        ],
+        ids=["non_utf8", "nan", "inf", "1e400", "int64_year", "bad_value"],
+    )
+    def test_bad_input_file_one_error_line(self, data, message, tmp_path, capsys):
+        _, power = synthetic_inputs(tmp_path)
+        gdp = tmp_path / "bad_gdp.csv"
+        gdp.write_bytes(b"# unit: gdp_trillion_usd2005_per_year\n" + data)
+        argv = ["fit", "--gdp", str(gdp), "--power", power, "--lambda0", "7"]
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad_gdp.csv: {message}\n"
+        assert captured.out == ""
+
+    def test_byte_order_mark_input_fits(self, tmp_path, capsys):
+        gp, pp = synthetic_inputs(tmp_path)
+        bom = tmp_path / "bom_gdp.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(gp).read_bytes())
+        argv = ["fit", "--power", pp, "--lambda0", "8.0"]
+        assert run(*argv, "--gdp", gp, "--out", str(tmp_path / "plain")) == 0
+        assert run(*argv, "--gdp", str(bom), "--out", str(tmp_path / "bom")) == 0
+        for name in ("lambda_series.csv", "summary.txt"):
+            plain, bom_out = (tmp_path / d / name for d in ("plain", "bom"))
+            assert plain.read_bytes() == bom_out.read_bytes()
 
     def test_unit_mismatch_in_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

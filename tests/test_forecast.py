@@ -24,7 +24,13 @@ from thermoecon import (
     forecast,
     log_wealth_ratio,
 )
-from thermoecon.forecast import _LOG_FLOAT_MAX, LN2, ForecastPath, _materialize
+from thermoecon.forecast import (
+    _LOG_FLOAT_MAX,
+    LN2,
+    MAX_HORIZON_YEARS,
+    ForecastPath,
+    _materialize,
+)
 
 
 def forecast_base2(scenario: Scenario) -> ForecastPath:
@@ -170,6 +176,16 @@ class TestScenario:
     def test_invalid_parameters_rejected(self, kw):
         with pytest.raises(ValidationError):
             scenario(horizon_years=kw.pop("horizon_years", 10), **kw)
+
+    def test_horizon_cap(self):
+        assert scenario(horizon_years=MAX_HORIZON_YEARS).horizon_years == 1_000_000
+        for horizon in (MAX_HORIZON_YEARS + 1, 10**11, np.inf):
+            with pytest.raises(
+                ValidationError, match=f"^horizon_years must be at most 1000000, got {horizon}$"
+            ):
+                scenario(horizon_years=horizon)
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            scenario(horizon_years=np.nan)
 
 
 class TestClosedForm:

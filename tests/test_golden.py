@@ -59,11 +59,38 @@ def write_golden(name, outputs):
         (case_dir / file_name).write_bytes(data)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_outputs_match_golden(name, tmp_path, capsys):
-    outputs = run_case(CASES[name], tmp_path / "out", capsys)
+def assert_matches_golden(name, outputs):
     case_dir = GOLDEN_DIR / name
     expected = {p.name: p.read_bytes() for p in sorted(case_dir.iterdir())}
     assert sorted(outputs) == sorted(expected)
     for file_name, data in expected.items():
         assert outputs[file_name] == data, f"{name}/{file_name} differs from golden"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_golden(name, tmp_path, capsys):
+    assert_matches_golden(name, run_case(CASES[name], tmp_path / "out", capsys))
+
+
+# every case at least once, file-input and built-in runs of one subcommand
+# interleaved, with a failing run and an argparse rejection in between
+MIXED_ORDER = [
+    "fit_files_window", "fit", "fit_files_window",
+    "forecast_no_innovation", "forecast_horizon_91", "forecast_no_innovation",
+    "figure2_tsv", "figure2", "figure2_tsv",
+    "table1_lambda0_7_1", "table1_index_1970", "table1_lambda0_7_1",
+    "fit_historical", "forecast_historical_horizon_91", "fit",
+]
+
+
+def test_back_to_back_runs_in_one_process(tmp_path, capsys):
+    """main() reuses one parser per process; no run leaks state into the next."""
+    assert set(MIXED_ORDER) == set(CASES)
+    for i, name in enumerate(MIXED_ORDER):
+        assert_matches_golden(name, run_case(CASES[name], tmp_path / str(i), capsys))
+        if i == 4:
+            assert main(["forecast", "--builtin-table1", "--horizon", "100000000000"]) == 2
+        if i == 9:
+            with pytest.raises(SystemExit):
+                main(["table1", "--index-1970", "--no-such-flag"])
+        capsys.readouterr()

@@ -1,3 +1,5 @@
+import re
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from thermoecon import (
     AnnualSeries,
     InsufficientDataError,
     ParseError,
+    ThermoeconError,
     Unit,
     UnitError,
     ValidationError,
@@ -17,8 +20,177 @@ from thermoecon import (
     write_series,
     write_table,
 )
+from thermoecon.units import FILE_TOKENS, parse_unit_token
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+# ---------------------------------------------------------------------------
+# the original reader and writers, kept as oracles for the one-split reader
+# and the one-format-call-per-row writers
+
+_UNIT_RE = re.compile(r"^#\s*unit:\s*(\S+)\s*$")
+_COLUMNS_RE = re.compile(r"^#\s*columns:\s*(\S+)\s*$")
+_COLUMN_UNIT_RE = re.compile(r"^#\s*unit\.([A-Za-z0-9_]+):\s*(\S+)\s*$")
+
+
+def _split_row_reference(line):
+    if "\t" in line:
+        return [f.strip() for f in line.split("\t")]
+    return [f.strip() for f in line.split(",")]
+
+
+def load_series_reference(path, expected_unit, column="value"):
+    path = Path(path)
+    text = path.read_text(encoding="utf-8")
+
+    unit_token = None
+    columns = None
+    column_units = {}
+    points = {}
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _UNIT_RE.match(line)
+            if m:
+                unit_token = m.group(1)
+                continue
+            m = _COLUMNS_RE.match(line)
+            if m:
+                columns = m.group(1).split(",")
+                if not columns or columns[0] != "year":
+                    raise ParseError("first declared column must be 'year'", lineno)
+                continue
+            m = _COLUMN_UNIT_RE.match(line)
+            if m:
+                column_units[m.group(1)] = m.group(2)
+            continue
+
+        fields = _split_row_reference(raw)
+        if columns is None:
+            if len(fields) != 2:
+                raise ParseError(f"expected 'year,value', got {raw!r}", lineno)
+            names = ["year", "value"]
+        else:
+            if len(fields) != len(columns):
+                raise ParseError(
+                    f"expected {len(columns)} fields per '# columns:' header, got {len(fields)}",
+                    lineno,
+                )
+            names = columns
+        try:
+            year = int(fields[0])
+        except ValueError:
+            raise ParseError(f"bad year {fields[0]!r}", lineno)
+        try:
+            idx = names.index(column if columns is not None else "value")
+        except ValueError:
+            raise ParseError(f"file has no column {column!r}", lineno)
+        cell = fields[idx]
+        if cell == "":
+            if columns is None:
+                raise ParseError("empty value", lineno)
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(f"bad value {cell!r}", lineno)
+        if year in points:
+            raise ValidationError(f"{path.name}: duplicate year {year}")
+        points[year] = value
+
+    if columns is not None:
+        token = column_units.get(column, unit_token)
+        if token is None:
+            raise UnitError(f"{path.name}: no '# unit.{column}:' header")
+    else:
+        token = unit_token
+        if token is None:
+            raise UnitError(f"{path.name}: missing mandatory '# unit:' header")
+    unit, scale = parse_unit_token(token)
+    if unit is not expected_unit:
+        raise UnitError(
+            f"{path.name}: declared unit {token!r} is {unit.token}, expected {expected_unit.token}"
+        )
+
+    if not points:
+        raise InsufficientDataError(f"{path.name}: no data rows")
+
+    years = sorted(points)
+    values = [points[y] * scale for y in years]
+    if expected_unit.requires_positive and any(v <= 0.0 for v in values):
+        bad = next(y for y, v in zip(years, values) if v <= 0.0)
+        raise ValidationError(
+            f"{path.name}: non-positive value at year {bad} for unit {expected_unit.token}"
+        )
+    label = column if column != "value" else path.stem
+    return AnnualSeries(np.array(years), np.array(values), expected_unit, label)
+
+
+def _format_column_reference(values, precision):
+    floats = values.tolist()
+    if precision is None:
+        return list(map(repr, floats))
+    return list(map(format, floats, repeat(f".{precision}g")))
+
+
+def _column_cells_reference(grid, column, precision):
+    if isinstance(column, np.ndarray):
+        if column.shape != grid.shape:
+            raise ValidationError(f"{column.size} values for {grid.size} grid years")
+        return _format_column_reference(column, precision)
+    if isinstance(column, AnnualSeries):
+        years, values = column.years, column.values
+    else:
+        years = np.fromiter(column.keys(), dtype=np.int64, count=len(column))
+        values = np.fromiter(column.values(), dtype=float, count=len(column))
+        order = np.argsort(years)
+        years, values = years[order], values[order]
+    idx = np.searchsorted(years, grid)
+    hit = idx < years.size
+    hit[hit] = years[idx[hit]] == grid[hit]
+    formatted = _format_column_reference(values[idx[hit]], precision)
+    if hit.all():
+        return formatted
+    cells = np.full(grid.size, "", dtype=object)
+    cells[hit] = formatted
+    return cells.tolist()
+
+
+def write_table_reference(path, year_grid, columns, units, fmt="csv", precision=12, comments=()):
+    path = Path(path)
+    delim = "\t" if fmt == "tsv" else ","
+    names = list(columns)
+    lines = [f"# {c}" for c in comments]
+    lines.append("# columns: year," + ",".join(names))
+    for name in names:
+        unit = units[name]
+        token = unit.token if isinstance(unit, Unit) else unit
+        if token not in FILE_TOKENS:
+            raise UnitError(f"unknown unit token {token!r} for column {name!r}")
+        lines.append(f"# unit.{name}: {token}")
+    grid = np.asarray(year_grid, dtype=np.int64)
+    cells = [list(map(str, grid.tolist()))]
+    cells.extend(_column_cells_reference(grid, columns[name], precision) for name in names)
+    lines.extend(map(delim.join, zip(*cells)))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def write_series_reference(series, path, fmt="csv", precision=None, comments=()):
+    path = Path(path)
+    delim = "\t" if fmt == "tsv" else ","
+    lines = [f"# {c}" for c in comments]
+    lines.append(f"# unit: {series.unit.token}")
+    lines.append("# columns: year,value")
+    years = map(str, series.years.tolist())
+    lines.extend(
+        map(delim.join, zip(years, _format_column_reference(series.values, precision)))
+    )
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 def write(tmp_path, text, name="input.csv"):
@@ -298,3 +470,348 @@ class TestBuiltinTable:
             s = load_series(DATA_DIR / name, unit)
             assert np.array_equal(s.years, expected.years)
             assert np.allclose(s.values, expected.values, rtol=1e-15)
+
+
+class TestLoadSeriesErrors:
+    """Every failure is a ThermoeconError that names the file."""
+
+    UNIT = "# unit: gdp_trillion_usd2005_per_year\n"
+
+    def load_bytes(self, tmp_path, data, unit=Unit.GDP_TRILLION_USD2005_PER_YEAR, **kw):
+        p = tmp_path / "input.csv"
+        p.write_bytes(data)
+        return load_series(p, unit, **kw)
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"# unit: years\n2000,1.0\n2001,\xff\n", 3),
+            (b"\xef\xbb\xbf# unit: years\r\n2000,1.0\r\n2001,1\xff\r\n", 3),
+            (b"\xff# unit: years\n", 1),
+            (b"# unit: years\n# caf\xc3\n2000,1.0\n", 2),  # cut multi-byte sequence
+            (b"# unit: years\r2000,1.0\r\x802001,2.0\r", 3),
+        ],
+    )
+    def test_non_utf8_byte_reports_its_line(self, tmp_path, data, line):
+        with pytest.raises(ParseError) as err:
+            self.load_bytes(tmp_path, data, unit=Unit.YEARS)
+        assert err.value.line_number == line
+        assert err.value.source == "input.csv"
+        assert str(err.value).startswith(f"input.csv: line {line}: invalid UTF-8 byte 0x")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        s = self.load_bytes(tmp_path, b"\xef\xbb\xbf" + (self.UNIT + "1970,15.3\n").encode())
+        assert list(s.years) == [1970] and list(s.values) == [15.3]
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e999"])
+    def test_non_finite_cell_rejected_at_its_line(self, tmp_path, cell):
+        data = f"{self.UNIT}1970,15.3\n1971,{cell}\n1972,16.0\n".encode()
+        with pytest.raises(ParseError) as err:
+            self.load_bytes(tmp_path, data)
+        assert str(err.value) == f"input.csv: line 3: non-finite value {cell!r}"
+
+    def test_non_finite_cell_in_report_column(self, tmp_path):
+        data = b"# columns: year,a,b\n# unit.a: years\n# unit.b: years\n2000,1.0,nan\n"
+        assert list(self.load_bytes(tmp_path, data, unit=Unit.YEARS, column="a").values) == [1.0]
+        with pytest.raises(ParseError, match="^input.csv: line 4: non-finite value 'nan'$"):
+            self.load_bytes(tmp_path, data, unit=Unit.YEARS, column="b")
+
+    @pytest.mark.parametrize("year", [2**63, -(2**63) - 1, 10**20])
+    def test_year_outside_int64_rejected_at_its_line(self, tmp_path, year):
+        data = f"{self.UNIT}1970,15.3\n{year},1.0\n".encode()
+        with pytest.raises(ParseError) as err:
+            self.load_bytes(tmp_path, data)
+        assert str(err.value) == (
+            f"input.csv: line 3: year '{year}' is outside the int64 range"
+        )
+
+    def test_int64_extreme_years_load(self, tmp_path):
+        data = f"{self.UNIT}{-(2**63)},1.0\n{2**63 - 1},2.0\n".encode()
+        assert list(self.load_bytes(tmp_path, data).years) == [-(2**63), 2**63 - 1]
+
+    def test_parse_errors_name_the_file(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            self.load_bytes(tmp_path, (self.UNIT + "1970,abc\n").encode())
+        assert str(err.value) == "input.csv: line 2: bad value 'abc'"
+        assert err.value.line_number == 2
+
+    def test_unknown_unit_token_names_the_file(self, tmp_path):
+        with pytest.raises(UnitError, match="^input.csv: unknown unit token 'parsecs'"):
+            self.load_bytes(tmp_path, b"# unit: parsecs\n1970,1.0\n")
+
+
+# ---------------------------------------------------------------------------
+# the reader against its oracle, on ASCII texts with finite cells and years
+# inside int64 (the cases the original reader got right)
+
+_TOKENS = ["years", "power_terawatt", "per_year_fraction", "percent_per_year", "parsecs"]
+_UNITS = [Unit.YEARS, Unit.POWER_TERAWATT, Unit.PER_YEAR_FRACTION]
+_NAME_SETS = [None, ["value"], ["a"], ["a", "b"], ["b", "a"], ["a", "year"]]
+_YEAR_CELLS = st.one_of(
+    st.integers(1990, 2010).map(str),
+    st.integers(-(2**63), 2**63 - 1).map(str),
+    st.sampled_from(["", "x", "2000.5", "+7", "1_999", "0x10"]),
+)
+_VALUE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["", "abc", "1e-3", "-0.0", "1_0.5", "0x1p3"]),
+)
+_NOISE_LINES = st.sampled_from(
+    [
+        "",
+        "   ",
+        "# a comment",
+        " # indented comment",
+        "# unit: years",
+        "# unit: parsecs",
+        "# columns: a,year",
+        "# columns: year,a",
+        "# unit.a: power_terawatt",
+        "1999",
+        "1999,1,2,3,4",
+        "\t",
+    ]
+)
+
+
+_TOKEN_OF = {
+    Unit.YEARS: "years",
+    Unit.POWER_TERAWATT: "power_terawatt",
+    Unit.PER_YEAR_FRACTION: "percent_per_year",
+}
+
+
+def _one_in(draw, n):
+    return draw(st.integers(0, n - 1)) == 0
+
+
+@st.composite
+def _rows(draw, width):
+    """A data row, well formed four times in five."""
+    if _one_in(draw, 5):
+        cells = [draw(_YEAR_CELLS)]
+        cells += [draw(_VALUE_CELLS) for _ in range(width - 1 + draw(st.sampled_from([0, -1, 1])))]
+    else:
+        cells = [str(draw(st.integers(-(10**4), 10**4)))]
+        finite = st.floats(1e-300, 1e300).map(repr)
+        cells += [draw(st.one_of(finite, st.just(""))) for _ in range(width - 1)]
+    pad = draw(st.sampled_from(["", " ", "  "]))
+    delim = draw(st.sampled_from([",", ",", "\t", f"{pad},{pad}"]))
+    return pad + delim.join(cells) + draw(st.sampled_from(["", "", pad]))
+
+
+@st.composite
+def load_cases(draw):
+    """(text, unit, column): mostly well-formed plain or report files with
+    the right unit header, with noise lines mixed in."""
+    unit = draw(st.sampled_from(_UNITS))
+    names = draw(st.sampled_from(_NAME_SETS))
+    column = draw(st.sampled_from(["value", "a", "b", "year", *(names or [])]))
+
+    def token():
+        return draw(st.sampled_from(_TOKENS)) if _one_in(draw, 4) else _TOKEN_OF[unit]
+
+    if names is None:
+        header = [f"# unit: {token()}"] if not _one_in(draw, 8) else []
+        width = 2
+    else:
+        header = ["# columns: year," + ",".join(names)]
+        header += [f"# unit.{n}: {token()}" for n in names if not _one_in(draw, 4)]
+        if _one_in(draw, 3):
+            header.append(f"# unit: {token()}")
+        width = 1 + len(names)
+    lines = header + draw(st.lists(_rows(width), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_NOISE_LINES))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return text, unit, column
+
+
+def _named(path, message):
+    # every load_series error names the file; the oracle's parse errors and
+    # unknown-token errors did not
+    prefix = f"{path.name}: "
+    return message if message.startswith(prefix) else prefix + message
+
+
+def assert_loads_like_reference(path, unit, column):
+    try:
+        want = load_series_reference(path, unit, column)
+    except ThermoeconError as exc:
+        with pytest.raises(type(exc)) as err:
+            load_series(path, unit, column)
+        assert str(err.value) == _named(path, str(exc))
+        return
+    got = load_series(path, unit, column)
+    assert got.unit is want.unit and got.label == want.label
+    assert got.years.dtype == want.years.dtype and np.array_equal(got.years, want.years)
+    assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
+
+class TestLoadSeriesOracle:
+    @given(case=load_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, tmp_path_factory, case):
+        text, unit, column = case
+        path = tmp_path_factory.mktemp("load") / "input.csv"
+        path.write_bytes(text.encode("ascii"))
+        assert_loads_like_reference(path, unit, column)
+
+    def test_generated_cases_reach_every_outcome(self, tmp_path_factory):
+        # a property that only ever saw parse errors would prove little
+        outcomes = set()
+
+        @given(case=load_cases())
+        @settings(max_examples=300, deadline=None)
+        def collect(case):
+            text, unit, column = case
+            path = tmp_path_factory.mktemp("reach") / "input.csv"
+            path.write_bytes(text.encode("ascii"))
+            try:
+                load_series(path, unit, column)
+                outcomes.add("loaded")
+            except ThermoeconError as exc:
+                outcomes.add(type(exc).__name__)
+
+        collect()
+        assert {"loaded", "ParseError", "UnitError", "ValidationError"} <= outcomes
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# unit: years\n2000,1.0\n",
+            "# unit: years\r\n 2001 , 2.5 \r\n2000,1\r\n",
+            "# unit: years\n2000,1.0\n2000,2.0\n",
+            "# unit: years\n2000,\n",
+            "# unit: power_terawatt\n2000,1.0\n2001,-0.0\n",
+            "# columns: year,a,b\n# unit.a: years\n2000,,1\n2001,2,\n",
+            "# columns: year,a\n# unit.a: years\n2000,1\n# columns: year,b,a\n2001,9,2\n",
+            "# columns: year,b\n# unit.b: years\n2000,1\n",
+            "# columns: year,b\n# unit.b: years\nx,1\n",
+            "# columns: a,year\n2000,1\n",
+            "# unit: percent_per_year\n2000\t1.5\n2001\t2.5\t\n",
+        ],
+    )
+    def test_matches_reference_on_edge_cases(self, tmp_path, text):
+        path = tmp_path / "input.csv"
+        path.write_bytes(text.encode("ascii"))
+        for unit in (Unit.YEARS, Unit.POWER_TERAWATT, Unit.PER_YEAR_FRACTION):
+            for column in ("value", "a", "b"):
+                assert_loads_like_reference(path, unit, column)
+
+
+def _spliced(draw_bytes):
+    """Well-formed table bytes with a run of arbitrary bytes spliced in."""
+    return st.tuples(load_cases(), st.integers(0, 400), draw_bytes).map(
+        lambda t: t[0][0].encode("ascii")[: t[1]] + t[2] + t[0][0].encode("ascii")[t[1] :]
+    )
+
+
+class TestLoadSeriesFuzz:
+    @given(
+        data=st.one_of(st.binary(max_size=300), _spliced(st.binary(min_size=1, max_size=8))),
+        unit=st.sampled_from(_UNITS),
+        column=st.sampled_from(["value", "a"]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_arbitrary_bytes_load_or_raise_thermoecon_error(
+        self, tmp_path_factory, data, unit, column
+    ):
+        path = tmp_path_factory.mktemp("fuzz") / "input.csv"
+        path.write_bytes(data)
+        try:
+            s = load_series(path, unit, column)
+        except ThermoeconError as exc:
+            assert str(exc).startswith("input.csv: ")
+            return
+        assert len(s) and np.isfinite(s.values).all()
+
+
+# ---------------------------------------------------------------------------
+# the writers against their oracles
+
+_GRIDS = st.lists(st.integers(-5000, 5000), unique=True, max_size=25).map(sorted)
+_CELL_VALUES = st.floats(width=64)  # nan, inf and -0.0 included
+
+
+@st.composite
+def _table_column(draw, grid):
+    kind = draw(st.sampled_from(["dense series", "sparse series", "array", "mapping"]))
+    if kind == "array":
+        return np.array(draw(st.lists(_CELL_VALUES, min_size=len(grid), max_size=len(grid))))
+    keep = [y for y in grid if kind == "dense series" or draw(st.booleans())]
+    extra = draw(st.lists(st.integers(-6000, 6000), max_size=4))
+    years = sorted(set(keep) | set(extra))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(finite if kind.endswith("series") else _CELL_VALUES,
+                           min_size=len(years), max_size=len(years)))
+    if kind == "mapping":
+        pairs = list(zip(years, values))
+        return dict(draw(st.permutations(pairs)))
+    return AnnualSeries(np.array(years, dtype=np.int64), np.array(values), Unit.DIMENSIONLESS)
+
+
+@st.composite
+def table_calls(draw):
+    grid = draw(_GRIDS)
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", "wealth"]), unique=True, max_size=4))
+    columns = {name: draw(_table_column(grid)) for name in names}
+    units = {
+        name: draw(st.sampled_from([Unit.DIMENSIONLESS, Unit.YEARS, "percent_per_year"]))
+        for name in names
+    }
+    grid_arg = np.array(grid, dtype=np.int64) if draw(st.booleans()) else grid
+    return dict(
+        year_grid=grid_arg,
+        columns=columns,
+        units=units,
+        fmt=draw(st.sampled_from(["csv", "tsv"])),
+        precision=draw(st.sampled_from([None, 12, 6])),
+        comments=draw(st.lists(st.sampled_from(["thermoecon 0.1.0", "note, with comma"]),
+                               max_size=2)),
+    )
+
+
+class TestWritersMatchReference:
+    @given(call=table_calls())
+    @settings(max_examples=400, deadline=None)
+    def test_write_table_bytes(self, tmp_path_factory, call):
+        tmp = tmp_path_factory.mktemp("write")
+        got = write_table(tmp / "got.csv", **call).read_bytes()
+        assert got == write_table_reference(tmp / "want.csv", **call).read_bytes()
+
+    @pytest.mark.parametrize("precision", [None, 12, 6])
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    def test_write_table_edge_shapes(self, tmp_path, precision, fmt):
+        grid = np.arange(2000, 2004)
+        sparse = AnnualSeries(np.array([1999, 2001]), np.array([0.1, -0.0]), Unit.YEARS)
+        cases = [
+            (grid, {}),  # year-only table
+            (np.array([], dtype=np.int64), {}),
+            (np.array([], dtype=np.int64), {"s": sparse, "m": {2001: 1.0}}),
+            (grid, {"s": sparse}),  # sparse column first
+            (grid, {"s": sparse, "m": {}}),  # an all-empty mapping column
+            (grid, {"x": np.array([np.nan, np.inf, -np.inf, 5e-324])}),
+        ]
+        for i, (g, columns) in enumerate(cases):
+            units = {name: Unit.YEARS for name in columns}
+            kw = dict(fmt=fmt, precision=precision)
+            got = write_table(tmp_path / f"got{i}", g, columns, units, **kw).read_bytes()
+            want = write_table_reference(tmp_path / f"want{i}", g, columns, units, **kw)
+            assert got == want.read_bytes(), columns
+
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30),
+        start=st.integers(-3000, 3000),
+        fmt=st.sampled_from(["csv", "tsv"]),
+        precision=st.sampled_from([None, 12, 6]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_write_series_bytes(self, tmp_path_factory, values, start, fmt, precision):
+        tmp = tmp_path_factory.mktemp("series")
+        s = AnnualSeries(np.arange(start, start + len(values)), np.array(values), Unit.YEARS)
+        kw = dict(fmt=fmt, precision=precision, comments=["note"])
+        got = write_series(s, tmp / "got.csv", **kw).read_bytes()
+        assert got == write_series_reference(s, tmp / "want.csv", **kw).read_bytes()

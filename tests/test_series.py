@@ -161,6 +161,27 @@ class TestAnnualSeries:
         with pytest.raises(ValidationError):
             AnnualSeries(np.array([2000.5, 2001.5]), np.ones(2), Unit.DIMENSIONLESS)
 
+    @pytest.mark.parametrize(
+        "years",
+        [
+            [np.nan, 2000.0],
+            [2000.0, np.inf],
+            [-np.inf, 2000.0],
+            [2.0**63, 2.0**64],
+            [-1e19, 2000.0],
+            np.array([np.nan, 2000.0], dtype=np.float32),
+            np.array([2000.0, np.inf], dtype=np.float16),
+        ],
+    )
+    def test_uncastable_float_years_rejected_without_warning(self, years):
+        # the suite turns RuntimeWarning into an error, so a cast warning fails
+        with pytest.raises(ValidationError, match="^years must be integers$"):
+            AnnualSeries(np.asarray(years), np.ones(2), Unit.DIMENSIONLESS)
+
+    def test_float_years_at_the_int64_bounds(self):
+        s = AnnualSeries(np.array([-(2.0**63), 2.0**62]), np.ones(2), Unit.DIMENSIONLESS)
+        assert list(s.years) == [-(2**63), 2**62]
+
     def test_non_finite_values_rejected(self):
         with pytest.raises(ValidationError):
             series([1.0, np.nan])
