@@ -37,7 +37,6 @@ from .growth import (
     InnovationFit,
     ModelFit,
     build_wealth,
-    energy_productivity,
     fit_innovation,
     fit_lambda,
     gdp_growth_decomposition,
@@ -47,15 +46,12 @@ from .ingest import (
     Table1,
     builtin_table1,
     load_series,
-    write_series,
     write_table,
 )
 from .series import (
     AnnualSeries,
-    WealthSeries,
     annual_grid,
     cumulative_integral,
-    exponential_series,
     interpolate,
     log_derivative,
     rolling_mean,
@@ -87,17 +83,14 @@ __all__ = [
     "Unit",
     "UnitError",
     "ValidationError",
-    "WealthSeries",
     "annual_grid",
     "build_wealth",
     "builtin_table1",
     "cumulative_integral",
     "doubling_time_series",
     "doubling_times",
-    "energy_productivity",
     "eta_from_productivity",
     "eta_trajectory",
-    "exponential_series",
     "fit_innovation",
     "fit_lambda",
     "forecast",
@@ -109,6 +102,5 @@ __all__ = [
     "parse_unit_token",
     "rolling_mean",
     "run_fit",
-    "write_series",
     "write_table",
 ]

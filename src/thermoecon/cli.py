@@ -74,8 +74,9 @@ def _out_path(args: argparse.Namespace, stem: str) -> Path:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     res = _resolve_fit(args)
-    m = res.model
+    m, wealth = res.model, res.wealth
     grid = m.lambda_series.years
+    anchor = f"{res.init_mode}, C({wealth.first_year}) = {wealth.values[0]:.12g}"
     path = write_table(
         _out_path(args, "lambda_series"),
         grid,
@@ -83,7 +84,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "lambda": m.lambda_series,
             "eta": m.eta_series,
             "f": m.f_series,
-            "wealth": res.wealth.series,
+            "wealth": wealth,
         },
         {
             "lambda": Unit.WATTS_PER_THOUSAND_USD2005,
@@ -95,8 +96,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         comments=[
             _VERSION_COMMENT,
             f"fit window {m.window[0]}:{m.window[1]}",
-            f"wealth init {res.wealth.init_mode}, "
-            f"C({res.wealth.init_year}) = {res.wealth.init_value:.12g}",
+            f"wealth init {anchor}",
         ],
     )
     inn, dec = res.innovation, res.decomposition
@@ -104,8 +104,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     lines = [
         "fit summary",
         f"window: {m.window[0]}:{m.window[1]} ({len(grid)} annual points)",
-        f"wealth init: {res.wealth.init_mode}, C({res.wealth.init_year}) = "
-        f"{res.wealth.init_value:.12g} T$",
+        f"wealth init: {anchor} T$",
         f"lambda mean: {m.lambda_mean:.12g} W per thousand 2005 USD",
         f"lambda relative spread: {m.lambda_rel_std:.12g} ({m.lambda_rel_std * 100:.2f} %)",
         f"eta mean: {m.eta_mean:.12g} /yr ({m.eta_mean * 100:.2f} %/yr)",

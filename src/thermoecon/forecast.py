@@ -23,7 +23,7 @@ from .errors import (
     HorizonUnderflowError,
     ValidationError,
 )
-from .series import AnnualSeries, log_derivative, rolling_mean
+from .series import MAX_GRID_YEARS, AnnualSeries, annual_grid, log_derivative, rolling_mean
 from .units import SECONDS_PER_YEAR, Unit
 
 LN2 = math.log(2.0)
@@ -32,8 +32,8 @@ LN2 = math.log(2.0)
 # emitted quantity would exceed this
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
-# longest forecast a Scenario accepts; a million years is 8 MB per column
-MAX_HORIZON_YEARS = 1_000_000
+# longest forecast a Scenario accepts: the longest annual grid
+MAX_HORIZON_YEARS = MAX_GRID_YEARS
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,6 @@ class Scenario:
     start_year: int
     horizon_years: int
     tau_eta: float | None = None
-    step_years: int = 1
 
     def __post_init__(self):
         if not np.isfinite(self.c0) or self.c0 <= 0.0:
@@ -75,10 +74,6 @@ class Scenario:
                     f"tau_eta must be finite and nonzero, got {self.tau_eta}; "
                     "use None for no innovation"
                 )
-        if int(self.step_years) != self.step_years or self.step_years < 1:
-            raise ValidationError(
-                f"step_years must be a positive integer, got {self.step_years}"
-            )
         if self.eta0 * self.c0 == 0.0:
             raise ValidationError(
                 f"initial gdp eta0 * c0 = {self.eta0} * {self.c0} "
@@ -92,12 +87,7 @@ class Scenario:
 
     @property
     def years(self) -> np.ndarray:
-        return np.arange(
-            self.start_year,
-            self.start_year + self.horizon_years + 1,
-            self.step_years,
-            dtype=np.int64,
-        )
+        return annual_grid(self.start_year, self.start_year + self.horizon_years)
 
 
 def log_wealth_ratio(eta0: float, tau_eta: float | None, t) -> float | np.ndarray:

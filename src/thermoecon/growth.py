@@ -28,13 +28,7 @@ from .errors import (
     SeriesRangeError,
     ValidationError,
 )
-from .series import (
-    AnnualSeries,
-    WealthSeries,
-    annual_grid,
-    cumulative_integral,
-    interpolate,
-)
+from .series import AnnualSeries, annual_grid, cumulative_integral, interpolate
 from .units import Unit
 
 #: Minimum length, in consecutive calendar years, of the GDP/power overlap.
@@ -48,8 +42,10 @@ def build_wealth(
     power: AnnualSeries,
     lambda0: float | None = None,
     historical_gdp: AnnualSeries | None = None,
-) -> WealthSeries:
+) -> tuple[AnnualSeries, str]:
     """Accumulate a dense annual GDP record into wealth over its years.
+
+    Returns the wealth series and the name of its anchor mode.
 
     The anchor is chosen in this order. With a historical GDP record, the
     record's years before `gdp` are merged in front of it, the merged record
@@ -60,7 +56,7 @@ def build_wealth(
     record starts long after economic activity did. Either way one
     trapezoid sum runs over the annual GDP, and only the years of `gdp` are
     returned. `power` only supplies the calibration value, so it must start
-    in the same year as `gdp`.
+    in the same year as `gdp`. Positive GDP makes the wealth non-decreasing.
     """
     if gdp.unit is not Unit.GDP_TRILLION_USD2005_PER_YEAR:
         raise ConfigurationError(f"expected a GDP series, got {gdp.unit.token}")
@@ -84,7 +80,7 @@ def build_wealth(
             gdp.unit,
             gdp.label,
         )
-        rate = interpolate(merged, annual_grid(epoch, end), mode="log_linear")
+        rate = interpolate(merged, annual_grid(epoch, end))
         init_mode, initial = "integrated_from_epoch", 0.0
     elif lambda0 is not None:
         if not np.isfinite(lambda0) or lambda0 <= 0.0:
@@ -96,13 +92,7 @@ def build_wealth(
         raise ConfigurationError(
             "need lambda0 for calibrated wealth or a historical GDP record"
         )
-    wealth = cumulative_integral(rate, from_year=start, initial=initial)
-    return WealthSeries(
-        series=wealth,
-        init_mode=init_mode,
-        init_year=start,
-        init_value=float(wealth.values[0]),
-    )
+    return cumulative_integral(rate, from_year=start, initial=initial), init_mode
 
 
 @dataclass(frozen=True)
@@ -160,10 +150,6 @@ class InnovationFit:
     tau_eta: float | None
     residual_rms: float
     n_points: int
-
-    def trend_eta(self, year: float) -> float:
-        """Trend value of eta at a (possibly fractional) calendar year."""
-        return float(np.exp(self.intercept + self.slope * (year - self.center_year)))
 
 
 def fit_innovation(
@@ -234,23 +220,14 @@ def gdp_growth_decomposition(
     )
 
 
-def energy_productivity(gdp: AnnualSeries, power: AnnualSeries) -> AnnualSeries:
-    """GDP per unit energy, Y/a in dollars per joule, on the common years."""
-    common = np.intersect1d(gdp.years, power.years)
-    if common.size == 0:
-        raise SeriesRangeError("GDP and power share no years")
-    g = AnnualSeries(common, gdp.values[np.isin(gdp.years, common)], gdp.unit, gdp.label)
-    p = AnnualSeries(
-        common, power.values[np.isin(power.years, common)], power.unit, power.label
-    )
-    return g / p
-
-
 class FitResult(NamedTuple):
+    """Every stage of one run_fit; init_mode names the wealth anchor."""
+
     model: ModelFit
     innovation: InnovationFit
     decomposition: GrowthDecomposition
-    wealth: WealthSeries
+    wealth: AnnualSeries
+    init_mode: str
 
 
 def run_fit(
@@ -288,12 +265,12 @@ def run_fit(
             f"the innovation fit needs at least {MIN_INNOVATION_POINTS}"
         )
     grid = annual_grid(start, end)
-    gdp_d = interpolate(gdp, grid, mode="log_linear")
-    power_d = interpolate(power, grid, mode="log_linear")
-    wealth = build_wealth(gdp_d, power_d, lambda0=lambda0, historical_gdp=historical_gdp)
-    model = fit_lambda(power_d, wealth.series, gdp_d)
+    gdp_d = interpolate(gdp, grid)
+    power_d = interpolate(power, grid)
+    wealth, init_mode = build_wealth(
+        gdp_d, power_d, lambda0=lambda0, historical_gdp=historical_gdp
+    )
+    model = fit_lambda(power_d, wealth, gdp_d)
     innovation = fit_innovation(model.eta_series)
     decomposition = gdp_growth_decomposition(model, innovation)
-    return FitResult(
-        model=model, innovation=innovation, decomposition=decomposition, wealth=wealth
-    )
+    return FitResult(model, innovation, decomposition, wealth, init_mode)

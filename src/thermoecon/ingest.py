@@ -161,34 +161,6 @@ def load_series(
     return AnnualSeries(years, values, expected_unit, label)
 
 
-def _float_spec(precision: int | None) -> str:
-    """%-format of one value: round-trip repr, or `precision` significant digits."""
-    return "%r" if precision is None else f"%.{precision}g"
-
-
-def write_series(
-    series: AnnualSeries,
-    path: str | Path,
-    fmt: str = "csv",
-    precision: int | None = None,
-    comments: Sequence[str] = (),
-) -> Path:
-    """Write a series in the two-column format; load_series inverts this.
-
-    With precision=None values are written at full round-trip precision,
-    making write -> load bit-exact.
-    """
-    path = Path(path)
-    delim = "\t" if fmt == "tsv" else ","
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"# unit: {series.unit.token}")
-    lines.append("# columns: year,value")
-    row = f"%d{delim}{_float_spec(precision)}"
-    lines.extend(map(row.__mod__, zip(series.years.tolist(), series.values.tolist())))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
 def _column_cells(
     grid: np.ndarray,
     column: AnnualSeries | np.ndarray | Mapping[int, float],
@@ -200,7 +172,7 @@ def _column_cells(
     some grid years gives ready-made strings, "" where it has no value,
     with spec "%s".
     """
-    spec = _float_spec(precision)
+    spec = "%r" if precision is None else f"%.{precision}g"
     if isinstance(column, np.ndarray):
         if column.shape != grid.shape:
             raise ValidationError(f"{column.size} values for {grid.size} grid years")

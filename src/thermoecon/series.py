@@ -9,7 +9,7 @@ grid says so and raises GapError otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,12 +19,12 @@ from .errors import (
     GapError,
     InsufficientDataError,
     SeriesRangeError,
-    UnitError,
     ValidationError,
 )
-from .units import Unit, division_rule, multiplication_rule
+from .units import Unit, division_rule
 
-InterpolationMode = Literal["log_linear", "linear"]
+#: Longest span, in years, of any annual grid: a million years is 8 MB per column
+MAX_GRID_YEARS = 1_000_000
 
 # 2**63 as a float64 scalar, so that float16/32 years compare in float64
 _INT64_FLOAT_BOUND = np.float64(2.0**63)
@@ -87,21 +87,6 @@ class AnnualSeries:
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_points(
-        cls,
-        points: Iterable[tuple[int, float]],
-        unit: Unit,
-        label: str = "",
-        sort: bool = False,
-    ) -> "AnnualSeries":
-        pts = list(points)
-        if sort:
-            pts.sort(key=lambda p: p[0])
-        years = [p[0] for p in pts]
-        values = [p[1] for p in pts]
-        return cls(np.array(years), np.array(values), unit, label)
-
     # -- basic queries ------------------------------------------------------
 
     def __len__(self) -> int:
@@ -145,98 +130,31 @@ class AnnualSeries:
             self.label if label is None else label,
         )
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check_aligned(self, other: "AnnualSeries"):
-        if not np.array_equal(self.years, other.years):
-            raise ValidationError(
-                f"series {self.label!r} and {other.label!r} are on different year grids; "
-                f"interpolate explicitly first"
-            )
-
-    def __add__(self, other: "AnnualSeries") -> "AnnualSeries":
-        if not isinstance(other, AnnualSeries):
-            return NotImplemented
-        if self.unit is not other.unit:
-            raise UnitError(f"cannot add {self.unit.token} and {other.unit.token}")
-        self._check_aligned(other)
-        return self.with_values(self.values + other.values)
-
-    def __sub__(self, other: "AnnualSeries") -> "AnnualSeries":
-        if not isinstance(other, AnnualSeries):
-            return NotImplemented
-        if self.unit is not other.unit:
-            raise UnitError(f"cannot subtract {other.unit.token} from {self.unit.token}")
-        self._check_aligned(other)
-        return self.with_values(self.values - other.values)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.with_values(self.values * float(other))
-        if isinstance(other, AnnualSeries):
-            self._check_aligned(other)
-            unit, scale = multiplication_rule(self.unit, other.unit)
-            return AnnualSeries(self.years, self.values * other.values * scale, unit)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
             return self.with_values(self.values / float(other))
         if isinstance(other, AnnualSeries):
-            self._check_aligned(other)
+            if not np.array_equal(self.years, other.years):
+                raise ValidationError(
+                    f"series {self.label!r} and {other.label!r} are on different "
+                    "year grids; interpolate explicitly first"
+                )
             unit, scale = division_rule(self.unit, other.unit)
             return AnnualSeries(self.years, self.values / other.values * scale, unit)
         return NotImplemented
-
-
-@dataclass(frozen=True)
-class WealthSeries:
-    """Cumulative wealth C(t) plus the metadata of how it was initialized."""
-
-    series: AnnualSeries
-    init_mode: Literal["integrated_from_epoch", "calibrated_from_lambda"]
-    init_year: int
-    init_value: float
-
-    def __post_init__(self):
-        if self.series.unit is not Unit.WEALTH_TRILLION_USD2005:
-            raise UnitError("WealthSeries requires wealth_trillion_usd2005 values")
-        if self.init_mode not in ("integrated_from_epoch", "calibrated_from_lambda"):
-            raise ValidationError(f"unknown init_mode {self.init_mode!r}")
-        if self.series.value_at(self.init_year) != self.init_value:
-            raise ValidationError("series value at init_year must equal init_value exactly")
-        if np.any(np.diff(self.series.values) < 0.0):
-            raise ValidationError("wealth must be non-decreasing (GDP is positive)")
-
-    @property
-    def years(self) -> np.ndarray:
-        return self.series.years
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.series.values
-
-    def value_at(self, year: int) -> float:
-        return self.series.value_at(year)
 
 
 # ---------------------------------------------------------------------------
 # operations
 
 
-def interpolate(
-    series: AnnualSeries, year_grid: Sequence[int], mode: InterpolationMode
-) -> AnnualSeries:
+def interpolate(series: AnnualSeries, year_grid: Sequence[int]) -> AnnualSeries:
     """Resample a series onto `year_grid`, exactly reproducing original points.
 
-    `log_linear` interpolates ln(value) linearly in time (exact for
-    exponential growth between knots) and requires positive values;
-    `linear` interpolates the values themselves. Extrapolation is refused.
+    ln(value) is interpolated linearly in time, which is exact for
+    exponential growth between knots and requires positive values.
+    Extrapolation is refused.
     """
-    if mode not in ("log_linear", "linear"):
-        raise ValidationError(f"unknown interpolation mode {mode!r}")
     if len(series) == 0:
         raise InsufficientDataError("cannot interpolate an empty series")
     grid = np.atleast_1d(np.asarray(year_grid, dtype=np.int64))
@@ -250,14 +168,10 @@ def interpolate(
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("year_grid must be strictly increasing")
 
+    if np.any(series.values <= 0.0):
+        raise DomainError("log_linear interpolation requires strictly positive values")
     x = series.years.astype(float)
-    g = grid.astype(float)
-    if mode == "log_linear":
-        if np.any(series.values <= 0.0):
-            raise DomainError("log_linear interpolation requires strictly positive values")
-        out = np.exp(np.interp(g, x, np.log(series.values)))
-    else:
-        out = np.interp(g, x, series.values)
+    out = np.exp(np.interp(grid.astype(float), x, np.log(series.values)))
     # knot years reproduce stored values bit-exactly, immune to log/exp noise
     knot = np.searchsorted(series.years, grid)
     knot_mask = (knot < len(series)) & (series.years[np.minimum(knot, len(series) - 1)] == grid)
@@ -348,24 +262,21 @@ def rolling_mean(series: AnnualSeries, window_years: int) -> AnnualSeries:
     return series.with_values(out)
 
 
-def exponential_series(
-    start_year: int,
-    n_years: int,
-    initial: float,
-    growth_rate: float,
-    unit: Unit = Unit.DIMENSIONLESS,
-    label: str = "",
-) -> AnnualSeries:
-    """Annual series initial * exp(growth_rate * k), k = 0..n_years-1.
-
-    Test/synthetic-data helper; exponentials are the model's native family.
-    """
-    years = np.arange(start_year, start_year + n_years, dtype=np.int64)
-    values = initial * np.exp(growth_rate * np.arange(n_years, dtype=float))
-    return AnnualSeries(years, values, unit, label)
-
-
 def annual_grid(start_year: int, end_year: int) -> np.ndarray:
+    """Every year from start_year to end_year inclusive, as int64.
+
+    Every dense grid in the package is built here, so its length and its
+    range are checked once, before anything is allocated. Years past
+    +-2**53 are refused: the fits work on float years, which skip
+    integers there.
+    """
+    start_year, end_year = int(start_year), int(end_year)
     if end_year < start_year:
         raise SeriesRangeError(f"bad year range [{start_year}, {end_year}]")
+    if end_year - start_year > MAX_GRID_YEARS:
+        raise SeriesRangeError(
+            f"year range [{start_year}, {end_year}] spans more than {MAX_GRID_YEARS} years"
+        )
+    if start_year < -(2**53) or end_year > 2**53:
+        raise SeriesRangeError(f"year range [{start_year}, {end_year}] reaches past +-2**53")
     return np.arange(start_year, end_year + 1, dtype=np.int64)

@@ -78,18 +78,6 @@ _DIVISION_RULES: dict[tuple[Unit, Unit], tuple[Unit, float]] = {
     ),
 }
 
-_MULTIPLICATION_RULES: dict[tuple[Unit, Unit], tuple[Unit, float]] = {
-    (Unit.PER_YEAR_FRACTION, Unit.WEALTH_TRILLION_USD2005): (
-        Unit.GDP_TRILLION_USD2005_PER_YEAR,
-        1.0,
-    ),
-    (Unit.WATTS_PER_THOUSAND_USD2005, Unit.WEALTH_TRILLION_USD2005): (
-        Unit.POWER_TERAWATT,
-        1.0e-3,
-    ),
-}
-
-
 def division_rule(numerator: Unit, denominator: Unit) -> tuple[Unit, float]:
     """Result unit and scale factor for a pointwise series division."""
     if numerator is denominator:
@@ -98,18 +86,6 @@ def division_rule(numerator: Unit, denominator: Unit) -> tuple[Unit, float]:
         return _DIVISION_RULES[(numerator, denominator)]
     except KeyError:
         raise UnitError(f"no division rule for {numerator.token} / {denominator.token}")
-
-
-def multiplication_rule(a: Unit, b: Unit) -> tuple[Unit, float]:
-    """Result unit and scale factor for a pointwise series multiplication."""
-    if a is Unit.DIMENSIONLESS:
-        return b, 1.0
-    if b is Unit.DIMENSIONLESS:
-        return a, 1.0
-    for pair in ((a, b), (b, a)):
-        if pair in _MULTIPLICATION_RULES:
-            return _MULTIPLICATION_RULES[pair]
-    raise UnitError(f"no multiplication rule for {a.token} * {b.token}")
 
 
 #: File-header unit tokens. `percent_per_year` exists so data transcribed in

@@ -4,8 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermoecon import Unit, exponential_series, load_series, write_series
+from thermoecon import Unit, load_series
 from thermoecon.cli import main
+
+from test_ingest import write_series_reference
+from test_series import exponential_series
 
 GDP = Unit.GDP_TRILLION_USD2005_PER_YEAR
 POWER = Unit.POWER_TERAWATT
@@ -19,8 +22,8 @@ def run(*argv):
 def synthetic_inputs(tmp_path, n=30, rate=0.025):
     gdp = exponential_series(1980, n, 20.0, rate, GDP, "gdp")
     power = exponential_series(1980, n, 9.0, rate, POWER, "power")
-    gp = write_series(gdp, tmp_path / "gdp.csv")
-    pp = write_series(power, tmp_path / "power.csv")
+    gp = write_series_reference(gdp, tmp_path / "gdp.csv")
+    pp = write_series_reference(power, tmp_path / "power.csv")
     return str(gp), str(pp)
 
 
@@ -249,8 +252,8 @@ class TestErrorHandling:
         power = exponential_series(2018, 20, 15.0, 0.02, POWER, "power")
         rc = run(
             "fit",
-            "--gdp", str(write_series(gdp, tmp_path / "gdp.csv")),
-            "--power", str(write_series(power, tmp_path / "power.csv")),
+            "--gdp", str(write_series_reference(gdp, tmp_path / "gdp.csv")),
+            "--power", str(write_series_reference(power, tmp_path / "power.csv")),
             "--lambda0", "7.0",
             "--out", str(tmp_path),
         )
@@ -293,14 +296,65 @@ class TestErrorHandling:
                 ["forecast", "--builtin-table1", "--horizon", "100000000000"],
                 "horizon_years must be at most 1000000, got 100000000000",
             ),
+            (
+                ["fit", "--builtin-table1", "--window", "1970:1970000000000000000000"],
+                "year range [1970, 1970000000000000000000] spans more than 1000000 years",
+            ),
+            (
+                ["fit", "--builtin-table1", "--window", "1970:2000000000"],
+                "year range [1970, 2000000000] spans more than 1000000 years",
+            ),
+            (
+                [
+                    "fit", "--builtin-table1",
+                    "--window", "9223372036854775800:9223372036854775810",
+                ],
+                "year range [9223372036854775800, 9223372036854775810] reaches past +-2**53",
+            ),
         ],
-        ids=["short_window", "short_series", "eta_underflow", "overflow", "huge_horizon"],
+        ids=[
+            "short_window",
+            "short_series",
+            "eta_underflow",
+            "overflow",
+            "huge_horizon",
+            "window_1e21",
+            "window_2e9",
+            "window_past_2_53",
+        ],
     )
     def test_one_error_line(self, argv, message, tmp_path, capsys):
         assert run(*argv, "--out", str(tmp_path)) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    def assert_grid_too_long(self, argv, years, tmp_path, capsys):
+        # the span is rejected before any grid is allocated
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: year range [{years[0]}, {years[1]}] spans more than 1000000 years\n"
+        )
+        assert captured.out == ""
+
+    def test_knots_two_billion_years_apart(self, tmp_path, capsys):
+        files = []
+        for name, token in (("gdp", GDP.token), ("power", POWER.token)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(f"# unit: {token}\n1,10.0\n2000000000,20.0\n", encoding="utf-8")
+            files.append(str(path))
+        argv = ["fit", "--gdp", files[0], "--power", files[1], "--lambda0", "7"]
+        self.assert_grid_too_long(argv, (1, 2000000000), tmp_path, capsys)
+
+    def test_history_from_two_billion_years_back(self, tmp_path, capsys):
+        gdp, power = synthetic_inputs(tmp_path)
+        history = tmp_path / "history.csv"
+        history.write_text(
+            f"# unit: {GDP.token}\n-2000000000,0.001\n1900,2.0\n", encoding="utf-8"
+        )
+        argv = ["fit", "--gdp", gdp, "--power", power, "--historical-gdp", str(history)]
+        self.assert_grid_too_long(argv, (-2000000000, 2009), tmp_path, capsys)
 
     @pytest.mark.parametrize(
         "data, message",

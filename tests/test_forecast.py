@@ -20,7 +20,6 @@ from thermoecon import (
     doubling_times,
     eta_from_productivity,
     eta_trajectory,
-    exponential_series,
     forecast,
     log_wealth_ratio,
 )
@@ -31,6 +30,8 @@ from thermoecon.forecast import (
     ForecastPath,
     _materialize,
 )
+
+from test_series import exponential_series
 
 
 def forecast_base2(scenario: Scenario) -> ForecastPath:
@@ -148,9 +149,9 @@ valid_scenarios = st.builds(
 
 
 class TestScenario:
-    def test_grid_includes_start_and_respects_step(self):
-        s = scenario(horizon_years=10, step_years=4)
-        assert list(s.years) == [2009, 2013, 2017]
+    def test_grid_includes_start_and_end(self):
+        s = scenario(horizon_years=3)
+        assert list(s.years) == [2009, 2010, 2011, 2012]
 
     def test_zero_horizon_is_single_year(self):
         s = scenario(horizon_years=0)
@@ -169,8 +170,6 @@ class TestScenario:
             dict(tau_eta=0.0),
             dict(tau_eta=np.inf),
             dict(tau_eta=np.nan),
-            dict(step_years=0),
-            dict(step_years=1.5),
         ],
     )
     def test_invalid_parameters_rejected(self, kw):
@@ -290,7 +289,6 @@ class TestReference:
             eta0=st.floats(1e-3, 0.05),
             lambda0=st.floats(1.0, 20.0),
             horizon_years=st.integers(0, 400),
-            step_years=st.integers(1, 5),
             tau_eta=st.one_of(
                 st.none(), st.floats(100.0, 5000.0), st.floats(-5000.0, -100.0)
             ),
@@ -309,7 +307,6 @@ class TestReference:
             eta0=st.floats(1e-5, 10.0),
             lambda0=st.floats(1e-3, 1e3),
             horizon_years=st.integers(0, 3000),
-            step_years=st.integers(1, 3),
             tau_eta=st.one_of(
                 st.none(), st.floats(0.1, 1e6), st.floats(-1e6, -0.1)
             ),

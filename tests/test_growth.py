@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from thermoecon import (
     AnnualSeries,
     ConfigurationError,
+    ThermoeconError,
     DomainError,
     GapError,
     InsufficientDataError,
@@ -15,14 +16,14 @@ from thermoecon import (
     ValidationError,
     annual_grid,
     build_wealth,
-    energy_productivity,
-    exponential_series,
     fit_innovation,
     fit_lambda,
     gdp_growth_decomposition,
     interpolate,
     run_fit,
 )
+
+from test_series import exponential_series
 
 # wealth accumulated from the benchmark record, checked independently with
 # a hand trapezoid over the log-interpolated annual grid
@@ -41,7 +42,7 @@ BENCHMARK_WEALTH = {
 
 def dense(series, start=1970, end=2009):
     """A benchmark series on the annual grid of [start, end], as run_fit makes it."""
-    return interpolate(series, annual_grid(start, end), mode="log_linear")
+    return interpolate(series, annual_grid(start, end))
 
 
 HISTORY = AnnualSeries(
@@ -49,6 +50,30 @@ HISTORY = AnnualSeries(
     np.array([1.0, 3.0, 7.0, 15.0]),
     Unit.GDP_TRILLION_USD2005_PER_YEAR,
 )
+
+
+# knot years a loaded file can hold: a calendar cluster and far-off years,
+# so any two are either under 300 or over 1,000,000 years apart and no
+# accepted grid is large; window bounds may also lie past int64, and a
+# short window may cross +-2**53 or the int64 bounds
+CALENDAR_YEARS = st.integers(1850, 2100)
+FAR_YEARS = st.sampled_from(
+    [
+        *(-(2**63), -(2**62), -(2**53) - 20, -2_000_000_000, -1_001_000),
+        *(1_003_000, 2_000_000_000, 2**53 - 20, 2**63 - 1),
+    ]
+)
+KNOT_YEARS = st.one_of(CALENDAR_YEARS, FAR_YEARS)
+WINDOW_YEARS = st.one_of(
+    CALENDAR_YEARS, FAR_YEARS, st.sampled_from([-(10**21), 2**63, 2**63 + 5, 10**21])
+)
+
+
+def knot_series(draw, unit, years=None):
+    if years is None:
+        years = sorted(draw(st.sets(KNOT_YEARS, min_size=2, max_size=6)))
+    values = draw(st.lists(st.floats(1.0, 100.0), min_size=len(years), max_size=len(years)))
+    return AnnualSeries(np.array(years, dtype=np.int64), np.array(values), unit)
 
 
 def exact_model(lambda0=7.0, eta0=0.02, c0=1500.0, n=30, start=1980):
@@ -64,11 +89,10 @@ def exact_model(lambda0=7.0, eta0=0.02, c0=1500.0, n=30, start=1980):
 
 class TestBuildWealth:
     def test_calibrated_anchor_is_exact(self, table1):
-        w = build_wealth(dense(table1.gdp), dense(table1.power), lambda0=6.4)
-        assert w.init_mode == "calibrated_from_lambda"
-        assert w.init_year == 1970
-        assert w.init_value == 1125.0  # 1000 * 7.2 / 6.4
-        assert w.value_at(1970) == 1125.0
+        w, mode = build_wealth(dense(table1.gdp), dense(table1.power), lambda0=6.4)
+        assert mode == "calibrated_from_lambda"
+        assert w.first_year == 1970
+        assert w.values[0] == 1125.0  # 1000 * 7.2 / 6.4
 
     def test_matches_hand_trapezoid(self, benchmark_fit):
         for year, expected in BENCHMARK_WEALTH.items():
@@ -98,29 +122,29 @@ class TestBuildWealth:
             build_wealth(table1.gdp, table1.power, lambda0=6.4)
 
     def test_integrated_mode_drops_pre_window_years(self, table1):
-        w = build_wealth(dense(table1.gdp), dense(table1.power), historical_gdp=HISTORY)
-        assert w.init_mode == "integrated_from_epoch"
-        assert int(w.years[0]) == 1970
-        assert w.init_value > 0.0
+        w, mode = build_wealth(dense(table1.gdp), dense(table1.power), historical_gdp=HISTORY)
+        assert mode == "integrated_from_epoch"
+        assert w.first_year == 1970
+        assert w.values[0] > 0.0
         assert np.all(np.diff(w.values) > 0.0)
 
     def test_integrated_mode_is_one_trapezoid_sum_from_zero(self, table1):
         gdp = dense(table1.gdp)
-        w = build_wealth(gdp, dense(table1.power), historical_gdp=HISTORY)
+        w, _ = build_wealth(gdp, dense(table1.power), historical_gdp=HISTORY)
         merged = AnnualSeries(
             np.concatenate([HISTORY.years, gdp.years]),
             np.concatenate([HISTORY.values, gdp.values]),
             gdp.unit,
         )
-        v = interpolate(merged, annual_grid(1800, 2009), mode="log_linear").values
+        v = interpolate(merged, annual_grid(1800, 2009)).values
         run = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]))])
         assert np.array_equal(w.values, run[-40:])
 
     def test_history_takes_precedence_over_lambda0(self, table1):
         gdp, power = dense(table1.gdp), dense(table1.power)
-        both = build_wealth(gdp, power, lambda0=6.4, historical_gdp=HISTORY)
-        only = build_wealth(gdp, power, historical_gdp=HISTORY)
-        assert both.init_mode == only.init_mode == "integrated_from_epoch"
+        both, both_mode = build_wealth(gdp, power, lambda0=6.4, historical_gdp=HISTORY)
+        only, only_mode = build_wealth(gdp, power, historical_gdp=HISTORY)
+        assert both_mode == only_mode == "integrated_from_epoch"
         assert np.array_equal(both.values, only.values)
 
     def test_history_must_predate_window(self, table1):
@@ -142,7 +166,53 @@ class TestBuildWealth:
             1990, 25, 0.02 * c0, rate, Unit.GDP_TRILLION_USD2005_PER_YEAR
         )
         power = exponential_series(1990, 25, 10.0, rate, Unit.POWER_TERAWATT)
-        w = build_wealth(gdp, power, lambda0=7.0)
+        w, _ = build_wealth(gdp, power, lambda0=7.0)
+        assert np.all(np.diff(w.values) >= 0.0)
+
+    @given(
+        data=st.data(),
+        start=st.integers(1000, 3000),
+        values=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=60),
+        power0=st.floats(1e-3, 1e3),
+        lambda0=st.floats(0.1, 100.0),
+        historical=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_wealth_series_invariants_by_construction(
+        self, data, start, values, power0, lambda0, historical
+    ):
+        # what a separate wealth type used to check on every fit: the unit,
+        # a non-decreasing path, and a first value equal to the anchor
+        years = np.arange(start, start + len(values))
+        gdp = AnnualSeries(years, np.array(values), Unit.GDP_TRILLION_USD2005_PER_YEAR)
+        power = AnnualSeries(years, np.full(len(values), power0), Unit.POWER_TERAWATT)
+        if historical:
+            knots = data.draw(
+                st.lists(st.integers(start - 300, start - 1), min_size=1, max_size=8, unique=True)
+            )
+            knot_values = data.draw(
+                st.lists(st.floats(1e-3, 1e6), min_size=len(knots), max_size=len(knots))
+            )
+            history = AnnualSeries(np.sort(knots), np.array(knot_values), gdp.unit)
+            w, mode = build_wealth(gdp, power, lambda0=lambda0, historical_gdp=history)
+            assert mode == "integrated_from_epoch"
+            # the anchor is zero wealth at the record's epoch, carried to
+            # `start` by the same trapezoid sum over the merged record
+            merged = AnnualSeries(
+                np.concatenate([history.years, years]),
+                np.concatenate([history.values, gdp.values]),
+                gdp.unit,
+            )
+            v = interpolate(merged, annual_grid(history.first_year, years[-1])).values
+            run = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]))])
+            anchor = run[start - history.first_year]
+        else:
+            w, mode = build_wealth(gdp, power, lambda0=lambda0)
+            assert mode == "calibrated_from_lambda"
+            anchor = 1000.0 * power0 / lambda0
+        assert w.unit is Unit.WEALTH_TRILLION_USD2005
+        assert np.array_equal(w.years, years)
+        assert w.values[0] == anchor
         assert np.all(np.diff(w.values) >= 0.0)
 
 
@@ -183,7 +253,7 @@ class TestFitLambda:
 
     def test_window_restricts_the_fit(self, benchmark_fit, table1):
         # the window is the grid of the inputs; clip all three to narrow it
-        wealth = benchmark_fit.wealth.series.window(1980, 2000)
+        wealth = benchmark_fit.wealth.window(1980, 2000)
         m = fit_lambda(
             dense(table1.power, 1980, 2000), wealth, dense(table1.gdp, 1980, 2000)
         )
@@ -198,12 +268,12 @@ class TestFitLambda:
 
         with pytest.raises(SeriesRangeError):
             fit_lambda(
-                empty(table1.power), empty(benchmark_fit.wealth.series), empty(table1.gdp)
+                empty(table1.power), empty(benchmark_fit.wealth), empty(table1.gdp)
             )
 
     def test_misaligned_grids_rejected(self, benchmark_fit, table1):
         with pytest.raises(ValidationError, match="different year grids"):
-            fit_lambda(table1.power, benchmark_fit.wealth.series, table1.gdp)
+            fit_lambda(table1.power, benchmark_fit.wealth, table1.gdp)
 
 
 class TestFitInnovation:
@@ -226,8 +296,12 @@ class TestFitInnovation:
     def test_trend_eta_reproduces_inputs(self):
         s = exponential_series(2000, 15, 0.02, 0.01, Unit.PER_YEAR_FRACTION)
         fit = fit_innovation(s)
-        assert fit.trend_eta(2000) == pytest.approx(0.02, rel=1e-10)
-        assert fit.trend_eta(2014) == pytest.approx(0.02 * np.exp(0.14), rel=1e-10)
+
+        def trend(year):
+            return np.exp(fit.intercept + fit.slope * (year - fit.center_year))
+
+        assert trend(2000) == pytest.approx(0.02, rel=1e-10)
+        assert trend(2014) == pytest.approx(0.02 * np.exp(0.14), rel=1e-10)
 
     def test_printed_return_row_statistics(self, table1):
         fit = fit_innovation(table1.rate_of_return)
@@ -294,24 +368,22 @@ class TestDecomposition:
 
 
 class TestEnergyProductivity:
-    def test_benchmark_values(self, table1):
-        f = energy_productivity(table1.gdp, table1.power)
+    # f = Y/a is formed by fit_lambda on the fit grid
+    def test_benchmark_values(self, benchmark_fit, table1):
+        f = benchmark_fit.model.f_series
         assert f.unit is Unit.USD2005_PER_JOULE
         assert f.value_at(1970) == pytest.approx(6.7339e-8, abs=2e-12)
-        assert np.mean(f.values) == pytest.approx(8.3073e-8, abs=2e-12)
+        # table years are knots, so these are the printed ratios
+        knots = [f.value_at(int(year)) for year in table1.gdp.years]
+        assert np.mean(knots) == pytest.approx(8.3073e-8, abs=2e-12)
 
     def test_intersects_year_grids(self, table1):
         power_tail = table1.power.window(1990, 2009)
-        f = energy_productivity(table1.gdp, power_tail)
+        f = run_fit(table1.gdp, power_tail, lambda0=7.0).model.f_series
         assert f.first_year == 1990
-        assert len(f) == 5
-
-    def test_disjoint_grids_rejected(self, table1):
-        power = AnnualSeries(
-            np.array([2020, 2021]), np.array([17.0, 17.5]), Unit.POWER_TERAWATT
-        )
-        with pytest.raises(SeriesRangeError):
-            energy_productivity(table1.gdp, power)
+        assert len(f) == 20
+        y, a = table1.gdp.value_at(1990), table1.power.value_at(1990)
+        assert f.value_at(1990) == pytest.approx(y / a / SECONDS_PER_YEAR, rel=1e-15)
 
 
 class TestRunFit:
@@ -327,8 +399,8 @@ class TestRunFit:
     def test_explicit_window(self, table1):
         res = run_fit(table1.gdp, table1.power, window=(1980, 2000), lambda0=7.3)
         assert res.model.window == (1980, 2000)
-        assert res.wealth.init_year == 1980
-        assert res.wealth.init_value == pytest.approx(1000.0 * 9.6 / 7.3)
+        assert res.wealth.first_year == 1980
+        assert res.wealth.values[0] == pytest.approx(1000.0 * 9.6 / 7.3)
 
     def test_empty_window_rejected(self, table1):
         with pytest.raises(SeriesRangeError, match="empty"):
@@ -341,8 +413,31 @@ class TestRunFit:
             Unit.GDP_TRILLION_USD2005_PER_YEAR,
         )
         res = run_fit(table1.gdp, table1.power, historical_gdp=hist)
-        assert res.wealth.init_mode == "integrated_from_epoch"
+        assert res.init_mode == "integrated_from_epoch"
         assert res.model.window == (1970, 2009)
+
+    @given(
+        data=st.data(),
+        window=st.one_of(
+            st.none(),
+            st.tuples(WINDOW_YEARS, WINDOW_YEARS).map(sorted).map(tuple),
+            # short windows anywhere, including across the int64 bounds
+            WINDOW_YEARS.flatmap(lambda a: st.tuples(st.just(a), st.integers(a, a + 40))),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_window_and_knot_years_end_in_a_named_error(self, data, window):
+        gdp = knot_series(data.draw, Unit.GDP_TRILLION_USD2005_PER_YEAR)
+        # power on gdp's knots half the time, so that most pairs overlap
+        shared = data.draw(st.booleans())
+        power = knot_series(data.draw, Unit.POWER_TERAWATT, gdp.years if shared else None)
+        history = None
+        if data.draw(st.booleans()):
+            history = knot_series(data.draw, Unit.GDP_TRILLION_USD2005_PER_YEAR)
+        try:
+            run_fit(gdp, power, window=window, lambda0=7.0, historical_gdp=history)
+        except ThermoeconError:
+            pass
 
     def test_short_overlap_rejected(self):
         gdp = AnnualSeries(

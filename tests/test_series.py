@@ -13,19 +13,29 @@ from thermoecon import (
     Unit,
     UnitError,
     ValidationError,
-    WealthSeries,
     annual_grid,
     cumulative_integral,
-    exponential_series,
     interpolate,
     log_derivative,
     rolling_mean,
 )
+from thermoecon.series import MAX_GRID_YEARS
 
 
 def series(values, start=2000, unit=Unit.DIMENSIONLESS):
     values = np.asarray(values, dtype=float)
     return AnnualSeries(np.arange(start, start + len(values)), values, unit)
+
+
+def exponential_series(start_year, n_years, initial, growth_rate, unit, label=""):
+    """Annual series initial * exp(growth_rate * k), k = 0..n_years-1.
+
+    Synthetic-data helper for the whole suite; exponentials are the
+    model's native family.
+    """
+    years = np.arange(start_year, start_year + n_years, dtype=np.int64)
+    values = initial * np.exp(growth_rate * np.arange(n_years, dtype=float))
+    return AnnualSeries(years, values, unit, label)
 
 
 def rolling_mean_reference(v, window_years):
@@ -194,13 +204,6 @@ class TestAnnualSeries:
         # rates may legitimately cross zero
         series([0.01, -0.01], unit=Unit.PER_YEAR_FRACTION)
 
-    def test_from_points_sorts_when_asked(self):
-        s = AnnualSeries.from_points(
-            [(2002, 3.0), (2000, 1.0), (2001, 2.0)], Unit.DIMENSIONLESS, sort=True
-        )
-        assert list(s.years) == [2000, 2001, 2002]
-        assert list(s.values) == [1.0, 2.0, 3.0]
-
     def test_value_at_missing_year(self):
         with pytest.raises(SeriesRangeError):
             series([1.0, 2.0]).value_at(1999)
@@ -215,19 +218,19 @@ class TestAnnualSeries:
         with pytest.raises(ValueError):
             s.values[0] = 9.0
 
-    def test_same_unit_addition_needs_aligned_grid(self):
+    def test_division_needs_aligned_grid(self):
         a = series([1.0, 2.0])
         b = series([1.0, 2.0], start=2001)
         with pytest.raises(ValidationError, match="year grids"):
-            a + b
-        total = a + series([10.0, 20.0])
-        assert list(total.values) == [11.0, 22.0]
+            a / b
+        ratio = a / series([10.0, 20.0])
+        assert list(ratio.values) == [0.1, 0.1]
 
-    def test_scalar_multiplication(self):
+    def test_scalar_division(self):
         s = series([1.0, 2.0], unit=Unit.YEARS)
-        doubled = 2.0 * s
-        assert doubled.unit is Unit.YEARS
-        assert list(doubled.values) == [2.0, 4.0]
+        halved = s / 2.0
+        assert halved.unit is Unit.YEARS
+        assert list(halved.values) == [0.5, 1.0]
 
     def test_division_applies_unit_rule(self):
         power = series([7.2, 7.3], unit=Unit.POWER_TERAWATT)
@@ -251,52 +254,16 @@ class TestAnnualSeries:
             empty.first_year
 
 
-class TestWealthSeries:
-    def test_init_value_must_match_series(self):
-        s = series([100.0, 110.0], unit=Unit.WEALTH_TRILLION_USD2005)
-        with pytest.raises(ValidationError):
-            WealthSeries(
-                series=s,
-                init_mode="calibrated_from_lambda",
-                init_year=2000,
-                init_value=99.0,
-            )
-
-    def test_values_must_not_decrease(self):
-        s = series([100.0, 90.0], unit=Unit.WEALTH_TRILLION_USD2005)
-        with pytest.raises(ValidationError):
-            WealthSeries(
-                series=s,
-                init_mode="calibrated_from_lambda",
-                init_year=2000,
-                init_value=100.0,
-            )
-
-    def test_wrong_unit_rejected(self):
-        s = series([100.0, 110.0], unit=Unit.GDP_TRILLION_USD2005_PER_YEAR)
-        with pytest.raises(UnitError):
-            WealthSeries(
-                series=s,
-                init_mode="calibrated_from_lambda",
-                init_year=2000,
-                init_value=100.0,
-            )
-
-
 class TestInterpolate:
     def test_knot_years_bit_exact(self, table1):
-        dense = interpolate(table1.gdp, annual_grid(1970, 2009), mode="log_linear")
+        dense = interpolate(table1.gdp, annual_grid(1970, 2009))
         for year in table1.gdp.years:
             assert dense.value_at(int(year)) == table1.gdp.value_at(int(year))
 
     def test_log_linear_between_knots(self, table1):
-        dense = interpolate(table1.gdp, annual_grid(1970, 2009), mode="log_linear")
+        dense = interpolate(table1.gdp, annual_grid(1970, 2009))
         # geometric interpolation between the 2005 and 2009 anchors
         assert dense.value_at(2007) == pytest.approx(47.369505, abs=5e-6)
-
-    def test_linear_between_knots(self, table1):
-        dense = interpolate(table1.gdp, annual_grid(2005, 2009), mode="linear")
-        assert dense.value_at(2007) == pytest.approx(47.4)
 
     @given(rate=st.floats(-0.2, 0.2), start=st.floats(0.5, 100.0))
     @settings(max_examples=40)
@@ -304,18 +271,18 @@ class TestInterpolate:
         years = np.array([2000, 2004, 2010])
         values = start * np.exp(rate * (years - 2000))
         sparse = AnnualSeries(years, values, Unit.DIMENSIONLESS)
-        dense = interpolate(sparse, annual_grid(2000, 2010), mode="log_linear")
+        dense = interpolate(sparse, annual_grid(2000, 2010))
         expected = start * np.exp(rate * (dense.years - 2000))
         assert np.allclose(dense.values, expected, rtol=1e-12)
 
     def test_refuses_extrapolation(self, table1):
         with pytest.raises(SeriesRangeError):
-            interpolate(table1.gdp, annual_grid(1960, 1980), mode="log_linear")
+            interpolate(table1.gdp, annual_grid(1960, 1980))
 
     def test_log_mode_needs_positive_values(self):
         s = series([1.0, -1.0, 1.0], unit=Unit.PER_YEAR_FRACTION)
         with pytest.raises(DomainError):
-            interpolate(s, annual_grid(2000, 2002), mode="log_linear")
+            interpolate(s, annual_grid(2000, 2002))
 
 
 class TestCumulativeIntegral:
@@ -331,7 +298,7 @@ class TestCumulativeIntegral:
         assert c.values[0] == 1125.0
 
     def test_benchmark_tail_increment(self, table1):
-        dense = interpolate(table1.gdp, annual_grid(2005, 2009), mode="log_linear")
+        dense = interpolate(table1.gdp, annual_grid(2005, 2009))
         c = cumulative_integral(dense, from_year=2005, initial=2111.0)
         assert c.value_at(2009) == pytest.approx(2300.5238, abs=2e-4)
 
@@ -385,7 +352,7 @@ class TestLogDerivative:
         assert np.allclose(d.values, rate, atol=1e-12)
 
     def test_benchmark_power_trend_at_2007(self, table1):
-        dense = interpolate(table1.power, annual_grid(1970, 2009), mode="log_linear")
+        dense = interpolate(table1.power, annual_grid(1970, 2009))
         d = log_derivative(dense)
         assert d.value_at(2007) == pytest.approx(0.01438, abs=5e-5)
         assert 0.01 < d.value_at(2007) < 0.035
@@ -474,6 +441,27 @@ class TestHelpers:
     def test_annual_grid_is_inclusive(self):
         g = annual_grid(1970, 1973)
         assert list(g) == [1970, 1971, 1972, 1973]
+
+    def test_annual_grid_cap(self):
+        assert annual_grid(0, MAX_GRID_YEARS).size == MAX_GRID_YEARS + 1
+        assert list(annual_grid(2**53 - 1, 2**53)) == [2**53 - 1, 2**53]
+        assert list(annual_grid(-(2**53), -(2**53) + 1)) == [-(2**53), -(2**53) + 1]
+        for start, end in [(2**53 - 1, 2**53 + 1), (-(2**53) - 1, -(2**53))]:
+            with pytest.raises(SeriesRangeError, match=r"reaches past \+-2\*\*53$"):
+                annual_grid(start, end)
+        # checked before allocation, so no span is too large to reject,
+        # including bounds past int64
+        for start, end in [
+            (0, MAX_GRID_YEARS + 1),
+            (1970, 2_000_000_000),
+            (-2_000_000_000, 2009),
+            (1970, 1970 * 10**18),
+        ]:
+            with pytest.raises(
+                SeriesRangeError,
+                match=rf"^year range \[{start}, {end}\] spans more than 1000000 years$",
+            ):
+                annual_grid(start, end)
 
     def test_exponential_series_matches_formula(self):
         s = exponential_series(2000, 5, 10.0, 0.07, Unit.POWER_TERAWATT)

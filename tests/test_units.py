@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thermoecon import SECONDS_PER_YEAR, Unit, UnitError, parse_unit_token
-from thermoecon.units import FILE_TOKENS, division_rule, multiplication_rule
+from thermoecon.units import FILE_TOKENS, division_rule
 
 
 def test_seconds_per_year_is_julian():
@@ -66,29 +66,6 @@ def test_division_rules_carry_scales():
 @given(st.sampled_from(list(Unit)))
 def test_self_division_is_dimensionless(unit):
     assert division_rule(unit, unit) == (Unit.DIMENSIONLESS, 1.0)
-
-
-@given(st.sampled_from(list(Unit)))
-def test_dimensionless_multiplication_is_identity(unit):
-    assert multiplication_rule(unit, Unit.DIMENSIONLESS) == (unit, 1.0)
-    assert multiplication_rule(Unit.DIMENSIONLESS, unit) == (unit, 1.0)
-
-
-def test_multiply_then_divide_round_trips():
-    # eta * wealth gives gdp; dividing back recovers the rate with no
-    # leftover scale factor
-    u1, s1 = multiplication_rule(Unit.PER_YEAR_FRACTION, Unit.WEALTH_TRILLION_USD2005)
-    assert u1 is Unit.GDP_TRILLION_USD2005_PER_YEAR
-    u2, s2 = division_rule(u1, Unit.WEALTH_TRILLION_USD2005)
-    assert u2 is Unit.PER_YEAR_FRACTION
-    assert s1 * s2 == 1.0
-    # ratio * wealth -> power: W/k$ times T$ is GW, so the scale is 1e-3 TW
-    u3, s3 = multiplication_rule(
-        Unit.WATTS_PER_THOUSAND_USD2005, Unit.WEALTH_TRILLION_USD2005
-    )
-    assert u3 is Unit.POWER_TERAWATT and s3 == 1e-3
-    u4, s4 = division_rule(u3, Unit.WEALTH_TRILLION_USD2005)
-    assert s3 * s4 == 1.0
 
 
 def test_unsupported_division_raises():
