@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from thermoecon import (
     AnnualSeries,
+    ConfigurationError,
     DomainError,
     GapError,
     InsufficientDataError,
@@ -14,6 +15,7 @@ from thermoecon import (
     UnitError,
     ValidationError,
     annual_grid,
+    build_wealth,
     cumulative_integral,
     interpolate,
     log_derivative,
@@ -252,6 +254,48 @@ class TestAnnualSeries:
         assert len(empty) == 0
         with pytest.raises(InsufficientDataError):
             empty.first_year
+
+
+class TestWealthSeries:
+    # wealth is a plain AnnualSeries from build_wealth; these pin the
+    # invariants a separate wealth type used to check on construction
+    def test_init_value_must_match_series(self):
+        gdp = series([40.0, 42.0, 45.0], start=2000, unit=Unit.GDP_TRILLION_USD2005_PER_YEAR)
+        power = series([12.0, 12.5, 13.0], start=2000, unit=Unit.POWER_TERAWATT)
+        w, mode = build_wealth(gdp, power, lambda0=8.0)
+        assert mode == "calibrated_from_lambda"
+        assert w.first_year == 2000
+        assert w.values[0] == 1500.0  # 1000 * 12 / 8
+        history = series([1.0, 2.0], start=1990, unit=Unit.GDP_TRILLION_USD2005_PER_YEAR)
+        w, mode = build_wealth(gdp, power, historical_gdp=history)
+        assert mode == "integrated_from_epoch"
+        merged = AnnualSeries(
+            np.concatenate([history.years, gdp.years]),
+            np.concatenate([history.values, gdp.values]),
+            gdp.unit,
+        )
+        v = interpolate(merged, annual_grid(1990, 2002)).values
+        assert w.values[0] == np.sum(0.5 * (v[1:11] + v[:10]))
+
+    def test_values_must_not_decrease(self):
+        # falling but positive GDP still adds to wealth every year
+        gdp = series([50.0, 30.0, 10.0, 1.0], unit=Unit.GDP_TRILLION_USD2005_PER_YEAR)
+        power = series([10.0, 9.0, 8.0, 7.0], unit=Unit.POWER_TERAWATT)
+        w, _ = build_wealth(gdp, power, lambda0=5.0)
+        assert np.all(np.diff(w.values) > 0.0)
+
+    def test_wrong_unit_rejected(self):
+        gdp = series([40.0, 42.0], unit=Unit.GDP_TRILLION_USD2005_PER_YEAR)
+        power = series([12.0, 12.5], unit=Unit.POWER_TERAWATT)
+        w, _ = build_wealth(gdp, power, lambda0=8.0)
+        assert w.unit is Unit.WEALTH_TRILLION_USD2005
+        # wealth fed back where GDP belongs is rejected, as is a
+        # historical record in any unit but the GDP's
+        with pytest.raises(ConfigurationError, match="GDP"):
+            build_wealth(w, power, lambda0=8.0)
+        history = series([1.0, 2.0], start=1990, unit=Unit.WEALTH_TRILLION_USD2005)
+        with pytest.raises(ConfigurationError, match="GDP unit"):
+            build_wealth(gdp, power, historical_gdp=history)
 
 
 class TestInterpolate:
