@@ -46,9 +46,17 @@ def _parse_window(text: str) -> tuple[int, int]:
     return window
 
 
+def _reject_with_builtin(args: argparse.Namespace, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigurationError(f"{flag} cannot be combined with --builtin-table1")
+
+
 def _resolve_fit(args: argparse.Namespace) -> FitResult:
     window = None if args.window is None else _parse_window(args.window)
     if args.builtin_table1:
+        _reject_with_builtin(args, "gdp", "power", "historical_gdp")
         t1 = builtin_table1()
         gdp, power, historical = t1.gdp, t1.power, None
         lambda0 = _BUILTIN_LAMBDA0_CALIBRATION if args.lambda0 is None else args.lambda0
@@ -80,18 +88,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     path = write_table(
         _out_path(args, "lambda_series"),
         grid,
-        {
-            "lambda": m.lambda_series,
-            "eta": m.eta_series,
-            "f": m.f_series,
-            "wealth": wealth,
-        },
-        {
-            "lambda": Unit.WATTS_PER_THOUSAND_USD2005,
-            "eta": Unit.PER_YEAR_FRACTION,
-            "f": Unit.USD2005_PER_JOULE,
-            "wealth": Unit.WEALTH_TRILLION_USD2005,
-        },
+        {"lambda": m.lambda_series, "eta": m.eta_series, "f": m.f_series, "wealth": wealth},
         fmt=args.format,
         comments=[
             _VERSION_COMMENT,
@@ -124,14 +121,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _resolve_scenario(args: argparse.Namespace) -> Scenario:
-    if args.builtin_table1 and args.gdp is None:
-        if args.window is not None:
-            _parse_window(args.window)  # unused by the built-in seed, still checked
+    if args.builtin_table1:
+        # the printed 2009 state seeds the run; the window only picks the
+        # years of the rate-of-return trend that sets the default tau
+        _reject_with_builtin(args, "gdp", "power", "historical_gdp", "lambda0")
+        window = None if args.window is None else _parse_window(args.window)
         start = _BUILTIN_SEED_YEAR
         c0 = _BUILTIN_SEED_C0
         eta0 = _BUILTIN_SEED_ETA0
         lambda0 = _BUILTIN_SEED_LAMBDA0
-        default_tau = fit_innovation(builtin_table1().rate_of_return).tau_eta
+        default_tau = fit_innovation(builtin_table1().rate_of_return, window).tau_eta
     else:
         res = _resolve_fit(args)
         end = res.model.window[1]
@@ -170,12 +169,6 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             "eta": path_obj.eta,
             "gdp": path_obj.gdp,
             "power": path_obj.power,
-        },
-        {
-            "wealth": Unit.WEALTH_TRILLION_USD2005,
-            "eta": Unit.PER_YEAR_FRACTION,
-            "gdp": Unit.GDP_TRILLION_USD2005_PER_YEAR,
-            "power": Unit.POWER_TERAWATT,
         },
         fmt=args.format,
         comments=[
@@ -220,31 +213,20 @@ def cmd_table1(args: argparse.Namespace) -> int:
     ror_printed = 100.0 * t1.rate_of_return.values
     ratio_deviation = ratio_computed - ratio_printed
     ror_deviation = ror_computed - ror_printed
+    ratio, percent = Unit.WATTS_PER_THOUSAND_USD2005, "percent_per_year"
     columns = {
         "power": t1.power,
         "gdp": t1.gdp,
-        "wealth": wealth,
-        "ratio_computed": ratio_computed,
-        "ratio_printed": ratio_printed,
-        "ratio_deviation": _round4(ratio_deviation),
-        "ror_computed": ror_computed,
-        "ror_printed": ror_printed,
-        "ror_deviation": _round4(ror_deviation),
-    }
-    units = {
-        "power": Unit.POWER_TERAWATT,
-        "gdp": Unit.GDP_TRILLION_USD2005_PER_YEAR,
-        "wealth": Unit.WEALTH_TRILLION_USD2005,
-        "ratio_computed": Unit.WATTS_PER_THOUSAND_USD2005,
-        "ratio_printed": Unit.WATTS_PER_THOUSAND_USD2005,
-        "ratio_deviation": Unit.WATTS_PER_THOUSAND_USD2005,
-        "ror_computed": "percent_per_year",
-        "ror_printed": "percent_per_year",
-        "ror_deviation": "percent_per_year",
+        "wealth": res.wealth,
+        "ratio_computed": (ratio_computed, ratio),
+        "ratio_printed": t1.power_over_wealth,
+        "ratio_deviation": (_round4(ratio_deviation), ratio),
+        "ror_computed": (ror_computed, percent),
+        "ror_printed": (ror_printed, percent),
+        "ror_deviation": (_round4(ror_deviation), percent),
     }
     if args.index_1970:
-        columns["wealth_indexed"] = wealth / res.wealth.value_at(1970)
-        units["wealth_indexed"] = Unit.DIMENSIONLESS
+        columns["wealth_indexed"] = (wealth / res.wealth.value_at(1970), Unit.DIMENSIONLESS)
     comments = [
         _VERSION_COMMENT,
         "benchmark reconstruction on the nine reference years",
@@ -255,7 +237,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
         _out_path(args, "table1_reconstruction"),
         years,
         columns,
-        units,
         fmt=args.format,
         comments=comments,
     )
@@ -275,7 +256,6 @@ def cmd_figure2(args: argparse.Namespace) -> int:
         _out_path(args, "figure2_data"),
         years,
         {"delta_c_years": delta_c, "delta_eta_years": delta_eta},
-        {"delta_c_years": Unit.YEARS, "delta_eta_years": Unit.YEARS},
         fmt=args.format,
         comments=[
             _VERSION_COMMENT,

@@ -160,8 +160,9 @@ def fit_innovation(
     if window is not None:
         eta = eta.window(*window)
     if len(eta) < MIN_INNOVATION_POINTS:
+        where = "" if window is None else f" in window {window[0]}:{window[1]}"
         raise InsufficientDataError(
-            f"innovation fit needs at least {MIN_INNOVATION_POINTS} points, got {len(eta)}"
+            f"innovation fit needs at least {MIN_INNOVATION_POINTS} points, got {len(eta)}{where}"
         )
     if np.any(eta.values <= 0.0):
         raise DomainError("eta must be positive to fit ln(eta)")

@@ -161,74 +161,66 @@ def load_series(
     return AnnualSeries(years, values, expected_unit, label)
 
 
-def _column_cells(
-    grid: np.ndarray,
-    column: AnnualSeries | np.ndarray | Mapping[int, float],
-    precision: int | None,
-) -> tuple[list, str]:
-    """One cell per grid year and the %-spec that formats it.
+# every value cell is written with this spec: 12 significant digits
+_CELL_SPEC = "%.12g"
 
-    Dense columns give their values with the float spec; a column missing
-    some grid years gives ready-made strings, "" where it has no value,
+
+def _column_cells(
+    grid: np.ndarray, name: str, column: AnnualSeries | tuple[np.ndarray, Unit | str]
+) -> tuple[str, list, str]:
+    """The unit token of one column, one cell per grid year, and their %-spec.
+
+    A column holding every grid year gives its values with the float spec;
+    one missing some gives ready-made strings, "" where it has no value,
     with spec "%s".
     """
-    spec = "%r" if precision is None else f"%.{precision}g"
-    if isinstance(column, np.ndarray):
-        if column.shape != grid.shape:
-            raise ValidationError(f"{column.size} values for {grid.size} grid years")
-        return column.tolist(), spec
-    if isinstance(column, AnnualSeries):
-        years, values = column.years, column.values
-    else:
-        years = np.fromiter(column.keys(), dtype=np.int64, count=len(column))
-        values = np.fromiter(column.values(), dtype=float, count=len(column))
-        order = np.argsort(years)
-        years, values = years[order], values[order]
+    if not isinstance(column, AnnualSeries):
+        values, unit = column
+        token = unit.token if isinstance(unit, Unit) else unit
+        if token not in FILE_TOKENS:
+            raise UnitError(f"unknown unit token {token!r} for column {name!r}")
+        if values.shape != grid.shape:
+            raise ValidationError(f"{values.size} values for {grid.size} grid years")
+        return token, values.tolist(), _CELL_SPEC
+    years = column.years
     idx = np.searchsorted(years, grid)
     hit = idx < years.size
     hit[hit] = years[idx[hit]] == grid[hit]
-    present = values[idx[hit]].tolist()
+    present = column.values[idx[hit]].tolist()
     if hit.all():
-        return present, spec
+        return column.unit.token, present, _CELL_SPEC
     cells = [""] * grid.size
-    for i, text in zip(np.flatnonzero(hit).tolist(), map(spec.__mod__, present)):
+    for i, text in zip(np.flatnonzero(hit).tolist(), map(_CELL_SPEC.__mod__, present)):
         cells[i] = text
-    return cells, "%s"
+    return column.unit.token, cells, "%s"
 
 
 def write_table(
     path: str | Path,
     year_grid: Sequence[int] | np.ndarray,
-    columns: Mapping[str, AnnualSeries | np.ndarray | Mapping[int, float]],
-    units: Mapping[str, Unit | str],
+    columns: Mapping[str, AnnualSeries | tuple[np.ndarray, Unit | str]],
     fmt: str = "csv",
-    precision: int | None = 12,
     comments: Sequence[str] = (),
 ) -> Path:
     """Write a multi-column report, one row per year of `year_grid`.
 
-    Each column is an AnnualSeries, an array with one value per grid year,
-    or a {year: value} mapping. Grid years missing from a column become
-    empty cells (sparse columns such as doubling times that are undefined
-    in non-innovating stretches); values at years off the grid are not
-    written. Units may be given as raw file tokens, e.g. "percent_per_year"
-    for columns stored at presentation scale.
+    Each column is an AnnualSeries, headed by its own unit, or an
+    (array, unit) pair with one value per grid year. A pair's unit may be
+    a raw file token, e.g. "percent_per_year" for values stored at
+    presentation scale. Grid years missing from a series become empty
+    cells (sparse columns such as doubling times that are undefined in
+    non-innovating stretches); values at years off the grid are not
+    written.
     """
     path = Path(path)
     delim = "\t" if fmt == "tsv" else ","
-    names = list(columns)
-    lines = [f"# {c}" for c in comments]
-    lines.append("# columns: year," + ",".join(names))
-    for name in names:
-        unit = units[name]
-        token = unit.token if isinstance(unit, Unit) else unit
-        if token not in FILE_TOKENS:
-            raise UnitError(f"unknown unit token {token!r} for column {name!r}")
-        lines.append(f"# unit.{name}: {token}")
     grid = np.asarray(year_grid, dtype=np.int64)
-    cells = [_column_cells(grid, columns[name], precision) for name in names]
-    row = delim.join(["%d", *(spec for _, spec in cells)])
-    lines.extend(map(row.__mod__, zip(grid.tolist(), *(values for values, _ in cells))))
+    cols = [_column_cells(grid, name, column) for name, column in columns.items()]
+    lines = [f"# {c}" for c in comments]
+    lines.append("# columns: year," + ",".join(columns))
+    lines.extend(f"# unit.{name}: {col[0]}" for name, col in zip(columns, cols))
+    row = delim.join(["%d", *(spec for _, _, spec in cols)])
+    lines.extend(map(row.__mod__, zip(grid.tolist(), *(cells for _, cells, _ in cols))))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

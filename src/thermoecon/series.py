@@ -40,8 +40,8 @@ class AnnualSeries:
     * `years` and `values` are 1-d and the same length; a 0-d scalar pair
       counts as one point;
     * every year is an integer (integral floats and bools pass, since the
-      check compares against the int64 cast; NaN, inf and float years
-      outside int64 fail without a cast warning);
+      check compares against the int64 cast; NaN, inf and float or Python
+      int years outside int64 fail without a cast warning);
     * years are strictly increasing, so no duplicates;
     * every value is finite;
     * for units that require it (GDP, power, wealth), every value is
@@ -63,11 +63,11 @@ class AnnualSeries:
         values = np.array(self.values, dtype=float, ndmin=1)
         if years.shape != values.shape or years.ndim != 1:
             raise ValidationError("years and values must be 1-d and the same length")
-        # signed-integer years pass this check by construction; float years
-        # the int64 cast cannot hold (NaN, inf, 2**63 and beyond) fail
-        # before the cast, which would warn
+        # signed-integer years pass this check by construction; float and
+        # object (Python int) years the int64 cast cannot hold (NaN, inf,
+        # 2**63 and beyond) fail before the cast, which would warn or raise
         if years.dtype.kind != "i" and years.size:
-            castable = years.dtype.kind != "f" or (
+            castable = years.dtype.kind not in "fO" or (
                 (years >= -_INT64_FLOAT_BOUND) & (years < _INT64_FLOAT_BOUND)
             ).all()
             if not (castable and np.array_equal(years, years.astype(np.int64))):
@@ -266,11 +266,17 @@ def annual_grid(start_year: int, end_year: int) -> np.ndarray:
     """Every year from start_year to end_year inclusive, as int64.
 
     Every dense grid in the package is built here, so its length and its
-    range are checked once, before anything is allocated. Years past
-    +-2**53 are refused: the fits work on float years, which skip
-    integers there.
+    range are checked once, before anything is allocated. Non-integral
+    and non-finite years are refused, and so are years past +-2**53: the
+    fits work on float years, which skip integers there.
     """
-    start_year, end_year = int(start_year), int(end_year)
+    try:
+        start, end = int(start_year), int(end_year)
+    except (ValueError, OverflowError):  # NaN, inf
+        start = end = None
+    if start != start_year or end != end_year:
+        raise SeriesRangeError(f"year range [{start_year}, {end_year}] holds a non-integer year")
+    start_year, end_year = start, end
     if end_year < start_year:
         raise SeriesRangeError(f"bad year range [{start_year}, {end_year}]")
     if end_year - start_year > MAX_GRID_YEARS:

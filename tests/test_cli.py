@@ -91,6 +91,22 @@ class TestForecastCommand:
         assert eta.value_at(2009) == 0.0214
         assert len(wealth) == 51  # default horizon 50
 
+    @pytest.mark.parametrize(
+        "window, tau",
+        [
+            ([], "87.62569233333448"),
+            (["--window", "1970:2009"], "87.62569233333448"),
+            (["--window", "1990:2009"], "156.38818132003195"),
+            (["--window", "2000:2009"], "431.5867319687022"),
+        ],
+        ids=["default", "1970_2009", "1990_2009", "2000_2009"],
+    )
+    def test_window_sets_builtin_tau(self, window, tau, tmp_path):
+        argv = ["forecast", "--builtin-table1", "--horizon", "5", *window]
+        assert run(*argv, "--out", str(tmp_path)) == 0
+        header = (tmp_path / "forecast.csv").read_text().splitlines()
+        assert f"# tau_eta = {tau} yr, start 2009, horizon 5 yr" in header
+
     def test_horizon_zero_single_row(self, tmp_path):
         run("forecast", "--builtin-table1", "--horizon", "0", "--out", str(tmp_path))
         wealth = load_series(
@@ -240,7 +256,7 @@ class TestErrorHandling:
         assert "ends before" in capsys.readouterr().err
 
     def test_bad_window_spec_with_builtin_forecast(self, tmp_path, capsys):
-        # the built-in seed ignores the window, but a malformed one is an error
+        # the window picks the rate-of-return trend years, so it is parsed too
         rc = run(
             "forecast", "--builtin-table1", "--window", "1970-2009", "--out", str(tmp_path)
         )
@@ -311,6 +327,26 @@ class TestErrorHandling:
                 ],
                 "year range [9223372036854775800, 9223372036854775810] reaches past +-2**53",
             ),
+            (
+                ["forecast", "--builtin-table1", "--window", "2005:2009"],
+                "innovation fit needs at least 3 points, got 2 in window 2005:2009",
+            ),
+            (
+                ["forecast", "--builtin-table1", "--gdp", str(DATA_DIR / "world_gdp.csv")],
+                "--gdp cannot be combined with --builtin-table1",
+            ),
+            (
+                ["forecast", "--builtin-table1", "--lambda0", "7"],
+                "--lambda0 cannot be combined with --builtin-table1",
+            ),
+            (
+                ["fit", "--builtin-table1", "--power", str(DATA_DIR / "world_power.csv")],
+                "--power cannot be combined with --builtin-table1",
+            ),
+            (
+                ["figure2", "--builtin-table1", "--historical-gdp", "history.csv"],
+                "--historical-gdp cannot be combined with --builtin-table1",
+            ),
         ],
         ids=[
             "short_window",
@@ -321,6 +357,11 @@ class TestErrorHandling:
             "window_1e21",
             "window_2e9",
             "window_past_2_53",
+            "builtin_trend_window_2_years",
+            "builtin_forecast_with_gdp",
+            "builtin_forecast_with_lambda0",
+            "builtin_fit_with_power",
+            "builtin_figure2_with_historical_gdp",
         ],
     )
     def test_one_error_line(self, argv, message, tmp_path, capsys):

@@ -14,6 +14,7 @@ from thermoecon import (
     HorizonUnderflowError,
     Scenario,
     SECONDS_PER_YEAR,
+    SeriesRangeError,
     Unit,
     ValidationError,
     doubling_time_series,
@@ -175,6 +176,12 @@ class TestScenario:
     def test_invalid_parameters_rejected(self, kw):
         with pytest.raises(ValidationError):
             scenario(horizon_years=kw.pop("horizon_years", 10), **kw)
+
+    @pytest.mark.parametrize("start", [2009.5, np.nan, np.inf])
+    def test_non_integer_start_year_rejected(self, start):
+        # a fractional start would otherwise be truncated onto the grid
+        with pytest.raises(SeriesRangeError, match="holds a non-integer year$"):
+            forecast(scenario(start_year=start, horizon_years=5))
 
     def test_horizon_cap(self):
         assert scenario(horizon_years=MAX_HORIZON_YEARS).horizon_years == 1_000_000

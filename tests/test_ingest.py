@@ -178,6 +178,13 @@ def write_table_reference(path, year_grid, columns, units, fmt="csv", precision=
     return path
 
 
+def reference_columns(columns):
+    """The oracle's (columns, units) arguments for a write_table `columns` map."""
+    values = {n: c if isinstance(c, AnnualSeries) else c[0] for n, c in columns.items()}
+    units = {n: c.unit if isinstance(c, AnnualSeries) else c[1] for n, c in columns.items()}
+    return values, units
+
+
 def write_series_reference(series, path, fmt="csv", precision=None, comments=()):
     """The two-column file load_series reads; the suite's fixture writer.
 
@@ -333,10 +340,9 @@ class TestMultiColumn:
             tmp_path / "t.csv",
             [2000, 2001, 2002],
             {
-                "full": {2000: 1.0, 2001: 2.0, 2002: 3.0},
-                "holey": {2000: 10.0, 2002: 30.0},
+                "full": (np.array([1.0, 2.0, 3.0]), Unit.YEARS),
+                "holey": AnnualSeries([2000, 2002], [10.0, 30.0], Unit.YEARS),
             },
-            {"full": Unit.YEARS, "holey": Unit.YEARS},
         )
         full = load_series(path, Unit.YEARS, column="full")
         holey = load_series(path, Unit.YEARS, column="holey")
@@ -344,9 +350,7 @@ class TestMultiColumn:
         assert list(holey.years) == [2000, 2002]
 
     def test_unknown_column_requested(self, tmp_path):
-        path = write_table(
-            tmp_path / "t.csv", [2000], {"a": {2000: 1.0}}, {"a": Unit.YEARS}
-        )
+        path = write_table(tmp_path / "t.csv", [2000], {"a": (np.array([1.0]), Unit.YEARS)})
         with pytest.raises(ParseError, match="no column 'b'"):
             load_series(path, Unit.YEARS, column="b")
 
@@ -365,42 +369,46 @@ class TestMultiColumn:
 
     def test_raw_token_columns(self, tmp_path):
         path = write_table(
-            tmp_path / "t.csv",
-            [2000],
-            {"r": {2000: 2.14}},
-            {"r": "percent_per_year"},
+            tmp_path / "t.csv", [2000], {"r": (np.array([2.14]), "percent_per_year")}
         )
         s = load_series(path, Unit.PER_YEAR_FRACTION, column="r")
         assert s.values[0] == pytest.approx(0.0214)
 
-    @pytest.mark.parametrize("precision", [12, None])
-    def test_series_column_matches_mapping_column(self, tmp_path, precision):
+    def test_series_column_drops_off_grid_years(self, tmp_path):
         # the series runs past both ends of the grid; off-grid years are dropped
         s = AnnualSeries(
             np.arange(1995, 2011), np.linspace(0.1, 3.7, 16) ** 3, Unit.YEARS
         )
-        # a mapping need not be in year order
-        mapping = {int(y): float(v) for y, v in zip(s.years[::-1], s.values[::-1])}
         grid = np.arange(2000, 2006)
-        a = write_table(
-            tmp_path / "a.csv", grid, {"x": s}, {"x": Unit.YEARS}, precision=precision
-        )
-        b = write_table(
-            tmp_path / "b.csv", list(grid), {"x": mapping}, {"x": Unit.YEARS}, precision=precision
-        )
+        a = write_table(tmp_path / "a.csv", grid, {"x": s})
+        b = write_table(tmp_path / "b.csv", list(grid), {"x": (s.values[5:11], Unit.YEARS)})
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[-1].startswith("2005,")
 
+    def test_series_column_is_headed_by_its_own_unit(self, tmp_path):
+        grid = np.arange(2000, 2003)
+        columns = {
+            "a": AnnualSeries(grid, [1.0, 2.0, 3.0], Unit.POWER_TERAWATT),
+            "b": AnnualSeries(grid, [0.01, 0.02, 0.03], Unit.PER_YEAR_FRACTION),
+        }
+        header = write_table(tmp_path / "t.csv", grid, columns).read_text().splitlines()
+        assert header[1:3] == ["# unit.a: power_terawatt", "# unit.b: per_year_fraction"]
+
+    def test_cells_hold_twelve_significant_digits(self, tmp_path):
+        s = AnnualSeries([2000, 2001], [1 / 3, 2.0**60], Unit.DIMENSIONLESS)
+        rows = write_table(tmp_path / "t.csv", s.years, {"v": s}).read_text().splitlines()
+        assert rows[-2:] == ["2000,0.333333333333", "2001,1.15292150461e+18"]
+
     def test_array_column_matches_series_column(self, tmp_path):
         s = AnnualSeries(np.arange(2000, 2006), np.linspace(-0.3, 3.7, 6) ** 3, Unit.YEARS)
-        a = write_table(tmp_path / "a.csv", s.years, {"x": s}, {"x": Unit.YEARS})
-        b = write_table(tmp_path / "b.csv", s.years, {"x": s.values}, {"x": Unit.YEARS})
+        a = write_table(tmp_path / "a.csv", s.years, {"x": s})
+        b = write_table(tmp_path / "b.csv", s.years, {"x": (s.values, Unit.YEARS)})
         assert a.read_bytes() == b.read_bytes()
 
     def test_array_column_must_match_grid(self, tmp_path):
         with pytest.raises(ValidationError, match="5 values for 6 grid years"):
             write_table(
-                tmp_path / "t.csv", np.arange(2000, 2006), {"x": np.ones(5)}, {"x": Unit.YEARS}
+                tmp_path / "t.csv", np.arange(2000, 2006), {"x": (np.ones(5), Unit.YEARS)}
             )
 
     def test_sparse_series_column_round_trips(self, tmp_path):
@@ -412,7 +420,6 @@ class TestMultiColumn:
             tmp_path / "t.tsv",
             years,
             {"dense": dense, "sparse": sparse},
-            {"dense": Unit.YEARS, "sparse": Unit.YEARS},
             fmt="tsv",
         )
         rows = path.read_text().splitlines()[-8:]
@@ -421,28 +428,9 @@ class TestMultiColumn:
         assert np.array_equal(back.years, sparse.years)
         assert np.array_equal(back.values, sparse.values)
 
-    @given(
-        values=st.lists(
-            st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
-            min_size=1,
-            max_size=30,
-        ),
-    )
-    @settings(max_examples=50)
-    def test_full_precision_round_trips_bit_exact(self, tmp_path_factory, values):
-        tmp = tmp_path_factory.mktemp("table")
-        s = AnnualSeries(np.arange(1900, 1900 + len(values)), values, Unit.DIMENSIONLESS)
-        path = write_table(
-            tmp / "t.csv", s.years, {"v": s}, {"v": Unit.DIMENSIONLESS}, precision=None
-        )
-        back = load_series(path, Unit.DIMENSIONLESS, column="v")
-        assert np.array_equal(back.values.view(np.int64), s.values.view(np.int64))
-
     def test_unknown_raw_token_rejected_at_write(self, tmp_path):
-        with pytest.raises(UnitError):
-            write_table(
-                tmp_path / "t.csv", [2000], {"r": {2000: 1.0}}, {"r": "bogus"}
-            )
+        with pytest.raises(UnitError, match="unknown unit token 'bogus' for column 'r'"):
+            write_table(tmp_path / "t.csv", [2000], {"r": (np.array([1.0]), "bogus")})
 
 
 class TestBuiltinTable:
@@ -742,37 +730,29 @@ _CELL_VALUES = st.floats(width=64)  # nan, inf and -0.0 included
 
 @st.composite
 def _table_column(draw, grid):
-    kind = draw(st.sampled_from(["dense series", "sparse series", "array", "mapping"]))
+    kind = draw(st.sampled_from(["dense series", "sparse series", "array"]))
     if kind == "array":
-        return np.array(draw(st.lists(_CELL_VALUES, min_size=len(grid), max_size=len(grid))))
+        values = draw(st.lists(_CELL_VALUES, min_size=len(grid), max_size=len(grid)))
+        unit = draw(st.sampled_from([Unit.DIMENSIONLESS, Unit.YEARS, "percent_per_year"]))
+        return np.array(values), unit
     keep = [y for y in grid if kind == "dense series" or draw(st.booleans())]
     extra = draw(st.lists(st.integers(-6000, 6000), max_size=4))
     years = sorted(set(keep) | set(extra))
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    values = draw(st.lists(finite if kind.endswith("series") else _CELL_VALUES,
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                            min_size=len(years), max_size=len(years)))
-    if kind == "mapping":
-        pairs = list(zip(years, values))
-        return dict(draw(st.permutations(pairs)))
-    return AnnualSeries(np.array(years, dtype=np.int64), np.array(values), Unit.DIMENSIONLESS)
+    unit = draw(st.sampled_from([Unit.DIMENSIONLESS, Unit.YEARS]))
+    return AnnualSeries(np.array(years, dtype=np.int64), np.array(values), unit)
 
 
 @st.composite
 def table_calls(draw):
     grid = draw(_GRIDS)
     names = draw(st.lists(st.sampled_from(["a", "b", "c", "wealth"]), unique=True, max_size=4))
-    columns = {name: draw(_table_column(grid)) for name in names}
-    units = {
-        name: draw(st.sampled_from([Unit.DIMENSIONLESS, Unit.YEARS, "percent_per_year"]))
-        for name in names
-    }
     grid_arg = np.array(grid, dtype=np.int64) if draw(st.booleans()) else grid
     return dict(
         year_grid=grid_arg,
-        columns=columns,
-        units=units,
+        columns={name: draw(_table_column(grid)) for name in names},
         fmt=draw(st.sampled_from(["csv", "tsv"])),
-        precision=draw(st.sampled_from([None, 12, 6])),
         comments=draw(st.lists(st.sampled_from(["thermoecon 0.1.0", "note, with comma"]),
                                max_size=2)),
     )
@@ -784,24 +764,28 @@ class TestWritersMatchReference:
     def test_write_table_bytes(self, tmp_path_factory, call):
         tmp = tmp_path_factory.mktemp("write")
         got = write_table(tmp / "got.csv", **call).read_bytes()
-        assert got == write_table_reference(tmp / "want.csv", **call).read_bytes()
+        columns, units = reference_columns(call.pop("columns"))
+        want = write_table_reference(tmp / "want.csv", columns=columns, units=units, **call)
+        assert got == want.read_bytes()
 
-    @pytest.mark.parametrize("precision", [None, 12, 6])
     @pytest.mark.parametrize("fmt", ["csv", "tsv"])
-    def test_write_table_edge_shapes(self, tmp_path, precision, fmt):
+    def test_write_table_edge_shapes(self, tmp_path, fmt):
         grid = np.arange(2000, 2004)
+        none = np.array([], dtype=np.int64)
         sparse = AnnualSeries(np.array([1999, 2001]), np.array([0.1, -0.0]), Unit.YEARS)
+        single = AnnualSeries(np.array([2001]), np.array([1.0]), Unit.YEARS)
+        empty = AnnualSeries(none, np.array([]), Unit.YEARS)
         cases = [
             (grid, {}),  # year-only table
-            (np.array([], dtype=np.int64), {}),
-            (np.array([], dtype=np.int64), {"s": sparse, "m": {2001: 1.0}}),
+            (none, {}),
+            (none, {"s": sparse, "m": single}),
             (grid, {"s": sparse}),  # sparse column first
-            (grid, {"s": sparse, "m": {}}),  # an all-empty mapping column
-            (grid, {"x": np.array([np.nan, np.inf, -np.inf, 5e-324])}),
+            (grid, {"s": sparse, "m": empty}),  # an all-empty series column
+            (grid, {"x": (np.array([np.nan, np.inf, -np.inf, 5e-324]), Unit.YEARS)}),
+            (grid, {"z": (np.array([-0.0, 0.0, 1e308, -1e-308]), "percent_per_year")}),
         ]
         for i, (g, columns) in enumerate(cases):
-            units = {name: Unit.YEARS for name in columns}
-            kw = dict(fmt=fmt, precision=precision)
-            got = write_table(tmp_path / f"got{i}", g, columns, units, **kw).read_bytes()
-            want = write_table_reference(tmp_path / f"want{i}", g, columns, units, **kw)
+            got = write_table(tmp_path / f"got{i}", g, columns, fmt=fmt).read_bytes()
+            want = write_table_reference(tmp_path / f"want{i}", g, *reference_columns(columns),
+                                         fmt=fmt)
             assert got == want.read_bytes(), columns

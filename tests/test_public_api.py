@@ -1,10 +1,11 @@
 """The package's public surface and the scripts that use it.
 
-`thermoecon.__all__` is pinned to a literal list, so adding or removing an
-export takes an edit here. The scripts under scripts/ are run in process,
+`thermoecon.__all__` is pinned to a literal list, and `write_table`'s
+signature to its parameters, so changing either takes an edit here. The scripts under scripts/ are run in process,
 since they are the only non-test callers of some exported names.
 """
 
+import inspect
 import runpy
 import sys
 from pathlib import Path
@@ -65,6 +66,18 @@ def test_all_is_the_pinned_sorted_list():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert thermoecon.__all__ == PUBLIC_NAMES
     assert [name for name in PUBLIC_NAMES if not hasattr(thermoecon, name)] == []
+
+
+def test_write_table_signature_is_pinned():
+    params = inspect.signature(thermoecon.write_table).parameters.values()
+    empty = inspect.Parameter.empty
+    assert [(p.name, p.default) for p in params] == [
+        ("path", empty),
+        ("year_grid", empty),
+        ("columns", empty),
+        ("fmt", "csv"),
+        ("comments", ()),
+    ]
 
 
 @pytest.mark.parametrize(

@@ -183,6 +183,7 @@ class TestAnnualSeries:
             [-1e19, 2000.0],
             np.array([np.nan, 2000.0], dtype=np.float32),
             np.array([2000.0, np.inf], dtype=np.float16),
+            [1, 2**64],  # Python ints past int64 make an object array
         ],
     )
     def test_uncastable_float_years_rejected_without_warning(self, years):
@@ -504,6 +505,15 @@ class TestHelpers:
             with pytest.raises(
                 SeriesRangeError,
                 match=rf"^year range \[{start}, {end}\] spans more than 1000000 years$",
+            ):
+                annual_grid(start, end)
+
+    def test_annual_grid_refuses_non_integer_years(self):
+        assert list(annual_grid(np.int64(2000), 2001.0)) == [2000, 2001]
+        for start, end in [(2009.5, 2014.5), (np.nan, 2000), (2000, np.inf), (-np.inf, 0)]:
+            with pytest.raises(
+                SeriesRangeError,
+                match=rf"^year range \[{start}, {end}\] holds a non-integer year$",
             ):
                 annual_grid(start, end)
 
