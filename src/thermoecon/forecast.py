@@ -53,11 +53,11 @@ class Scenario:
     tau_eta: float | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.c0) or self.c0 <= 0.0:
+        if not math.isfinite(self.c0) or self.c0 <= 0.0:
             raise ValidationError(f"c0 must be positive, got {self.c0}")
-        if not np.isfinite(self.eta0) or self.eta0 <= 0.0:
+        if not math.isfinite(self.eta0) or self.eta0 <= 0.0:
             raise ValidationError(f"eta0 must be positive, got {self.eta0}")
-        if not np.isfinite(self.lambda0) or self.lambda0 <= 0.0:
+        if not math.isfinite(self.lambda0) or self.lambda0 <= 0.0:
             raise ValidationError(f"lambda0 must be positive, got {self.lambda0}")
         # the cap comes first, so int() below never sees an infinite horizon
         if self.horizon_years > MAX_HORIZON_YEARS:
@@ -69,7 +69,7 @@ class Scenario:
                 f"horizon_years must be a non-negative integer, got {self.horizon_years}"
             )
         if self.tau_eta is not None:
-            if not np.isfinite(self.tau_eta) or self.tau_eta == 0.0:
+            if not math.isfinite(self.tau_eta) or self.tau_eta == 0.0:
                 raise ValidationError(
                     f"tau_eta must be finite and nonzero, got {self.tau_eta}; "
                     "use None for no innovation"
@@ -134,9 +134,10 @@ class ForecastPath:
     power: AnnualSeries
 
     def __post_init__(self):
-        n = len(self.wealth)
-        if not (len(self.eta) == len(self.gdp) == len(self.power) == n):
-            raise ValidationError("trajectory columns differ in length")
+        years = self.wealth.years
+        for column in (self.eta, self.gdp, self.power):
+            if not (column.years is years or np.array_equal(column.years, years)):
+                raise ValidationError("trajectory columns are on different year grids")
 
 
 def _materialize(
@@ -176,14 +177,13 @@ def _materialize(
     if gdp.min() == 0.0:
         i = int((gdp == 0.0).argmax())
         raise HorizonUnderflowError(int(years[i]), "eta" if eta[i] == 0.0 else "gdp")
+    wealth = AnnualSeries(years, c, Unit.WEALTH_TRILLION_USD2005, f"wealth from {t_label}")
     return ForecastPath(
         scenario=scenario,
-        wealth=AnnualSeries(
-            years, c, Unit.WEALTH_TRILLION_USD2005, f"wealth from {t_label}"
-        ),
-        eta=AnnualSeries(years, eta, Unit.PER_YEAR_FRACTION, "rate of return"),
-        gdp=AnnualSeries(years, gdp, Unit.GDP_TRILLION_USD2005_PER_YEAR, "gdp"),
-        power=AnnualSeries(years, power, Unit.POWER_TERAWATT, "power"),
+        wealth=wealth,
+        eta=wealth.with_values(eta, Unit.PER_YEAR_FRACTION, "rate of return"),
+        gdp=wealth.with_values(gdp, Unit.GDP_TRILLION_USD2005_PER_YEAR, "gdp"),
+        power=wealth.with_values(power, Unit.POWER_TERAWATT, "power"),
     )
 
 
@@ -241,9 +241,7 @@ def doubling_time_series(
     simply drop out.
     """
     eta_bar = rolling_mean(eta_series, window_years)
-    delta_c = AnnualSeries(
-        eta_series.years, LN2 / eta_bar.values, Unit.YEARS, "wealth doubling time"
-    )
+    delta_c = eta_series.with_values(LN2 / eta_bar.values, Unit.YEARS, "wealth doubling time")
     slope = rolling_mean(log_derivative(eta_series), window_years)
     positive = slope.values > 0.0
     delta_eta = AnnualSeries(

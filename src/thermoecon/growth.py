@@ -16,6 +16,7 @@ get the innovation rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,6 +36,10 @@ from .units import Unit
 MIN_FIT_OVERLAP_YEARS = 10
 #: Fewest points the ln(eta) regression takes, so the shortest fit window.
 MIN_INNOVATION_POINTS = 3
+
+# the lambda series starts at lambda0 and its spread squares it, so the
+# square has to stay a double
+_MAX_LAMBDA0 = math.sqrt(np.finfo(np.float64).max)
 
 
 def build_wealth(
@@ -83,11 +88,23 @@ def build_wealth(
         rate = interpolate(merged, annual_grid(epoch, end))
         init_mode, initial = "integrated_from_epoch", 0.0
     elif lambda0 is not None:
-        if not np.isfinite(lambda0) or lambda0 <= 0.0:
+        if not math.isfinite(lambda0) or lambda0 <= 0.0:
             raise DomainError(f"lambda0 must be positive, got {lambda0}")
+        lambda0, power0 = float(lambda0), float(power.values[0])
+        if lambda0 > _MAX_LAMBDA0:
+            raise DomainError(
+                f"lambda0 = {lambda0!r} is above {_MAX_LAMBDA0:.4g}, "
+                "where the lambda spread overflows double precision"
+            )
         rate = gdp
         init_mode = "calibrated_from_lambda"
-        initial = float(1000.0 * power.values[0] / lambda0)
+        # Python floats overflow to inf and underflow to 0 without a warning
+        initial = 1000.0 * power0 / lambda0
+        if not 0.0 < initial < math.inf:
+            raise DomainError(
+                f"lambda0 = {lambda0!r} puts the calibrated wealth "
+                f"1000 * {power0!r} / lambda0 outside double precision"
+            )
     else:
         raise ConfigurationError(
             "need lambda0 for calibrated wealth or a historical GDP record"

@@ -47,8 +47,11 @@ class AnnualSeries:
     * for units that require it (GDP, power, wealth), every value is
       strictly positive.
 
-    `years` is stored as a read-only int64 array and `values` as a
-    read-only float64 array, each a private copy of the input.
+    The constructor stores `years` as a read-only int64 array and `values`
+    as a read-only float64 array, each a private copy of its input.
+    `with_values` builds a series on the same years: it shares this
+    series' read-only years array, already checked, and copies and checks
+    only the new values.
     """
 
     years: np.ndarray
@@ -60,30 +63,7 @@ class AnnualSeries:
         years = np.asarray(self.years)
         if years.ndim == 0:
             years = years.reshape(1)
-        values = np.array(self.values, dtype=float, ndmin=1)
-        if years.shape != values.shape or years.ndim != 1:
-            raise ValidationError("years and values must be 1-d and the same length")
-        # signed-integer years pass this check by construction; float and
-        # object (Python int) years the int64 cast cannot hold (NaN, inf,
-        # 2**63 and beyond) fail before the cast, which would warn or raise
-        if years.dtype.kind != "i" and years.size:
-            castable = years.dtype.kind not in "fO" or (
-                (years >= -_INT64_FLOAT_BOUND) & (years < _INT64_FLOAT_BOUND)
-            ).all()
-            if not (castable and np.array_equal(years, years.astype(np.int64))):
-                raise ValidationError("years must be integers")
-        years = years.astype(np.int64)
-        # compares neighbours directly: np.diff would wrap at extreme years
-        if (years[1:] <= years[:-1]).any():
-            raise ValidationError("years must be strictly increasing with no duplicates")
-        if not np.isfinite(values).all():
-            raise ValidationError(f"non-finite value in series {self.label!r}")
-        if self.unit.requires_positive and years.size and values.min() <= 0.0:
-            raise ValidationError(
-                f"{self.unit.token} series {self.label!r} must be strictly positive"
-            )
-        years.flags.writeable = False
-        values.flags.writeable = False
+        years, values = _checked(years, self.values, self.unit, self.label, own_years=False)
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "values", values)
 
@@ -122,13 +102,21 @@ class AnnualSeries:
         mask = (self.years >= start_year) & (self.years <= end_year)
         return AnnualSeries(self.years[mask], self.values[mask], self.unit, self.label)
 
-    def with_values(self, values: np.ndarray, unit: Unit | None = None, label: str | None = None):
-        return AnnualSeries(
-            self.years,
-            values,
-            self.unit if unit is None else unit,
-            self.label if label is None else label,
-        )
+    def with_values(
+        self, values: np.ndarray, unit: Unit | None = None, label: str | None = None
+    ) -> AnnualSeries:
+        """A series on these same years, sharing this series' years array.
+
+        The values get every check the constructor makes, with the same
+        messages; unit and label default to this series' own.
+        """
+        unit = self.unit if unit is None else unit
+        label = self.label if label is None else label
+        years, values = _checked(self.years, values, unit, label, own_years=True)
+        # skips __post_init__, which would copy and check the years again
+        out = object.__new__(AnnualSeries)
+        out.__dict__.update(years=years, values=values, unit=unit, label=label)
+        return out
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
@@ -140,8 +128,44 @@ class AnnualSeries:
                     "year grids; interpolate explicitly first"
                 )
             unit, scale = division_rule(self.unit, other.unit)
-            return AnnualSeries(self.years, self.values / other.values * scale, unit)
+            return self.with_values(self.values / other.values * scale, unit, label="")
         return NotImplemented
+
+
+def _checked(
+    years: np.ndarray, values, unit: Unit, label: str, own_years: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only years and values a series stores, checked in order.
+
+    `values` is always copied to a private float64 array and checked.
+    With `own_years` the years are already a series' checked, read-only
+    int64 array and are returned as they are; otherwise they are checked
+    and copied to one.
+    """
+    values = np.array(values, dtype=float, ndmin=1)
+    if years.shape != values.shape or years.ndim != 1:
+        raise ValidationError("years and values must be 1-d and the same length")
+    if not own_years:
+        # signed-integer years pass this check by construction; float and
+        # object (Python int) years the int64 cast cannot hold (NaN, inf,
+        # 2**63 and beyond) fail before the cast, which would warn or raise
+        if years.dtype.kind != "i" and years.size:
+            castable = years.dtype.kind not in "fO" or (
+                (years >= -_INT64_FLOAT_BOUND) & (years < _INT64_FLOAT_BOUND)
+            ).all()
+            if not (castable and np.array_equal(years, years.astype(np.int64))):
+                raise ValidationError("years must be integers")
+        years = years.astype(np.int64)
+        # compares neighbours directly: np.diff would wrap at extreme years
+        if (years[1:] <= years[:-1]).any():
+            raise ValidationError("years must be strictly increasing with no duplicates")
+        years.flags.writeable = False
+    if not np.isfinite(values).all():
+        raise ValidationError(f"non-finite value in series {label!r}")
+    if unit.requires_positive and values.size and values.min() <= 0.0:
+        raise ValidationError(f"{unit.token} series {label!r} must be strictly positive")
+    values.flags.writeable = False
+    return years, values
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +246,7 @@ def log_derivative(series: AnnualSeries) -> AnnualSeries:
     out[-1] = ln[-1] - ln[-2]
     if len(series) > 2:
         out[1:-1] = 0.5 * (ln[2:] - ln[:-2])
-    return AnnualSeries(series.years, out, Unit.PER_YEAR_FRACTION, series.label)
+    return series.with_values(out, Unit.PER_YEAR_FRACTION)
 
 
 def rolling_mean(series: AnnualSeries, window_years: int) -> AnnualSeries:

@@ -347,6 +347,23 @@ class TestErrorHandling:
                 ["figure2", "--builtin-table1", "--historical-gdp", "history.csv"],
                 "--historical-gdp cannot be combined with --builtin-table1",
             ),
+            (
+                ["fit", "--builtin-table1", "--lambda0", "1e-320"],
+                "lambda0 = 1e-320 puts the calibrated wealth 1000 * 7.2 / lambda0 "
+                "outside double precision",
+            ),
+            *(
+                (
+                    [*command, "--lambda0", "1e308"],
+                    "lambda0 = 1e+308 is above 1.341e+154, "
+                    "where the lambda spread overflows double precision",
+                )
+                for command in (
+                    ["fit", "--builtin-table1"],
+                    ["table1"],
+                    ["figure2", "--builtin-table1"],
+                )
+            ),
         ],
         ids=[
             "short_window",
@@ -362,6 +379,10 @@ class TestErrorHandling:
             "builtin_forecast_with_lambda0",
             "builtin_fit_with_power",
             "builtin_figure2_with_historical_gdp",
+            "fit_lambda0_1e-320",
+            "fit_lambda0_1e308",
+            "table1_lambda0_1e308",
+            "figure2_lambda0_1e308",
         ],
     )
     def test_one_error_line(self, argv, message, tmp_path, capsys):

@@ -222,6 +222,29 @@ class TestClosedForm:
             p.gdp.values, p.eta.values * p.wealth.values, rtol=1e-12
         )
 
+    def test_columns_share_the_wealth_years(self):
+        p = forecast(scenario(horizon_years=5, tau_eta=80.0))
+        assert p.eta.years is p.gdp.years is p.power.years is p.wealth.years
+
+    def test_columns_must_be_on_one_year_grid(self):
+        sc = scenario(horizon_years=4)
+        ones = np.ones(5)
+        wealth, gdp, power = (
+            AnnualSeries(sc.years, ones, unit)
+            for unit in (
+                Unit.WEALTH_TRILLION_USD2005,
+                Unit.GDP_TRILLION_USD2005_PER_YEAR,
+                Unit.POWER_TERAWATT,
+            )
+        )
+        # an equal grid in another array passes
+        eta = AnnualSeries(sc.years, ones, Unit.PER_YEAR_FRACTION)
+        ForecastPath(sc, wealth, eta, gdp, power)
+        shifted = AnnualSeries(sc.years + 1, ones, Unit.PER_YEAR_FRACTION)
+        for columns in ((shifted, gdp, power), (eta, gdp, shifted)):
+            with pytest.raises(ValidationError, match="^trajectory columns are on different"):
+                ForecastPath(sc, wealth, *columns)
+
     @given(sc=valid_scenarios)
     @settings(max_examples=50)
     def test_wealth_always_increases(self, sc):

@@ -23,6 +23,8 @@ from thermoecon import (
     run_fit,
 )
 
+from thermoecon.growth import _MAX_LAMBDA0
+
 from test_series import exponential_series
 
 # wealth accumulated from the benchmark record, checked independently with
@@ -107,6 +109,16 @@ class TestBuildWealth:
     def test_bad_lambda0(self, table1):
         with pytest.raises(DomainError):
             build_wealth(dense(table1.gdp), dense(table1.power), lambda0=-2.0)
+
+    def test_lambda0_at_the_double_limits(self, table1):
+        # the largest lambda0 whose square is a double still fits, warning-free
+        res = run_fit(table1.gdp, table1.power, lambda0=_MAX_LAMBDA0)
+        assert np.isfinite(res.model.lambda_rel_std)
+        with pytest.raises(DomainError, match="where the lambda spread overflows"):
+            run_fit(table1.gdp, table1.power, lambda0=np.nextafter(_MAX_LAMBDA0, np.inf))
+        for lambda0 in (1e-320, 5e-324):
+            with pytest.raises(DomainError, match="calibrated wealth .* outside double"):
+                run_fit(table1.gdp, table1.power, lambda0=lambda0)
 
     def test_gdp_unit_enforced(self, table1):
         power = dense(table1.power)

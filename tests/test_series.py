@@ -119,6 +119,22 @@ def series_inputs(draw):
     return years, values, unit
 
 
+@st.composite
+def with_values_inputs(draw):
+    """A valid series and new values for it: NaN, inf, zero, negative, 2-d, off length."""
+    years = np.unique(np.array(draw(st.lists(_YEAR_DTYPES["int64"][1], max_size=6)), np.int64))
+    source = AnnualSeries(years, np.ones(years.size), Unit.DIMENSIONLESS, "source")
+    shape = draw(st.sampled_from(["1-d", "1-d", "1-d", "0-d", "2-d", "short", "long"]))
+    n = max(years.size + {"short": -1, "long": 1}.get(shape, 0), 0)
+    values = np.array(draw(st.lists(_VALUES, min_size=n, max_size=n)), dtype=float)
+    if shape == "0-d":
+        values = np.array(draw(_VALUES))
+    elif shape == "2-d":
+        values = values.reshape(1, -1)
+    unit = draw(st.sampled_from([Unit.DIMENSIONLESS, Unit.POWER_TERAWATT]))
+    return source, values, unit, draw(st.sampled_from(["", "x", "power"]))
+
+
 class TestAnnualSeries:
     @given(series_inputs())
     @settings(max_examples=500, deadline=None)
@@ -136,6 +152,26 @@ class TestAnnualSeries:
         assert s.values.dtype == want[1].dtype
         assert np.array_equal(s.values.view(np.int64), want[1].view(np.int64))
         assert not s.years.flags.writeable and not s.values.flags.writeable
+
+    @given(with_values_inputs())
+    @settings(max_examples=500, deadline=None)
+    def test_with_values_checks_like_the_constructor(self, inputs):
+        s, values, unit, label = inputs
+        try:
+            want = AnnualSeries(s.years, values, unit, label)
+        except ThermoeconError as exc:
+            with pytest.raises(type(exc)) as err:
+                s.with_values(values, unit, label)
+            assert str(err.value) == str(exc)
+            return
+        got = s.with_values(values, unit, label)
+        assert got.years is s.years
+        assert (got.unit, got.label) == (unit, label)
+        assert got.values.dtype == want.values.dtype
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+        assert not got.values.flags.writeable
+        values[...] = 7.0  # a private copy: the caller's array stays its own
+        assert np.array_equal(got.values, want.values)
 
     def test_stores_a_private_copy(self):
         years, values = np.arange(2000, 2003), np.ones(3)
