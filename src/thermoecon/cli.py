@@ -74,10 +74,13 @@ def _resolve_fit(args: argparse.Namespace) -> FitResult:
     return run_fit(gdp, power, window=window, lambda0=lambda0, historical_gdp=historical)
 
 
-def _out_path(args: argparse.Namespace, stem: str) -> Path:
+def _write(args: argparse.Namespace, stem: str, grid, columns, *comments: str) -> Path:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / f"{stem}.{args.format}"
+    path = out_dir / f"{stem}.{args.format}"
+    return write_table(
+        path, grid, columns, fmt=args.format, comments=[_VERSION_COMMENT, *comments]
+    )
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -85,16 +88,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     m, wealth = res.model, res.wealth
     grid = m.lambda_series.years
     anchor = f"{res.init_mode}, C({wealth.first_year}) = {wealth.values[0]:.12g}"
-    path = write_table(
-        _out_path(args, "lambda_series"),
+    path = _write(
+        args,
+        "lambda_series",
         grid,
         {"lambda": m.lambda_series, "eta": m.eta_series, "f": m.f_series, "wealth": wealth},
-        fmt=args.format,
-        comments=[
-            _VERSION_COMMENT,
-            f"fit window {m.window[0]}:{m.window[1]}",
-            f"wealth init {anchor}",
-        ],
+        f"fit window {m.window[0]}:{m.window[1]}",
+        f"wealth init {anchor}",
     )
     inn, dec = res.innovation, res.decomposition
     tau_text = "none (trend not positive)" if inn.tau_eta is None else f"{inn.tau_eta:.6g} yr"
@@ -161,8 +161,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
     path_obj = forecast(scenario)
     tau_text = "none" if scenario.tau_eta is None else repr(scenario.tau_eta)
-    out = write_table(
-        _out_path(args, "forecast"),
+    out = _write(
+        args,
+        "forecast",
         path_obj.wealth.years,
         {
             "wealth": path_obj.wealth,
@@ -170,14 +171,10 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             "gdp": path_obj.gdp,
             "power": path_obj.power,
         },
-        fmt=args.format,
-        comments=[
-            _VERSION_COMMENT,
-            f"scenario: c0 = {scenario.c0!r} T$, eta0 = {scenario.eta0!r} /yr, "
-            f"lambda0 = {scenario.lambda0!r} W/k$",
-            f"tau_eta = {tau_text} yr, start {scenario.start_year}, "
-            f"horizon {scenario.horizon_years} yr",
-        ],
+        f"scenario: c0 = {scenario.c0!r} T$, eta0 = {scenario.eta0!r} /yr, "
+        f"lambda0 = {scenario.lambda0!r} W/k$",
+        f"tau_eta = {tau_text} yr, start {scenario.start_year}, "
+        f"horizon {scenario.horizon_years} yr",
     )
     end = path_obj.wealth.last_year
     print(
@@ -227,18 +224,14 @@ def cmd_table1(args: argparse.Namespace) -> int:
     }
     if args.index_1970:
         columns["wealth_indexed"] = (wealth / res.wealth.value_at(1970), Unit.DIMENSIONLESS)
-    comments = [
-        _VERSION_COMMENT,
+    out = _write(
+        args,
+        "table1_reconstruction",
+        years,
+        columns,
         "benchmark reconstruction on the nine reference years",
         f"wealth calibrated with lambda0 = {lambda0!r} W/k$ at 1970",
         "ror columns are percent per year; see the unit.* headers for scaling",
-    ]
-    out = write_table(
-        _out_path(args, "table1_reconstruction"),
-        years,
-        columns,
-        fmt=args.format,
-        comments=comments,
     )
     print(f"max |ratio deviation| = {np.max(np.abs(ratio_deviation)):.4f} W/k$")
     print(f"max |ror deviation| = {np.max(np.abs(ror_deviation)):.4f} %/yr")
@@ -248,20 +241,15 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_figure2(args: argparse.Namespace) -> int:
     res = _resolve_fit(args)
-    delta_c, delta_eta = doubling_time_series(
-        res.model.eta_series, window_years=_SMOOTHING_WINDOW_YEARS
-    )
+    delta_c, delta_eta = doubling_time_series(res.model.eta_series, _SMOOTHING_WINDOW_YEARS)
     years = delta_c.years
-    out = write_table(
-        _out_path(args, "figure2_data"),
+    out = _write(
+        args,
+        "figure2_data",
         years,
         {"delta_c_years": delta_c, "delta_eta_years": delta_eta},
-        fmt=args.format,
-        comments=[
-            _VERSION_COMMENT,
-            f"doubling times smoothed over {_SMOOTHING_WINDOW_YEARS} years",
-            "empty delta_eta cells: smoothed eta trend not positive there",
-        ],
+        f"doubling times smoothed over {_SMOOTHING_WINDOW_YEARS} years",
+        "empty delta_eta cells: smoothed eta trend not positive there",
     )
     print(
         f"wealth doubling time: {delta_c.values[0]:.1f} yr at {years[0]}, "

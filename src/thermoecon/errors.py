@@ -73,9 +73,6 @@ class HorizonOverflowError(_HorizonRangeError):
 
     _verb = "overflows"
 
-    def __init__(self, year: int, quantity: str = "wealth"):
-        super().__init__(year, quantity)
-
 
 class HorizonUnderflowError(_HorizonRangeError):
     """Forecast eta or gdp rounded to zero."""

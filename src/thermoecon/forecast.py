@@ -32,9 +32,6 @@ LN2 = math.log(2.0)
 # emitted quantity would exceed this
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
-# longest forecast a Scenario accepts: the longest annual grid
-MAX_HORIZON_YEARS = MAX_GRID_YEARS
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -60,9 +57,9 @@ class Scenario:
         if not math.isfinite(self.lambda0) or self.lambda0 <= 0.0:
             raise ValidationError(f"lambda0 must be positive, got {self.lambda0}")
         # the cap comes first, so int() below never sees an infinite horizon
-        if self.horizon_years > MAX_HORIZON_YEARS:
+        if self.horizon_years > MAX_GRID_YEARS:
             raise ValidationError(
-                f"horizon_years must be at most {MAX_HORIZON_YEARS}, got {self.horizon_years}"
+                f"horizon_years must be at most {MAX_GRID_YEARS}, got {self.horizon_years}"
             )
         if not self.horizon_years >= 0 or int(self.horizon_years) != self.horizon_years:
             raise ValidationError(
@@ -231,9 +228,9 @@ def doubling_times(eta: float, tau_eta: float | None = None) -> DoublingTimes:
 
 
 def doubling_time_series(
-    eta_series: AnnualSeries, window_years: int = 10
+    eta_series: AnnualSeries, window_years: int
 ) -> tuple[AnnualSeries, AnnualSeries]:
-    """Smoothed doubling-time views of an eta record.
+    """Doubling-time views of an eta record, smoothed over `window_years`.
 
     Wealth doubling time ln2 / <eta> is returned on the full grid. The
     eta doubling time ln2 / <d ln eta / dt> only exists where the smoothed

@@ -37,10 +37,6 @@ MIN_FIT_OVERLAP_YEARS = 10
 #: Fewest points the ln(eta) regression takes, so the shortest fit window.
 MIN_INNOVATION_POINTS = 3
 
-# the lambda series starts at lambda0 and its spread squares it, so the
-# square has to stay a double
-_MAX_LAMBDA0 = math.sqrt(np.finfo(np.float64).max)
-
 
 def build_wealth(
     gdp: AnnualSeries,
@@ -91,11 +87,6 @@ def build_wealth(
         if not math.isfinite(lambda0) or lambda0 <= 0.0:
             raise DomainError(f"lambda0 must be positive, got {lambda0}")
         lambda0, power0 = float(lambda0), float(power.values[0])
-        if lambda0 > _MAX_LAMBDA0:
-            raise DomainError(
-                f"lambda0 = {lambda0!r} is above {_MAX_LAMBDA0:.4g}, "
-                "where the lambda spread overflows double precision"
-            )
         rate = gdp
         init_mode = "calibrated_from_lambda"
         # Python floats overflow to inf and underflow to 0 without a warning
@@ -131,23 +122,36 @@ def fit_lambda(power: AnnualSeries, wealth: AnnualSeries, gdp: AnnualSeries) -> 
 
     The three series must share one year grid; the fit window is that grid.
     Relative spread is the population standard deviation over the mean,
-    the figure of merit for "is lambda actually constant".
+    the figure of merit for "is lambda actually constant". A statistic
+    that leaves double range raises DomainError naming it.
     """
     if len(wealth) == 0:
         raise SeriesRangeError("empty fit window")
     lam = power / wealth
     eta = gdp / wealth
     f = gdp / power
-    return ModelFit(
-        window=(wealth.first_year, wealth.last_year),
-        lambda_series=lam,
-        lambda_mean=float(np.mean(lam.values)),
-        lambda_rel_std=float(np.std(lam.values) / np.mean(lam.values)),
-        eta_series=eta,
-        eta_mean=float(np.mean(eta.values)),
-        f_series=f,
-        f_mean=float(np.mean(f.values)),
-    )
+    # the spread squares lambda, so it overflows first, from lambda ~1.3e154
+    with np.errstate(all="ignore"):
+        fit = ModelFit(
+            window=(wealth.first_year, wealth.last_year),
+            lambda_series=lam,
+            lambda_mean=float(np.mean(lam.values)),
+            lambda_rel_std=float(np.std(lam.values) / np.mean(lam.values)),
+            eta_series=eta,
+            eta_mean=float(np.mean(eta.values)),
+            f_series=f,
+            f_mean=float(np.mean(f.values)),
+        )
+    for name, value in {
+        "lambda mean": fit.lambda_mean,
+        "lambda spread": fit.lambda_rel_std,
+        "eta mean": fit.eta_mean,
+        "energy productivity mean": fit.f_mean,
+    }.items():
+        if not math.isfinite(value):
+            start, end = fit.window
+            raise DomainError(f"{name} over {start}:{end} overflows double precision")
+    return fit
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ MAX_GRID_YEARS = 1_000_000
 _INT64_FLOAT_BOUND = np.float64(2.0**63)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnnualSeries:
     """Ordered (year, value) points with a declared unit.
 
@@ -51,7 +51,7 @@ class AnnualSeries:
     as a read-only float64 array, each a private copy of its input.
     `with_values` builds a series on the same years: it shares this
     series' read-only years array, already checked, and copies and checks
-    only the new values.
+    only the new values. Equality and hashing are by identity.
     """
 
     years: np.ndarray
@@ -119,17 +119,25 @@ class AnnualSeries:
         return out
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self.with_values(self.values / float(other))
-        if isinstance(other, AnnualSeries):
-            if not np.array_equal(self.years, other.years):
-                raise ValidationError(
-                    f"series {self.label!r} and {other.label!r} are on different "
-                    "year grids; interpolate explicitly first"
-                )
-            unit, scale = division_rule(self.unit, other.unit)
-            return self.with_values(self.values / other.values * scale, unit, label="")
-        return NotImplemented
+        if not isinstance(other, AnnualSeries):
+            return NotImplemented
+        if not np.array_equal(self.years, other.years):
+            raise ValidationError(
+                f"series {self.label!r} and {other.label!r} are on different "
+                "year grids; interpolate explicitly first"
+            )
+        unit, scale = division_rule(self.unit, other.unit)
+        with np.errstate(all="ignore"):
+            values = self.values / other.values * scale
+        _check_overflow(f"series {self.label!r} / {other.label!r}", self.years, values)
+        return self.with_values(values, unit, label="")
+
+
+def _check_overflow(what: str, years: np.ndarray, values: np.ndarray) -> None:
+    """Raise DomainError naming `what` and the first year of a non-finite value."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DomainError(f"{what} overflows double precision at year {years[bad.argmax()]}")
 
 
 def _checked(
@@ -210,7 +218,8 @@ def cumulative_integral(series: AnnualSeries, from_year: int, initial: float) ->
     and each later year adds the trapezoid of one annual step. Only the
     years from `from_year` on are returned, so a stock that starts at zero
     before them never has to be a series of its own. Output unit is the
-    rate unit integrated over years (e.g. T$/yr -> T$).
+    rate unit integrated over years (e.g. T$/yr -> T$), and its token is
+    the output label. A sum past the largest double raises DomainError.
     """
     out_unit = series.unit.integral_unit
     if len(series) == 0:
@@ -223,9 +232,11 @@ def cumulative_integral(series: AnnualSeries, from_year: int, initial: float) ->
     if not series.is_dense:
         raise GapError(f"series {series.label!r} has gaps; interpolate before integrating")
     v = series.values
-    run = initial + np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]))])
+    with np.errstate(all="ignore"):
+        run = initial + np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]))])
+    _check_overflow(f"{out_unit.token} integral of series {series.label!r}", series.years, run)
     k = from_year - series.first_year
-    return AnnualSeries(series.years[k:], run[k:], out_unit, series.label)
+    return AnnualSeries(series.years[k:], run[k:], out_unit, out_unit.token)
 
 
 def log_derivative(series: AnnualSeries) -> AnnualSeries:

@@ -355,8 +355,7 @@ class TestErrorHandling:
             *(
                 (
                     [*command, "--lambda0", "1e308"],
-                    "lambda0 = 1e+308 is above 1.341e+154, "
-                    "where the lambda spread overflows double precision",
+                    "lambda spread over 1970:2009 overflows double precision",
                 )
                 for command in (
                     ["fit", "--builtin-table1"],
@@ -408,6 +407,39 @@ class TestErrorHandling:
             files.append(str(path))
         argv = ["fit", "--gdp", files[0], "--power", files[1], "--lambda0", "7"]
         self.assert_grid_too_long(argv, (1, 2000000000), tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "gdp, power, lambda0, message",
+        [
+            (
+                (10.0, 20.0), (7.0, 1e200), "7",
+                "lambda spread over 1970:2009 overflows double precision",
+            ),
+            (
+                (1e308, 1.5e308), (7.0, 16.0), "7",
+                "wealth_trillion_usd2005 integral of series 'gdp' overflows double "
+                "precision at year 1971",
+            ),
+            (
+                (10.0, 20.0), (7.0, 1.7e308), "1000",
+                "series 'power' / 'wealth_trillion_usd2005' overflows double precision "
+                "at year 2009",
+            ),
+        ],
+        ids=["lambda_spread", "wealth_integral", "lambda_ratio"],
+    )
+    def test_fit_overflow_one_error_line(self, gdp, power, lambda0, message, tmp_path, capsys):
+        # the suite turns RuntimeWarning into an error, so a numpy warning fails
+        files = []
+        for name, token, (first, last) in (("gdp", GDP.token, gdp), ("power", POWER.token, power)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(f"# unit: {token}\n1970,{first!r}\n2009,{last!r}\n", encoding="utf-8")
+            files.append(str(path))
+        argv = ["fit", "--gdp", files[0], "--power", files[1], "--lambda0", lambda0]
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_history_from_two_billion_years_back(self, tmp_path, capsys):
         gdp, power = synthetic_inputs(tmp_path)

@@ -27,10 +27,10 @@ from thermoecon import (
 from thermoecon.forecast import (
     _LOG_FLOAT_MAX,
     LN2,
-    MAX_HORIZON_YEARS,
     ForecastPath,
     _materialize,
 )
+from thermoecon.series import MAX_GRID_YEARS
 
 from test_series import exponential_series
 
@@ -184,8 +184,8 @@ class TestScenario:
             forecast(scenario(start_year=start, horizon_years=5))
 
     def test_horizon_cap(self):
-        assert scenario(horizon_years=MAX_HORIZON_YEARS).horizon_years == 1_000_000
-        for horizon in (MAX_HORIZON_YEARS + 1, 10**11, np.inf):
+        assert scenario(horizon_years=MAX_GRID_YEARS).horizon_years == 1_000_000
+        for horizon in (MAX_GRID_YEARS + 1, 10**11, np.inf):
             with pytest.raises(
                 ValidationError, match=f"^horizon_years must be at most 1000000, got {horizon}$"
             ):

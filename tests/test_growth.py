@@ -23,8 +23,6 @@ from thermoecon import (
     run_fit,
 )
 
-from thermoecon.growth import _MAX_LAMBDA0
-
 from test_series import exponential_series
 
 # wealth accumulated from the benchmark record, checked independently with
@@ -111,11 +109,15 @@ class TestBuildWealth:
             build_wealth(dense(table1.gdp), dense(table1.power), lambda0=-2.0)
 
     def test_lambda0_at_the_double_limits(self, table1):
-        # the largest lambda0 whose square is a double still fits, warning-free
-        res = run_fit(table1.gdp, table1.power, lambda0=_MAX_LAMBDA0)
+        # the spread squares lambda: just above sqrt(float max) it still
+        # fits, warning-free, since lambda falls off lambda0 within a year
+        res = run_fit(table1.gdp, table1.power, lambda0=1.341e154)
         assert np.isfinite(res.model.lambda_rel_std)
-        with pytest.raises(DomainError, match="where the lambda spread overflows"):
-            run_fit(table1.gdp, table1.power, lambda0=np.nextafter(_MAX_LAMBDA0, np.inf))
+        for lambda0 in (1e155, 1e308):
+            with pytest.raises(
+                DomainError, match="^lambda spread over 1970:2009 overflows double precision$"
+            ):
+                run_fit(table1.gdp, table1.power, lambda0=lambda0)
         for lambda0 in (1e-320, 5e-324):
             with pytest.raises(DomainError, match="calibrated wealth .* outside double"):
                 run_fit(table1.gdp, table1.power, lambda0=lambda0)

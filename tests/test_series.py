@@ -20,6 +20,7 @@ from thermoecon import (
     interpolate,
     log_derivative,
     rolling_mean,
+    run_fit,
 )
 from thermoecon.series import MAX_GRID_YEARS
 
@@ -251,6 +252,8 @@ class TestAnnualSeries:
         s = series(np.arange(10.0))
         w = s.window(2002, 2005)
         assert list(w.years) == [2002, 2003, 2004, 2005]
+        with pytest.raises(SeriesRangeError, match=r"^bad window \[2005, 2002\]$"):
+            s.window(2005, 2002)
 
     def test_values_are_read_only(self):
         s = series([1.0, 2.0])
@@ -265,11 +268,31 @@ class TestAnnualSeries:
         ratio = a / series([10.0, 20.0])
         assert list(ratio.values) == [0.1, 0.1]
 
-    def test_scalar_division(self):
+    @pytest.mark.parametrize("other", [2.0, 2, "x"])
+    def test_division_by_a_non_series(self, other):
         s = series([1.0, 2.0], unit=Unit.YEARS)
-        halved = s / 2.0
-        assert halved.unit is Unit.YEARS
-        assert list(halved.values) == [0.5, 1.0]
+        assert s.__truediv__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            s / other
+
+    def test_division_overflow_names_the_first_year(self):
+        # the suite turns RuntimeWarning into an error, so a numpy warning fails
+        power = AnnualSeries([2000, 2001, 2002], [1.0, 1e306, 1e307], Unit.POWER_TERAWATT, "p")
+        wealth = AnnualSeries(power.years, [1.0, 1.0, 1.0], Unit.WEALTH_TRILLION_USD2005, "w")
+        with pytest.raises(
+            DomainError, match="^series 'p' / 'w' overflows double precision at year 2001$"
+        ):
+            power / wealth
+
+    def test_equality_is_identity(self, table1):
+        a, b = series([1.0, 2.0]), series([1.0, 2.0])
+        assert a == a and a != b
+        assert a in [a] and a not in [b]
+        assert hash(a) == hash(a) and len({a, b}) == 2
+        one = run_fit(table1.gdp, table1.power, lambda0=6.4)
+        two = run_fit(table1.gdp, table1.power, lambda0=6.4)
+        assert one == one and one != two
+        assert hash(one) == hash(one)
 
     def test_division_applies_unit_rule(self):
         power = series([7.2, 7.3], unit=Unit.POWER_TERAWATT)
@@ -291,6 +314,8 @@ class TestAnnualSeries:
         assert len(empty) == 0
         with pytest.raises(InsufficientDataError):
             empty.first_year
+        with pytest.raises(InsufficientDataError):
+            empty.last_year
 
 
 class TestWealthSeries:
@@ -365,12 +390,22 @@ class TestInterpolate:
         with pytest.raises(DomainError):
             interpolate(s, annual_grid(2000, 2002))
 
+    def test_empty_inputs_and_unordered_grid(self):
+        empty = AnnualSeries([], [], Unit.DIMENSIONLESS)
+        with pytest.raises(InsufficientDataError, match="^cannot interpolate an empty series$"):
+            interpolate(empty, [2000])
+        s = series([1.0, 2.0, 4.0], unit=Unit.POWER_TERAWATT)
+        out = interpolate(s, [])
+        assert len(out) == 0 and out.unit is Unit.POWER_TERAWATT
+        with pytest.raises(ValidationError, match="^year_grid must be strictly increasing$"):
+            interpolate(s, [2002, 2000])
+
 
 class TestCumulativeIntegral:
     def test_constant_rate_integrates_to_ramp(self):
         s = series([2.5] * 5, unit=Unit.GDP_TRILLION_USD2005_PER_YEAR)
         c = cumulative_integral(s, from_year=2000, initial=100.0)
-        assert c.unit is Unit.WEALTH_TRILLION_USD2005
+        assert (c.unit, c.label) == (Unit.WEALTH_TRILLION_USD2005, "wealth_trillion_usd2005")
         assert list(c.values) == [100.0, 102.5, 105.0, 107.5, 110.0]
 
     def test_initial_value_kept_exactly(self):
@@ -404,6 +439,22 @@ class TestCumulativeIntegral:
         c = cumulative_integral(s, from_year=2002, initial=0.0)
         assert list(c.years) == [2002, 2003]
         assert list(c.values) == [4.0, 7.5]
+
+    def test_needs_points(self):
+        empty = AnnualSeries([], [], Unit.GDP_TRILLION_USD2005_PER_YEAR)
+        with pytest.raises(InsufficientDataError, match="^cannot integrate an empty series$"):
+            cumulative_integral(empty, from_year=2000, initial=0.0)
+
+    def test_overflow_names_the_first_year(self):
+        s = AnnualSeries(
+            [2000, 2001, 2002], [1e308, 1.5e308, 1.5e308], Unit.GDP_TRILLION_USD2005_PER_YEAR, "g"
+        )
+        with pytest.raises(
+            DomainError,
+            match="^wealth_trillion_usd2005 integral of series 'g' overflows double precision "
+            "at year 2001$",
+        ):
+            cumulative_integral(s, from_year=2000, initial=0.0)
 
     def test_from_year_must_be_on_grid(self):
         s = series([1.0, 2.0, 3.0], unit=Unit.GDP_TRILLION_USD2005_PER_YEAR)
@@ -456,6 +507,13 @@ class TestRollingMean:
     def test_window_one_is_identity(self):
         s = series([3.0, 1.0, 4.0, 1.0, 5.0])
         assert np.array_equal(rolling_mean(s, 1).values, s.values)
+
+    def test_needs_a_window_and_a_dense_grid(self):
+        with pytest.raises(ValidationError, match="^window_years must be >= 1$"):
+            rolling_mean(series([1.0, 2.0]), 0)
+        gapped = AnnualSeries([2000, 2002], [1.0, 2.0], Unit.DIMENSIONLESS)
+        with pytest.raises(GapError, match="has gaps"):
+            rolling_mean(gapped, 3)
 
     def test_linear_ramp_even_window_returns_own_value(self):
         years = np.arange(2000, 2030)
@@ -522,6 +580,8 @@ class TestHelpers:
     def test_annual_grid_is_inclusive(self):
         g = annual_grid(1970, 1973)
         assert list(g) == [1970, 1971, 1972, 1973]
+        with pytest.raises(SeriesRangeError, match=r"^bad year range \[1973, 1970\]$"):
+            annual_grid(1973, 1970)
 
     def test_annual_grid_cap(self):
         assert annual_grid(0, MAX_GRID_YEARS).size == MAX_GRID_YEARS + 1
