@@ -46,6 +46,11 @@ def _parse_window(text: str) -> tuple[int, int]:
     return window
 
 
+def _figure(value: float, decimals: int) -> str:
+    """`value` to `decimals` places, in exponent form from 1e6 in magnitude up."""
+    return f"{value:.{decimals}{'e' if abs(value) >= 1e6 else 'f'}}"
+
+
 def _reject_with_builtin(args: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(args, name) is not None:
@@ -103,15 +108,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
         f"window: {m.window[0]}:{m.window[1]} ({len(grid)} annual points)",
         f"wealth init: {anchor} T$",
         f"lambda mean: {m.lambda_mean:.12g} W per thousand 2005 USD",
-        f"lambda relative spread: {m.lambda_rel_std:.12g} ({m.lambda_rel_std * 100:.2f} %)",
-        f"eta mean: {m.eta_mean:.12g} /yr ({m.eta_mean * 100:.2f} %/yr)",
+        f"lambda relative spread: {m.lambda_rel_std:.12g} "
+        f"({_figure(m.lambda_rel_std * 100, 2)} %)",
+        f"eta mean: {m.eta_mean:.12g} /yr ({_figure(m.eta_mean * 100, 2)} %/yr)",
         f"energy productivity mean: {m.f_mean:.12g} $/J",
-        f"innovation rate: {inn.slope:.12g} /yr ({inn.slope * 100:.2f} %/yr)",
+        f"innovation rate: {inn.slope:.12g} /yr ({_figure(inn.slope * 100, 2)} %/yr)",
         f"ln(eta) fit residual rms: {inn.residual_rms:.12g}",
         f"eta e-folding time: {tau_text}",
         f"decomposition: {dec.eta_mean!r} + {dec.innovation_rate!r} = "
         f"{dec.predicted_growth!r}",
-        f"predicted gdp growth: {dec.predicted_growth * 100:.2f} %/yr",
+        f"predicted gdp growth: {_figure(dec.predicted_growth * 100, 2)} %/yr",
     ]
     summary_path = Path(args.out) / "summary.txt"
     summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -181,7 +187,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         f"forecast {scenario.start_year} to {end}: "
         f"wealth {path_obj.wealth.value_at(end):.6g} T$, "
         f"power {path_obj.power.value_at(end):.6g} TW, "
-        f"eta {path_obj.eta.value_at(end) * 100:.2f} %/yr"
+        f"eta {_figure(path_obj.eta.value_at(end) * 100, 2)} %/yr"
     )
     print(f"wrote {out}")
     return 0
@@ -198,15 +204,14 @@ def cmd_table1(args: argparse.Namespace) -> int:
     lambda0 = _BUILTIN_LAMBDA0_CALIBRATION if args.lambda0 is None else args.lambda0
     res = run_fit(t1.gdp, t1.power, lambda0=lambda0)
     years = t1.power.years
-    power, gdp = t1.power.values, t1.gdp.values
-    wealth = res.wealth.values[np.isin(res.wealth.years, years)]
-    ratio_computed = 1000.0 * power / wealth
+    lam = res.model.lambda_series
+    ratio_computed = lam.values[years - lam.first_year]
     ratio_printed = t1.power_over_wealth.values
     # the printed ratio row defines its own implied wealth; reconstructing
     # the return column through it reproduces the printed rounding, the
     # trapezoid wealth does not quite
-    implied_wealth = 1000.0 * power / ratio_printed
-    ror_computed = 100.0 * gdp / implied_wealth
+    implied_wealth = 1000.0 * t1.power.values / ratio_printed
+    ror_computed = 100.0 * t1.gdp.values / implied_wealth
     ror_printed = 100.0 * t1.rate_of_return.values
     ratio_deviation = ratio_computed - ratio_printed
     ror_deviation = ror_computed - ror_printed
@@ -215,7 +220,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         "power": t1.power,
         "gdp": t1.gdp,
         "wealth": res.wealth,
-        "ratio_computed": (ratio_computed, ratio),
+        "ratio_computed": lam,
         "ratio_printed": t1.power_over_wealth,
         "ratio_deviation": (_round4(ratio_deviation), ratio),
         "ror_computed": (ror_computed, percent),
@@ -223,7 +228,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
         "ror_deviation": (_round4(ror_deviation), percent),
     }
     if args.index_1970:
-        columns["wealth_indexed"] = (wealth / res.wealth.value_at(1970), Unit.DIMENSIONLESS)
+        columns["wealth_indexed"] = res.wealth.with_values(
+            res.wealth.values / res.wealth.value_at(1970), Unit.DIMENSIONLESS
+        )
     out = _write(
         args,
         "table1_reconstruction",
@@ -233,8 +240,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
         f"wealth calibrated with lambda0 = {lambda0!r} W/k$ at 1970",
         "ror columns are percent per year; see the unit.* headers for scaling",
     )
-    print(f"max |ratio deviation| = {np.max(np.abs(ratio_deviation)):.4f} W/k$")
-    print(f"max |ror deviation| = {np.max(np.abs(ror_deviation)):.4f} %/yr")
+    print(f"max |ratio deviation| = {_figure(np.max(np.abs(ratio_deviation)), 4)} W/k$")
+    print(f"max |ror deviation| = {_figure(np.max(np.abs(ror_deviation)), 4)} %/yr")
     print(f"wrote {out}")
     return 0
 
@@ -252,8 +259,8 @@ def cmd_figure2(args: argparse.Namespace) -> int:
         "empty delta_eta cells: smoothed eta trend not positive there",
     )
     print(
-        f"wealth doubling time: {delta_c.values[0]:.1f} yr at {years[0]}, "
-        f"{delta_c.values[-1]:.1f} yr at {years[-1]}"
+        f"wealth doubling time: {_figure(delta_c.values[0], 1)} yr at {years[0]}, "
+        f"{_figure(delta_c.values[-1], 1)} yr at {years[-1]}"
     )
     print(f"wrote {out}")
     return 0
@@ -298,12 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc = sub.add_parser(
         "forecast", parents=[io, data], help="run a deterministic scenario forward"
     )
-    p_fc.add_argument("--eta0", type=float, metavar="F", help="initial rate of return, /yr")
+    p_fc.add_argument(
+        "--eta0",
+        type=float,
+        metavar="F",
+        help="initial rate of return, /yr; write a negative exponent form as --eta0=-1e-3",
+    )
     p_fc.add_argument(
         "--tau-eta",
         type=float,
         metavar="YEARS",
-        help="innovation e-folding time; 0 switches innovation off",
+        help="innovation e-folding time; 0 switches innovation off; "
+        "write a negative exponent form as --tau-eta=-1e3",
     )
     p_fc.add_argument("--horizon", type=int, default=50, metavar="YEARS")
     p_fc.set_defaults(func=cmd_forecast)

@@ -28,10 +28,6 @@ from .units import SECONDS_PER_YEAR, Unit
 
 LN2 = math.log(2.0)
 
-# log of the largest representable double; paths are cut off before any
-# emitted quantity would exceed this
-_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -142,28 +138,20 @@ def _materialize(
 ) -> ForecastPath:
     """Exponentiate the log-space columns; takes ownership of `eta`.
 
-    Raises HorizonOverflowError for the first grid year at which wealth,
-    gdp or power (checked in that order) would pass the largest double,
+    Raises HorizonOverflowError for the first grid year at which the
+    exponentiated wealth, gdp or power (checked in that order) is inf,
     and HorizonUnderflowError for the first year at which gdp rounds to
     zero, naming eta if eta itself is zero there. The columns may hold
     inf, 0 or NaN; call under np.errstate(all="ignore").
     """
     t_label = scenario.start_year
-    log_gdp = log_c + np.log(eta)
-    log_power = log_c + math.log(scenario.lambda0 / 1000.0)
-    for quantity, log_values in (
-        ("wealth", log_c),
-        ("gdp", log_gdp),
-        ("power", log_power),
-    ):
-        # fmax skips the NaN an inf * 0 start row can hold, where max would
-        # return it and hide an overflow later in the column
-        if np.fmax.reduce(log_values) > _LOG_FLOAT_MAX:
-            over = log_values > _LOG_FLOAT_MAX
-            raise HorizonOverflowError(int(years[over.argmax()]), quantity)
     c = np.exp(log_c)
-    gdp = np.exp(log_gdp)
-    power = np.exp(log_power)
+    gdp = np.exp(log_c + np.log(eta))
+    power = np.exp(log_c + math.log(scenario.lambda0 / 1000.0))
+    for quantity, column in (("wealth", c), ("gdp", gdp), ("power", power)):
+        over = np.isinf(column)
+        if over.any():
+            raise HorizonOverflowError(int(years[over.argmax()]), quantity)
     # pin the start row to the exact scenario state; exp(log(c0)) is off
     # by an ulp and the t=0 identity C(start) == c0 is worth keeping
     c[0] = scenario.c0
@@ -198,10 +186,8 @@ def forecast(scenario: Scenario) -> ForecastPath:
     # paths past the limits hold inf, 0 or NaN until _materialize names
     # the first failing year; numpy's float warnings would only repeat it
     with np.errstate(all="ignore"):
-        log_c = math.log(scenario.c0) + np.asarray(
-            log_wealth_ratio(scenario.eta0, scenario.tau_eta, t)
-        )
-        eta = np.asarray(eta_trajectory(scenario.eta0, scenario.tau_eta, t))
+        log_c = math.log(scenario.c0) + log_wealth_ratio(scenario.eta0, scenario.tau_eta, t)
+        eta = eta_trajectory(scenario.eta0, scenario.tau_eta, t)
         return _materialize(scenario, years, log_c, eta)
 
 

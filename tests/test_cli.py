@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermoecon import Unit, load_series
+from thermoecon import Unit, load_series, run_fit
 from thermoecon.cli import main
 
 from test_ingest import write_series_reference
@@ -166,6 +166,21 @@ class TestForecastCommand:
         assert wealth.first_year == 2009  # 1980 + 30 years of record - 1
         assert len(wealth) == 11
 
+    def test_negative_exponent_form_tau_needs_equals(self, tmp_path, capsys):
+        # argparse takes "-1e3" for an option; "-1000" reads as a number
+        with pytest.raises(SystemExit) as exc:
+            run("forecast", "--builtin-table1", "--tau-eta", "-1e3")
+        assert exc.value.code == 2
+        capsys.readouterr()
+        outputs = []
+        for name, tau in [("equals", ["--tau-eta=-1e3"]), ("plain", ["--tau-eta", "-1000"])]:
+            out_dir = tmp_path / name
+            assert run("forecast", "--builtin-table1", *tau, "--out", str(out_dir)) == 0
+            stdout = capsys.readouterr().out.replace(str(out_dir), "<out>")
+            outputs.append((stdout, (out_dir / "forecast.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert b"tau_eta = -1000.0 yr" in outputs[0][1]
+
     def test_byte_identical_reruns(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
         run("forecast", "--builtin-table1", "--horizon", "20", "--out", str(d1))
@@ -209,6 +224,21 @@ class TestTable1Command:
         assert s.value_at(1970) == 1.0
         assert s.value_at(2009) == pytest.approx(2311.606 / 1125.0, abs=1e-4)
 
+    @pytest.mark.parametrize("lambda0", [6.4, 7.1, 0.001, 123.456])
+    def test_columns_read_the_fitted_model(self, lambda0, table1, tmp_path):
+        argv = ["table1", "--index-1970", "--lambda0", repr(lambda0)]
+        assert run(*argv, "--out", str(tmp_path)) == 0
+        lines = (tmp_path / "table1_reconstruction.csv").read_text().splitlines()
+        names = next(x for x in lines if x.startswith("# columns: "))[11:].split(",")
+        rows = [dict(zip(names, x.split(","))) for x in lines if not x.startswith("#")]
+        res = run_fit(table1.gdp, table1.power, lambda0=lambda0)
+        wealth_1970 = res.wealth.value_at(1970)
+        assert [int(r["year"]) for r in rows] == table1.power.years.tolist()
+        for r in rows:
+            year = int(r["year"])
+            assert r["ratio_computed"] == "%.12g" % res.model.lambda_series.value_at(year)
+            assert r["wealth_indexed"] == "%.12g" % (res.wealth.value_at(year) / wealth_1970)
+
 
 class TestFigure2Command:
     def test_sparse_eta_doubling_column(self, tmp_path):
@@ -230,6 +260,36 @@ class TestFigure2Command:
             if line and not line.startswith("#")
         ]
         assert rows[-1].startswith("2009,") and rows[-1].endswith(",")
+
+
+class TestPrintedFigures:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--builtin-table1", "--lambda0", "1e150"],
+            [
+                "forecast", "--builtin-table1",
+                "--eta0", "1e300", "--tau-eta", "0", "--horizon", "0",
+            ],
+            ["table1", "--lambda0", "1e150"],
+            ["figure2", "--gdp", "{gdp}", "--power", "{power}", "--lambda0", "1e-300"],
+        ],
+        ids=["fit", "forecast", "table1", "figure2"],
+    )
+    def test_huge_figures_stay_short(self, argv, tmp_path, capsys):
+        # two-knot records, 1970 and 2009, for figure2's doubling times
+        inputs = {
+            "gdp": "# unit: gdp_trillion_usd2005_per_year\n1970,15.3\n2009,49.1\n",
+            "power": "# unit: power_terawatt\n1970,7.2\n2009,16.1\n",
+        }
+        for name, text in inputs.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        argv = [a.format(**{k: tmp_path / f"{k}.csv" for k in inputs}) for a in argv]
+        out_dir = tmp_path / "out"
+        assert run(*argv, "--out", str(out_dir)) == 0
+        stdout = capsys.readouterr().out.replace(str(out_dir), "<out>")
+        assert max(map(len, stdout.splitlines())) <= 100
+        assert "e+" in stdout
 
 
 class TestErrorHandling:

@@ -24,12 +24,7 @@ from thermoecon import (
     forecast,
     log_wealth_ratio,
 )
-from thermoecon.forecast import (
-    _LOG_FLOAT_MAX,
-    LN2,
-    ForecastPath,
-    _materialize,
-)
+from thermoecon.forecast import LN2, ForecastPath, _materialize
 from thermoecon.series import MAX_GRID_YEARS
 
 from test_series import exponential_series
@@ -62,12 +57,13 @@ def forecast_base2(scenario: Scenario) -> ForecastPath:
     return _materialize(scenario, years, log_c, eta)
 
 
-def forecast_reference(scenario: Scenario):
-    """The original forecast() arithmetic and overflow check, kept as the oracle.
+# log of the largest representable double; the oracle cuts a path off
+# before any emitted quantity would exceed it
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
-    Returns the grid years and the raw (wealth, eta, gdp, power) columns
-    without building series, so a column that rounded to zero can be seen.
-    """
+
+def reference_log_columns(scenario: Scenario):
+    """The oracle's eta and its ln wealth, ln gdp and ln power columns."""
     years = scenario.years
     t = (years - scenario.start_year).astype(float)
     log_c = math.log(scenario.c0) + np.asarray(
@@ -76,6 +72,17 @@ def forecast_reference(scenario: Scenario):
     eta = np.asarray(eta_trajectory(scenario.eta0, scenario.tau_eta, t))
     log_gdp = log_c + np.log(eta)
     log_power = log_c + math.log(scenario.lambda0 / 1000.0)
+    return eta, log_c, log_gdp, log_power
+
+
+def forecast_reference(scenario: Scenario):
+    """The original forecast() arithmetic and overflow check, kept as the oracle.
+
+    Returns the grid years and the raw (wealth, eta, gdp, power) columns
+    without building series, so a column that rounded to zero can be seen.
+    """
+    years = scenario.years
+    eta, log_c, log_gdp, log_power = reference_log_columns(scenario)
     for quantity, log_values in (
         ("wealth", log_c),
         ("gdp", log_gdp),
@@ -412,6 +419,46 @@ class TestOverflow:
 
     def test_safe_horizon_does_not_raise(self):
         forecast(scenario(horizon_years=100, tau_eta=100.0))
+
+
+class TestOverflowBoundary:
+    # a frozen-eta run one year long: at 2010, ln C = ln c0 + eta0, and
+    # ln gdp and ln power add ln eta0 and ln(lambda0/1000); the quantity
+    # under test gets the largest column
+    COLUMNS = {
+        "wealth": (1, dict(eta0=0.5, lambda0=1.0)),
+        "gdp": (2, dict(eta0=2.0, lambda0=1.0)),
+        "power": (3, dict(eta0=0.5, lambda0=2000.0)),
+    }
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    @pytest.mark.parametrize("quantity", sorted(COLUMNS))
+    def test_one_ulp_either_side_of_the_largest_double(self, quantity, ulps):
+        target = _LOG_FLOAT_MAX
+        if ulps:
+            target = float(np.nextafter(target, ulps * math.inf))
+        column, kw = self.COLUMNS[quantity]
+
+        def make(c0):
+            return scenario(c0=c0, horizon_years=1, tau_eta=None, **kw)
+
+        def log_at_2010(c0):
+            return reference_log_columns(make(c0))[column][1]
+
+        # ln c0 moves in far finer steps than the ulp of ln(float max)
+        c0 = math.exp(target - log_at_2010(1.0))
+        while log_at_2010(c0) < target:
+            c0 = float(np.nextafter(c0, math.inf))
+        while log_at_2010(c0) > target:
+            c0 = float(np.nextafter(c0, 0.0))
+        assert log_at_2010(c0) == target
+        assert_matches_reference(make(c0))
+        if ulps > 0:
+            with pytest.raises(HorizonOverflowError) as err:
+                forecast(make(c0))
+            assert (err.value.year, err.value.quantity) == (2010, quantity)
+        else:
+            forecast(make(c0))
 
 
 class TestProductivityCoupling:

@@ -40,6 +40,9 @@ CASES = {
         "forecast", *DATA_FILES, "--historical-gdp", HISTORICAL_GDP, "--horizon", "91",
     ],
     "table1_lambda0_7_1": ["table1", "--lambda0", "7.1"],
+    "forecast_window_2000_2009_horizon_10": [
+        "forecast", "--builtin-table1", "--window", "2000:2009", "--horizon", "10",
+    ],
 }
 
 
@@ -80,6 +83,7 @@ MIXED_ORDER = [
     "figure2_tsv", "figure2", "figure2_tsv",
     "table1_lambda0_7_1", "table1_index_1970", "table1_lambda0_7_1",
     "fit_historical", "forecast_historical_horizon_91", "fit",
+    "forecast_window_2000_2009_horizon_10", "forecast_horizon_91",
 ]
 
 
