@@ -8,17 +8,10 @@ runs the resulting closed-form trajectories forward.
 """
 
 from .errors import (
-    ConfigurationError,
-    DomainError,
-    GapError,
     HorizonOverflowError,
     HorizonUnderflowError,
-    InsufficientDataError,
     ParseError,
-    SeriesRangeError,
     ThermoeconError,
-    UnitError,
-    ValidationError,
 )
 from .forecast import (
     DoublingTimes,
@@ -62,27 +55,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnualSeries",
-    "ConfigurationError",
-    "DomainError",
     "DoublingTimes",
     "FitResult",
     "ForecastPath",
-    "GapError",
     "GrowthDecomposition",
     "HorizonOverflowError",
     "HorizonUnderflowError",
     "InnovationFit",
-    "InsufficientDataError",
     "ModelFit",
     "ParseError",
     "SECONDS_PER_YEAR",
     "Scenario",
-    "SeriesRangeError",
     "Table1",
     "ThermoeconError",
     "Unit",
-    "UnitError",
-    "ValidationError",
     "annual_grid",
     "build_wealth",
     "builtin_table1",

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, ThermoeconError
+from .errors import ThermoeconError
 from .forecast import Scenario, doubling_time_series, forecast
 from .growth import FitResult, fit_innovation, run_fit
 from .ingest import builtin_table1, load_series, write_table
@@ -40,9 +40,9 @@ def _parse_window(text: str) -> tuple[int, int]:
         start, end = text.split(":")
         window = (int(start), int(end))
     except ValueError:
-        raise ConfigurationError(f"--window wants START:END, got {text!r}")
+        raise ThermoeconError(f"--window wants START:END, got {text!r}") from None
     if window[1] < window[0]:
-        raise ConfigurationError(f"--window {text!r} ends before it starts")
+        raise ThermoeconError(f"--window {text!r} ends before it starts")
     return window
 
 
@@ -55,7 +55,7 @@ def _reject_with_builtin(args: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(args, name) is not None:
             flag = "--" + name.replace("_", "-")
-            raise ConfigurationError(f"{flag} cannot be combined with --builtin-table1")
+            raise ThermoeconError(f"{flag} cannot be combined with --builtin-table1")
 
 
 def _resolve_fit(args: argparse.Namespace) -> FitResult:
@@ -67,7 +67,7 @@ def _resolve_fit(args: argparse.Namespace) -> FitResult:
         lambda0 = _BUILTIN_LAMBDA0_CALIBRATION if args.lambda0 is None else args.lambda0
     else:
         if args.gdp is None or args.power is None:
-            raise ConfigurationError("provide --gdp and --power, or --builtin-table1")
+            raise ThermoeconError("provide --gdp and --power, or --builtin-table1")
         gdp = load_series(args.gdp, Unit.GDP_TRILLION_USD2005_PER_YEAR)
         power = load_series(args.power, Unit.POWER_TERAWATT)
         historical = None

@@ -1,7 +1,9 @@
 """Exception hierarchy for the toolkit.
 
-Every error raised by thermoecon derives from ThermoeconError so callers
-(notably the CLI) can catch one base class and turn it into a diagnostic.
+Every error raised by thermoecon is a ThermoeconError, so callers (notably
+the CLI) catch one class and print its message. Subclasses exist only
+where they carry data a caller reads: the line and file of a parse
+error, the year and quantity at which a forecast leaves double range.
 """
 
 from __future__ import annotations
@@ -9,30 +11,6 @@ from __future__ import annotations
 
 class ThermoeconError(Exception):
     """Base class for all toolkit errors."""
-
-
-class UnitError(ThermoeconError):
-    """Incompatible or undeclared units; never silently coerced."""
-
-
-class SeriesRangeError(ThermoeconError):
-    """Requested years fall outside a series' coverage (extrapolation, bad window)."""
-
-
-class DomainError(ThermoeconError):
-    """Value outside the mathematical domain of an operation (e.g. log of <= 0)."""
-
-
-class GapError(ThermoeconError):
-    """Operation requires a dense annual series but the input has gaps."""
-
-
-class InsufficientDataError(ThermoeconError):
-    """Too few points for the requested operation."""
-
-
-class ValidationError(ThermoeconError):
-    """Input data violates a structural invariant (duplicate year, bad sign, ...)."""
 
 
 class ParseError(ThermoeconError):
@@ -48,10 +26,6 @@ class ParseError(ThermoeconError):
         super().__init__(message)
         self.line_number = line_number
         self.source = source
-
-
-class ConfigurationError(ThermoeconError):
-    """Inconsistent or incomplete run configuration."""
 
 
 class _HorizonRangeError(ThermoeconError):

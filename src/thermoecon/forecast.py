@@ -17,13 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    HorizonOverflowError,
-    HorizonUnderflowError,
-    ValidationError,
+from .errors import HorizonOverflowError, HorizonUnderflowError, ThermoeconError
+from .series import (
+    MAX_GRID_YEARS,
+    AnnualSeries,
+    _check_overflow,
+    annual_grid,
+    log_derivative,
+    rolling_mean,
 )
-from .series import MAX_GRID_YEARS, AnnualSeries, annual_grid, log_derivative, rolling_mean
 from .units import SECONDS_PER_YEAR, Unit
 
 LN2 = math.log(2.0)
@@ -47,33 +49,33 @@ class Scenario:
 
     def __post_init__(self):
         if not math.isfinite(self.c0) or self.c0 <= 0.0:
-            raise ValidationError(f"c0 must be positive, got {self.c0}")
+            raise ThermoeconError(f"c0 must be positive, got {self.c0}")
         if not math.isfinite(self.eta0) or self.eta0 <= 0.0:
-            raise ValidationError(f"eta0 must be positive, got {self.eta0}")
+            raise ThermoeconError(f"eta0 must be positive, got {self.eta0}")
         if not math.isfinite(self.lambda0) or self.lambda0 <= 0.0:
-            raise ValidationError(f"lambda0 must be positive, got {self.lambda0}")
+            raise ThermoeconError(f"lambda0 must be positive, got {self.lambda0}")
         # the cap comes first, so int() below never sees an infinite horizon
         if self.horizon_years > MAX_GRID_YEARS:
-            raise ValidationError(
+            raise ThermoeconError(
                 f"horizon_years must be at most {MAX_GRID_YEARS}, got {self.horizon_years}"
             )
         if not self.horizon_years >= 0 or int(self.horizon_years) != self.horizon_years:
-            raise ValidationError(
+            raise ThermoeconError(
                 f"horizon_years must be a non-negative integer, got {self.horizon_years}"
             )
         if self.tau_eta is not None:
             if not math.isfinite(self.tau_eta) or self.tau_eta == 0.0:
-                raise ValidationError(
+                raise ThermoeconError(
                     f"tau_eta must be finite and nonzero, got {self.tau_eta}; "
                     "use None for no innovation"
                 )
         if self.eta0 * self.c0 == 0.0:
-            raise ValidationError(
+            raise ThermoeconError(
                 f"initial gdp eta0 * c0 = {self.eta0} * {self.c0} "
                 "rounds to zero in double precision"
             )
         if self.lambda0 / 1000.0 * self.c0 == 0.0:
-            raise ValidationError(
+            raise ThermoeconError(
                 f"initial power lambda0/1000 * c0 = {self.lambda0}/1000 * {self.c0} "
                 "rounds to zero in double precision"
             )
@@ -112,7 +114,7 @@ def eta_from_productivity(lambda0: float, f: float) -> float:
     eventual energy demand: efficiency gains backfire in this model.
     """
     if f <= 0.0:
-        raise DomainError(f"energy productivity must be positive, got {f}")
+        raise ThermoeconError(f"energy productivity must be positive, got {f}")
     return lambda0 / 1000.0 * f * SECONDS_PER_YEAR
 
 
@@ -130,7 +132,7 @@ class ForecastPath:
         years = self.wealth.years
         for column in (self.eta, self.gdp, self.power):
             if not (column.years is years or np.array_equal(column.years, years)):
-                raise ValidationError("trajectory columns are on different year grids")
+                raise ThermoeconError("trajectory columns are on different year grids")
 
 
 def _materialize(
@@ -206,7 +208,7 @@ def doubling_times(eta: float, tau_eta: float | None = None) -> DoublingTimes:
     halving rather than doubling.
     """
     if eta <= 0.0:
-        raise DomainError(f"eta must be positive, got {eta}")
+        raise ThermoeconError(f"eta must be positive, got {eta}")
     eta_years = None
     if tau_eta is not None and tau_eta > 0.0:
         eta_years = tau_eta * LN2
@@ -221,16 +223,20 @@ def doubling_time_series(
     Wealth doubling time ln2 / <eta> is returned on the full grid. The
     eta doubling time ln2 / <d ln eta / dt> only exists where the smoothed
     trend is positive, so that series is sparse; stagnating stretches
-    simply drop out.
+    simply drop out. A doubling time past the largest double raises
+    ThermoeconError naming its first year.
     """
     eta_bar = rolling_mean(eta_series, window_years)
-    delta_c = eta_series.with_values(LN2 / eta_bar.values, Unit.YEARS, "wealth doubling time")
+    # a subnormal smoothed eta or slope puts ln2 over it past the largest double
+    with np.errstate(all="ignore"):
+        wealth_years = LN2 / eta_bar.values
+    _check_overflow("wealth doubling time", eta_series.years, wealth_years)
+    delta_c = eta_series.with_values(wealth_years, Unit.YEARS, "wealth doubling time")
     slope = rolling_mean(log_derivative(eta_series), window_years)
     positive = slope.values > 0.0
-    delta_eta = AnnualSeries(
-        eta_series.years[positive],
-        LN2 / slope.values[positive],
-        Unit.YEARS,
-        "eta doubling time",
-    )
+    years = eta_series.years[positive]
+    with np.errstate(all="ignore"):
+        eta_years = LN2 / slope.values[positive]
+    _check_overflow("eta doubling time", years, eta_years)
+    delta_eta = AnnualSeries(years, eta_years, Unit.YEARS, "eta doubling time")
     return delta_c, delta_eta

@@ -22,13 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    InsufficientDataError,
-    SeriesRangeError,
-    ValidationError,
-)
+from .errors import ThermoeconError
 from .series import AnnualSeries, annual_grid, cumulative_integral, interpolate
 from .units import Unit
 
@@ -60,18 +54,18 @@ def build_wealth(
     in the same year as `gdp`. Positive GDP makes the wealth non-decreasing.
     """
     if gdp.unit is not Unit.GDP_TRILLION_USD2005_PER_YEAR:
-        raise ConfigurationError(f"expected a GDP series, got {gdp.unit.token}")
+        raise ThermoeconError(f"expected a GDP series, got {gdp.unit.token}")
     start, end = gdp.first_year, gdp.last_year
     if power.first_year != start:
-        raise ValidationError(
+        raise ThermoeconError(
             f"power starts in {power.first_year}, GDP in {start}; align them first"
         )
     if historical_gdp is not None:
         if historical_gdp.unit is not gdp.unit:
-            raise ConfigurationError("historical GDP must share the GDP unit")
+            raise ThermoeconError("historical GDP must share the GDP unit")
         epoch = historical_gdp.first_year
         if epoch >= start:
-            raise ConfigurationError(
+            raise ThermoeconError(
                 f"historical record must begin before {start}, starts {epoch}"
             )
         keep = historical_gdp.years < start
@@ -85,19 +79,19 @@ def build_wealth(
         init_mode, initial = "integrated_from_epoch", 0.0
     elif lambda0 is not None:
         if not math.isfinite(lambda0) or lambda0 <= 0.0:
-            raise DomainError(f"lambda0 must be positive, got {lambda0}")
+            raise ThermoeconError(f"lambda0 must be positive, got {lambda0}")
         lambda0, power0 = float(lambda0), float(power.values[0])
         rate = gdp
         init_mode = "calibrated_from_lambda"
         # Python floats overflow to inf and underflow to 0 without a warning
         initial = 1000.0 * power0 / lambda0
         if not 0.0 < initial < math.inf:
-            raise DomainError(
+            raise ThermoeconError(
                 f"lambda0 = {lambda0!r} puts the calibrated wealth "
                 f"1000 * {power0!r} / lambda0 outside double precision"
             )
     else:
-        raise ConfigurationError(
+        raise ThermoeconError(
             "need lambda0 for calibrated wealth or a historical GDP record"
         )
     return cumulative_integral(rate, from_year=start, initial=initial), init_mode
@@ -123,10 +117,10 @@ def fit_lambda(power: AnnualSeries, wealth: AnnualSeries, gdp: AnnualSeries) -> 
     The three series must share one year grid; the fit window is that grid.
     Relative spread is the population standard deviation over the mean,
     the figure of merit for "is lambda actually constant". A statistic
-    that leaves double range raises DomainError naming it.
+    that leaves double range raises ThermoeconError naming it.
     """
     if len(wealth) == 0:
-        raise SeriesRangeError("empty fit window")
+        raise ThermoeconError("empty fit window")
     lam = power / wealth
     eta = gdp / wealth
     f = gdp / power
@@ -150,7 +144,7 @@ def fit_lambda(power: AnnualSeries, wealth: AnnualSeries, gdp: AnnualSeries) -> 
     }.items():
         if not math.isfinite(value):
             start, end = fit.window
-            raise DomainError(f"{name} over {start}:{end} overflows double precision")
+            raise ThermoeconError(f"{name} over {start}:{end} overflows double precision")
     return fit
 
 
@@ -182,11 +176,11 @@ def fit_innovation(
         eta = eta.window(*window)
     if len(eta) < MIN_INNOVATION_POINTS:
         where = "" if window is None else f" in window {window[0]}:{window[1]}"
-        raise InsufficientDataError(
+        raise ThermoeconError(
             f"innovation fit needs at least {MIN_INNOVATION_POINTS} points, got {len(eta)}{where}"
         )
     if np.any(eta.values <= 0.0):
-        raise DomainError("eta must be positive to fit ln(eta)")
+        raise ThermoeconError("eta must be positive to fit ln(eta)")
     x = eta.years.astype(float)
     center = float(x.mean())
     x = x - center
@@ -231,7 +225,7 @@ def gdp_growth_decomposition(
     sum much less so.
     """
     if fit.window != innovation.window:
-        raise ConfigurationError(
+        raise ThermoeconError(
             f"fit window {fit.window} and innovation window {innovation.window} differ"
         )
     return GrowthDecomposition(
@@ -274,15 +268,15 @@ def run_fit(
     )
     n_overlap = overlap[1] - overlap[0] + 1
     if n_overlap < MIN_FIT_OVERLAP_YEARS:
-        raise ValidationError(
+        raise ThermoeconError(
             f"GDP and power overlap on {max(n_overlap, 0)} years; "
             f"need at least {MIN_FIT_OVERLAP_YEARS} consecutive years for fitting"
         )
     start, end = overlap if window is None else window
     if end < start:
-        raise SeriesRangeError(f"window {start}:{end} is empty")
+        raise ThermoeconError(f"window {start}:{end} is empty")
     if end - start + 1 < MIN_INNOVATION_POINTS:
-        raise InsufficientDataError(
+        raise ThermoeconError(
             f"fit window {start}:{end} covers {end - start + 1} years; "
             f"the innovation fit needs at least {MIN_INNOVATION_POINTS}"
         )

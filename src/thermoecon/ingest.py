@@ -29,7 +29,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParseError, UnitError, ValidationError
+from .errors import ParseError, ThermoeconError
 from .series import AnnualSeries
 from .units import FILE_TOKENS, Unit, parse_unit_token
 
@@ -105,7 +105,7 @@ def load_series(
         try:
             year = int(year_cell)
         except ValueError:
-            raise ParseError(f"bad year {year_cell!r}", lineno, name)
+            raise ParseError(f"bad year {year_cell!r}", lineno, name) from None
         if idx is None:
             raise ParseError(f"file has no column {column!r}", lineno, name)
         cell = fields[idx].strip()
@@ -116,34 +116,34 @@ def load_series(
         try:
             value = float(cell)
         except ValueError:
-            raise ParseError(f"bad value {cell!r}", lineno, name)
+            raise ParseError(f"bad value {cell!r}", lineno, name) from None
         if not math.isfinite(value):
             raise ParseError(f"non-finite value {cell!r}", lineno, name)
         if not _INT64_MIN <= year <= _INT64_MAX:
             raise ParseError(f"year {year_cell!r} is outside the int64 range", lineno, name)
         if year in points:
-            raise ValidationError(f"{name}: duplicate year {year}")
+            raise ThermoeconError(f"{name}: duplicate year {year}")
         points[year] = value
 
     if columns is not None:
         token = column_units.get(column, unit_token)
         if token is None:
-            raise UnitError(f"{name}: no '# unit.{column}:' header")
+            raise ThermoeconError(f"{name}: no '# unit.{column}:' header")
     else:
         token = unit_token
         if token is None:
-            raise UnitError(f"{name}: missing mandatory '# unit:' header")
+            raise ThermoeconError(f"{name}: missing mandatory '# unit:' header")
     try:
         unit, scale = parse_unit_token(token)
-    except UnitError as exc:
-        raise UnitError(f"{name}: {exc}") from None
+    except ThermoeconError as exc:
+        raise ThermoeconError(f"{name}: {exc}") from None
     if unit is not expected_unit:
-        raise UnitError(
+        raise ThermoeconError(
             f"{name}: declared unit {token!r} is {unit.token}, expected {expected_unit.token}"
         )
 
     if not points:
-        raise InsufficientDataError(f"{name}: no data rows")
+        raise ThermoeconError(f"{name}: no data rows")
 
     years = np.fromiter(points, dtype=np.int64, count=len(points))
     values = np.fromiter(points.values(), dtype=float, count=len(points)) * scale
@@ -153,7 +153,7 @@ def load_series(
     if expected_unit.requires_positive:
         bad = values <= 0.0
         if bad.any():
-            raise ValidationError(
+            raise ThermoeconError(
                 f"{name}: non-positive value at year {years[bad.argmax()]} "
                 f"for unit {expected_unit.token}"
             )
@@ -178,9 +178,9 @@ def _column_cells(
         values, unit = column
         token = unit.token if isinstance(unit, Unit) else unit
         if token not in FILE_TOKENS:
-            raise UnitError(f"unknown unit token {token!r} for column {name!r}")
+            raise ThermoeconError(f"unknown unit token {token!r} for column {name!r}")
         if values.shape != grid.shape:
-            raise ValidationError(f"{values.size} values for {grid.size} grid years")
+            raise ThermoeconError(f"{values.size} values for {grid.size} grid years")
         return token, values.tolist(), _CELL_SPEC
     years = column.years
     idx = np.searchsorted(years, grid)

@@ -3,7 +3,7 @@
 Everything here is immutable and pure: series own read-only numpy arrays,
 operations return new series. Years are integer calendar years; gaps are
 allowed (sparse historical data) and every operation that needs an annual
-grid says so and raises GapError otherwise.
+grid says so and raises ThermoeconError otherwise.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    DomainError,
-    GapError,
-    InsufficientDataError,
-    SeriesRangeError,
-    ValidationError,
-)
+from .errors import ThermoeconError
 from .units import Unit, division_rule
 
 #: Longest span, in years, of any annual grid: a million years is 8 MB per column
@@ -35,7 +29,7 @@ class AnnualSeries:
     """Ordered (year, value) points with a declared unit.
 
     Invariants enforced at construction, in this order, each with its own
-    ValidationError:
+    ThermoeconError message:
 
     * `years` and `values` are 1-d and the same length; a 0-d scalar pair
       counts as one point;
@@ -75,13 +69,13 @@ class AnnualSeries:
     @property
     def first_year(self) -> int:
         if not len(self):
-            raise InsufficientDataError("empty series has no coverage")
+            raise ThermoeconError("empty series has no coverage")
         return int(self.years[0])
 
     @property
     def last_year(self) -> int:
         if not len(self):
-            raise InsufficientDataError("empty series has no coverage")
+            raise ThermoeconError("empty series has no coverage")
         return int(self.years[-1])
 
     @property
@@ -92,13 +86,13 @@ class AnnualSeries:
     def value_at(self, year: int) -> float:
         idx = np.searchsorted(self.years, year)
         if idx >= len(self) or self.years[idx] != year:
-            raise SeriesRangeError(f"year {year} not in series {self.label!r}")
+            raise ThermoeconError(f"year {year} not in series {self.label!r}")
         return float(self.values[idx])
 
     def window(self, start_year: int, end_year: int) -> "AnnualSeries":
         """Sub-series with start_year <= year <= end_year."""
         if start_year > end_year:
-            raise SeriesRangeError(f"bad window [{start_year}, {end_year}]")
+            raise ThermoeconError(f"bad window [{start_year}, {end_year}]")
         mask = (self.years >= start_year) & (self.years <= end_year)
         return AnnualSeries(self.years[mask], self.values[mask], self.unit, self.label)
 
@@ -122,7 +116,7 @@ class AnnualSeries:
         if not isinstance(other, AnnualSeries):
             return NotImplemented
         if not np.array_equal(self.years, other.years):
-            raise ValidationError(
+            raise ThermoeconError(
                 f"series {self.label!r} and {other.label!r} are on different "
                 "year grids; interpolate explicitly first"
             )
@@ -134,10 +128,10 @@ class AnnualSeries:
 
 
 def _check_overflow(what: str, years: np.ndarray, values: np.ndarray) -> None:
-    """Raise DomainError naming `what` and the first year of a non-finite value."""
+    """Raise ThermoeconError naming `what` and the first year of a non-finite value."""
     bad = ~np.isfinite(values)
     if bad.any():
-        raise DomainError(f"{what} overflows double precision at year {years[bad.argmax()]}")
+        raise ThermoeconError(f"{what} overflows double precision at year {years[bad.argmax()]}")
 
 
 def _checked(
@@ -152,7 +146,7 @@ def _checked(
     """
     values = np.array(values, dtype=float, ndmin=1)
     if years.shape != values.shape or years.ndim != 1:
-        raise ValidationError("years and values must be 1-d and the same length")
+        raise ThermoeconError("years and values must be 1-d and the same length")
     if not own_years:
         # signed-integer years pass this check by construction; float and
         # object (Python int) years the int64 cast cannot hold (NaN, inf,
@@ -162,16 +156,16 @@ def _checked(
                 (years >= -_INT64_FLOAT_BOUND) & (years < _INT64_FLOAT_BOUND)
             ).all()
             if not (castable and np.array_equal(years, years.astype(np.int64))):
-                raise ValidationError("years must be integers")
+                raise ThermoeconError("years must be integers")
         years = years.astype(np.int64)
         # compares neighbours directly: np.diff would wrap at extreme years
         if (years[1:] <= years[:-1]).any():
-            raise ValidationError("years must be strictly increasing with no duplicates")
+            raise ThermoeconError("years must be strictly increasing with no duplicates")
         years.flags.writeable = False
     if not np.isfinite(values).all():
-        raise ValidationError(f"non-finite value in series {label!r}")
+        raise ThermoeconError(f"non-finite value in series {label!r}")
     if unit.requires_positive and values.size and values.min() <= 0.0:
-        raise ValidationError(f"{unit.token} series {label!r} must be strictly positive")
+        raise ThermoeconError(f"{unit.token} series {label!r} must be strictly positive")
     values.flags.writeable = False
     return years, values
 
@@ -188,20 +182,20 @@ def interpolate(series: AnnualSeries, year_grid: Sequence[int]) -> AnnualSeries:
     Extrapolation is refused.
     """
     if len(series) == 0:
-        raise InsufficientDataError("cannot interpolate an empty series")
+        raise ThermoeconError("cannot interpolate an empty series")
     grid = np.atleast_1d(np.asarray(year_grid, dtype=np.int64))
     if grid.size == 0:
         return AnnualSeries(grid, np.array([]), series.unit, series.label)
     if grid.min() < series.first_year or grid.max() > series.last_year:
-        raise SeriesRangeError(
+        raise ThermoeconError(
             f"grid [{grid.min()}, {grid.max()}] extrapolates beyond series "
             f"{series.label!r} coverage [{series.first_year}, {series.last_year}]"
         )
     if not np.all(np.diff(grid) > 0):
-        raise ValidationError("year_grid must be strictly increasing")
+        raise ThermoeconError("year_grid must be strictly increasing")
 
     if np.any(series.values <= 0.0):
-        raise DomainError("log_linear interpolation requires strictly positive values")
+        raise ThermoeconError("log_linear interpolation requires strictly positive values")
     x = series.years.astype(float)
     out = np.exp(np.interp(grid.astype(float), x, np.log(series.values)))
     # knot years reproduce stored values bit-exactly, immune to log/exp noise
@@ -219,18 +213,18 @@ def cumulative_integral(series: AnnualSeries, from_year: int, initial: float) ->
     years from `from_year` on are returned, so a stock that starts at zero
     before them never has to be a series of its own. Output unit is the
     rate unit integrated over years (e.g. T$/yr -> T$), and its token is
-    the output label. A sum past the largest double raises DomainError.
+    the output label. A sum past the largest double raises ThermoeconError.
     """
     out_unit = series.unit.integral_unit
     if len(series) == 0:
-        raise InsufficientDataError("cannot integrate an empty series")
+        raise ThermoeconError("cannot integrate an empty series")
     if from_year < series.first_year or from_year > series.last_year:
-        raise SeriesRangeError(
+        raise ThermoeconError(
             f"from_year {from_year} outside series coverage "
             f"[{series.first_year}, {series.last_year}]"
         )
     if not series.is_dense:
-        raise GapError(f"series {series.label!r} has gaps; interpolate before integrating")
+        raise ThermoeconError(f"series {series.label!r} has gaps; interpolate before integrating")
     v = series.values
     with np.errstate(all="ignore"):
         run = initial + np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]))])
@@ -246,11 +240,13 @@ def log_derivative(series: AnnualSeries) -> AnnualSeries:
     dense annual, strictly positive series of at least two points.
     """
     if len(series) < 2:
-        raise InsufficientDataError("log_derivative needs at least 2 points")
+        raise ThermoeconError("log_derivative needs at least 2 points")
     if not series.is_dense:
-        raise GapError(f"series {series.label!r} has gaps; interpolate before differentiating")
+        raise ThermoeconError(
+            f"series {series.label!r} has gaps; interpolate before differentiating"
+        )
     if np.any(series.values <= 0.0):
-        raise DomainError("log_derivative requires strictly positive values")
+        raise ThermoeconError("log_derivative requires strictly positive values")
     ln = np.log(series.values)
     out = np.empty_like(ln)
     out[0] = ln[1] - ln[0]
@@ -273,11 +269,11 @@ def rolling_mean(series: AnnualSeries, window_years: int) -> AnnualSeries:
     result is bit-for-bit that of averaging every window separately.
     """
     if window_years < 1:
-        raise ValidationError("window_years must be >= 1")
+        raise ThermoeconError("window_years must be >= 1")
     if len(series) == 0:
         return series
     if not series.is_dense:
-        raise GapError(f"series {series.label!r} has gaps; interpolate before smoothing")
+        raise ThermoeconError(f"series {series.label!r} has gaps; interpolate before smoothing")
     v = series.values
     n = len(v)
     half = window_years // 2
@@ -310,14 +306,14 @@ def annual_grid(start_year: int, end_year: int) -> np.ndarray:
     except (ValueError, OverflowError):  # NaN, inf
         start = end = None
     if start != start_year or end != end_year:
-        raise SeriesRangeError(f"year range [{start_year}, {end_year}] holds a non-integer year")
+        raise ThermoeconError(f"year range [{start_year}, {end_year}] holds a non-integer year")
     start_year, end_year = start, end
     if end_year < start_year:
-        raise SeriesRangeError(f"bad year range [{start_year}, {end_year}]")
+        raise ThermoeconError(f"bad year range [{start_year}, {end_year}]")
     if end_year - start_year > MAX_GRID_YEARS:
-        raise SeriesRangeError(
+        raise ThermoeconError(
             f"year range [{start_year}, {end_year}] spans more than {MAX_GRID_YEARS} years"
         )
     if start_year < -(2**53) or end_year > 2**53:
-        raise SeriesRangeError(f"year range [{start_year}, {end_year}] reaches past +-2**53")
+        raise ThermoeconError(f"year range [{start_year}, {end_year}] reaches past +-2**53")
     return np.arange(start_year, end_year + 1, dtype=np.int64)

@@ -3,14 +3,14 @@
 The unit set is deliberately tiny: the model works in trillions of
 inflation-adjusted 2005 MER US dollars, terawatts, and per-year fractions.
 Cross-unit arithmetic goes through an explicit rule table; anything not in
-the table is a hard UnitError, never a silent coercion.
+the table raises ThermoeconError, never a silent coercion.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .errors import UnitError
+from .errors import ThermoeconError
 
 #: Seconds in one Julian year. The single conversion constant used for every
 #: W <-> $/yr crossing in the package; do not introduce a second convention.
@@ -43,7 +43,9 @@ class Unit(enum.Enum):
         try:
             return _INTEGRAL_UNIT[self]
         except KeyError:
-            raise UnitError(f"cannot integrate a series in {self.token} over years")
+            raise ThermoeconError(
+                f"cannot integrate a series in {self.token} over years"
+            ) from None
 
 
 _POSITIVE_UNITS = frozenset(
@@ -85,7 +87,9 @@ def division_rule(numerator: Unit, denominator: Unit) -> tuple[Unit, float]:
     try:
         return _DIVISION_RULES[(numerator, denominator)]
     except KeyError:
-        raise UnitError(f"no division rule for {numerator.token} / {denominator.token}")
+        raise ThermoeconError(
+            f"no division rule for {numerator.token} / {denominator.token}"
+        ) from None
 
 
 #: File-header unit tokens. `percent_per_year` exists so data transcribed in
@@ -97,9 +101,9 @@ FILE_TOKENS: dict[str, tuple[Unit, float]] = {
 
 
 def parse_unit_token(token: str) -> tuple[Unit, float]:
-    """Map a file-header token to (unit, value scale). Unknown token -> UnitError."""
+    """Map a file-header token to (unit, value scale). Unknown token raises ThermoeconError."""
     try:
         return FILE_TOKENS[token]
     except KeyError:
         known = ", ".join(sorted(FILE_TOKENS))
-        raise UnitError(f"unknown unit token {token!r}; known tokens: {known}")
+        raise ThermoeconError(f"unknown unit token {token!r}; known tokens: {known}") from None

@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 
 from thermoecon import (
     AnnualSeries,
-    InsufficientDataError,
     ParseError,
     ThermoeconError,
     Unit,
-    UnitError,
-    ValidationError,
     builtin_table1,
     load_series,
     write_table,
 )
 from thermoecon.units import FILE_TOKENS, parse_unit_token
+
+from test_series import exactly
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -97,31 +96,31 @@ def load_series_reference(path, expected_unit, column="value"):
         except ValueError:
             raise ParseError(f"bad value {cell!r}", lineno)
         if year in points:
-            raise ValidationError(f"{path.name}: duplicate year {year}")
+            raise ThermoeconError(f"{path.name}: duplicate year {year}")
         points[year] = value
 
     if columns is not None:
         token = column_units.get(column, unit_token)
         if token is None:
-            raise UnitError(f"{path.name}: no '# unit.{column}:' header")
+            raise ThermoeconError(f"{path.name}: no '# unit.{column}:' header")
     else:
         token = unit_token
         if token is None:
-            raise UnitError(f"{path.name}: missing mandatory '# unit:' header")
+            raise ThermoeconError(f"{path.name}: missing mandatory '# unit:' header")
     unit, scale = parse_unit_token(token)
     if unit is not expected_unit:
-        raise UnitError(
+        raise ThermoeconError(
             f"{path.name}: declared unit {token!r} is {unit.token}, expected {expected_unit.token}"
         )
 
     if not points:
-        raise InsufficientDataError(f"{path.name}: no data rows")
+        raise ThermoeconError(f"{path.name}: no data rows")
 
     years = sorted(points)
     values = [points[y] * scale for y in years]
     if expected_unit.requires_positive and any(v <= 0.0 for v in values):
         bad = next(y for y, v in zip(years, values) if v <= 0.0)
-        raise ValidationError(
+        raise ThermoeconError(
             f"{path.name}: non-positive value at year {bad} for unit {expected_unit.token}"
         )
     label = column if column != "value" else path.stem
@@ -138,7 +137,7 @@ def _format_column_reference(values, precision):
 def _column_cells_reference(grid, column, precision):
     if isinstance(column, np.ndarray):
         if column.shape != grid.shape:
-            raise ValidationError(f"{column.size} values for {grid.size} grid years")
+            raise ThermoeconError(f"{column.size} values for {grid.size} grid years")
         return _format_column_reference(column, precision)
     if isinstance(column, AnnualSeries):
         years, values = column.years, column.values
@@ -168,7 +167,7 @@ def write_table_reference(path, year_grid, columns, units, fmt="csv", precision=
         unit = units[name]
         token = unit.token if isinstance(unit, Unit) else unit
         if token not in FILE_TOKENS:
-            raise UnitError(f"unknown unit token {token!r} for column {name!r}")
+            raise ThermoeconError(f"unknown unit token {token!r} for column {name!r}")
         lines.append(f"# unit.{name}: {token}")
     grid = np.asarray(year_grid, dtype=np.int64)
     cells = [list(map(str, grid.tolist()))]
@@ -245,17 +244,30 @@ class TestLoadSeries:
 
     def test_missing_unit_header(self, tmp_path):
         p = write(tmp_path, "1970,7.2\n")
-        with pytest.raises(UnitError, match="unit"):
+        with pytest.raises(
+            ThermoeconError, match=exactly("input.csv: missing mandatory '# unit:' header")
+        ):
             load_series(p, Unit.POWER_TERAWATT)
 
     def test_wrong_unit_rejected(self, tmp_path):
         p = write(tmp_path, "# unit: years\n1970,7.2\n")
-        with pytest.raises(UnitError, match="expected power_terawatt"):
+        with pytest.raises(
+            ThermoeconError,
+            match=exactly("input.csv: declared unit 'years' is years, expected power_terawatt"),
+        ):
             load_series(p, Unit.POWER_TERAWATT)
 
     def test_unknown_token_rejected(self, tmp_path):
         p = write(tmp_path, "# unit: megaparsecs\n1970,7.2\n")
-        with pytest.raises(UnitError, match="unknown unit token"):
+        with pytest.raises(
+            ThermoeconError,
+            match=exactly(
+                "input.csv: unknown unit token 'megaparsecs'; known tokens: dimensionless, "
+                "gdp_trillion_usd2005_per_year, per_year_fraction, percent_per_year, "
+                "power_terawatt, usd2005_per_joule, watts_per_thousand_usd2005, "
+                "wealth_trillion_usd2005, years"
+            ),
+        ):
             load_series(p, Unit.POWER_TERAWATT)
 
     def test_malformed_row_reports_line_number(self, tmp_path):
@@ -280,17 +292,20 @@ class TestLoadSeries:
 
     def test_duplicate_year_rejected(self, tmp_path):
         p = write(tmp_path, "# unit: years\n2000,1.0\n2000,2.0\n")
-        with pytest.raises(ValidationError, match="duplicate year 2000"):
+        with pytest.raises(ThermoeconError, match=exactly("input.csv: duplicate year 2000")):
             load_series(p, Unit.YEARS)
 
     def test_no_data_rows(self, tmp_path):
         p = write(tmp_path, "# unit: years\n# nothing else\n")
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ThermoeconError, match=exactly("input.csv: no data rows")):
             load_series(p, Unit.YEARS)
 
     def test_non_positive_physical_value_rejected(self, tmp_path):
         p = write(tmp_path, "# unit: power_terawatt\n1970,7.2\n1971,-1.0\n")
-        with pytest.raises(ValidationError, match="1971"):
+        with pytest.raises(
+            ThermoeconError,
+            match=exactly("input.csv: non-positive value at year 1971 for unit power_terawatt"),
+        ):
             load_series(p, Unit.POWER_TERAWATT)
 
     def test_tab_separated_rows(self, tmp_path):
@@ -406,7 +421,7 @@ class TestMultiColumn:
         assert a.read_bytes() == b.read_bytes()
 
     def test_array_column_must_match_grid(self, tmp_path):
-        with pytest.raises(ValidationError, match="5 values for 6 grid years"):
+        with pytest.raises(ThermoeconError, match=exactly("5 values for 6 grid years")):
             write_table(
                 tmp_path / "t.csv", np.arange(2000, 2006), {"x": (np.ones(5), Unit.YEARS)}
             )
@@ -429,7 +444,9 @@ class TestMultiColumn:
         assert np.array_equal(back.values, sparse.values)
 
     def test_unknown_raw_token_rejected_at_write(self, tmp_path):
-        with pytest.raises(UnitError, match="unknown unit token 'bogus' for column 'r'"):
+        with pytest.raises(
+            ThermoeconError, match=exactly("unknown unit token 'bogus' for column 'r'")
+        ):
             write_table(tmp_path / "t.csv", [2000], {"r": (np.array([1.0]), "bogus")})
 
 
@@ -528,7 +545,15 @@ class TestLoadSeriesErrors:
         assert err.value.line_number == 2
 
     def test_unknown_unit_token_names_the_file(self, tmp_path):
-        with pytest.raises(UnitError, match="^input.csv: unknown unit token 'parsecs'"):
+        with pytest.raises(
+            ThermoeconError,
+            match=exactly(
+                "input.csv: unknown unit token 'parsecs'; known tokens: dimensionless, "
+                "gdp_trillion_usd2005_per_year, per_year_fraction, percent_per_year, "
+                "power_terawatt, usd2005_per_joule, watts_per_thousand_usd2005, "
+                "wealth_trillion_usd2005, years"
+            ),
+        ):
             self.load_bytes(tmp_path, b"# unit: parsecs\n1970,1.0\n")
 
 
@@ -628,12 +653,27 @@ def _named(path, message):
     return message if message.startswith(prefix) else prefix + message
 
 
+def _outcome(path, exc):
+    """The kind of a load_series failure: parse, unit header or token, or data."""
+    if isinstance(exc, ParseError):
+        return "parse"
+    message = str(exc).removeprefix(f"{path.name}: ")
+    if message.startswith(("duplicate year ", "non-positive value ")):
+        return "data"
+    if message.startswith(
+        ("no '# unit.", "missing mandatory '# unit:'", "unknown unit token ", "declared unit ")
+    ):
+        return "unit"
+    return message
+
+
 def assert_loads_like_reference(path, unit, column):
     try:
         want = load_series_reference(path, unit, column)
     except ThermoeconError as exc:
         with pytest.raises(type(exc)) as err:
             load_series(path, unit, column)
+        assert type(err.value) is type(exc)
         assert str(err.value) == _named(path, str(exc))
         return
     got = load_series(path, unit, column)
@@ -665,10 +705,10 @@ class TestLoadSeriesOracle:
                 load_series(path, unit, column)
                 outcomes.add("loaded")
             except ThermoeconError as exc:
-                outcomes.add(type(exc).__name__)
+                outcomes.add(_outcome(path, exc))
 
         collect()
-        assert {"loaded", "ParseError", "UnitError", "ValidationError"} <= outcomes
+        assert {"loaded", "parse", "unit", "data"} <= outcomes
 
     @pytest.mark.parametrize(
         "text",

@@ -1,7 +1,8 @@
 """The package's public surface and the scripts that use it.
 
-`thermoecon.__all__` is pinned to a literal list, and `write_table`'s
-signature to its parameters, so changing either takes an edit here. The scripts under scripts/ are run in process,
+`thermoecon.__all__` is pinned to a literal list, `write_table`'s
+signature to its parameters and the error classes to the four that carry
+data, so changing any of them takes an edit here. The scripts under scripts/ are run in process,
 since they are the only non-test callers of some exported names.
 """
 
@@ -13,32 +14,27 @@ from pathlib import Path
 import pytest
 
 import thermoecon
+from thermoecon.cli import _parse_window
+from thermoecon.units import division_rule
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 PUBLIC_NAMES = [
     "AnnualSeries",
-    "ConfigurationError",
-    "DomainError",
     "DoublingTimes",
     "FitResult",
     "ForecastPath",
-    "GapError",
     "GrowthDecomposition",
     "HorizonOverflowError",
     "HorizonUnderflowError",
     "InnovationFit",
-    "InsufficientDataError",
     "ModelFit",
     "ParseError",
     "SECONDS_PER_YEAR",
     "Scenario",
-    "SeriesRangeError",
     "Table1",
     "ThermoeconError",
     "Unit",
-    "UnitError",
-    "ValidationError",
     "annual_grid",
     "build_wealth",
     "builtin_table1",
@@ -66,6 +62,58 @@ def test_all_is_the_pinned_sorted_list():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert thermoecon.__all__ == PUBLIC_NAMES
     assert [name for name in PUBLIC_NAMES if not hasattr(thermoecon, name)] == []
+
+
+def test_error_subclasses_are_the_ones_carrying_data():
+    # every other failure is a plain ThermoeconError with its message
+    found, todo = set(), [thermoecon.ThermoeconError]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.add(sub)
+            todo.append(sub)
+    assert found == {
+        thermoecon.ParseError,
+        thermoecon.errors._HorizonRangeError,
+        thermoecon.HorizonOverflowError,
+        thermoecon.HorizonUnderflowError,
+    }
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "input.csv"
+    path.write_bytes(text)
+    return thermoecon.load_series(path, thermoecon.Unit.YEARS)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tmp_path: thermoecon.Unit.YEARS.integral_unit,
+        lambda tmp_path: division_rule(thermoecon.Unit.YEARS, thermoecon.Unit.POWER_TERAWATT),
+        lambda tmp_path: thermoecon.parse_unit_token("bogus"),
+        lambda tmp_path: _load_text(tmp_path, b"# unit: years\nx,1.0\n"),
+        lambda tmp_path: _load_text(tmp_path, b"# unit: years\n1970,x\n"),
+        lambda tmp_path: _load_text(tmp_path, b"# unit: bogus\n1970,1.0\n"),
+        lambda tmp_path: _load_text(tmp_path, b"# unit: years\n1970,\xff\n"),
+        lambda tmp_path: _parse_window("1970-2009"),
+    ],
+    ids=[
+        "integral_unit",
+        "division_rule",
+        "parse_unit_token",
+        "load_bad_year",
+        "load_bad_value",
+        "load_unknown_token",
+        "load_non_utf8",
+        "parse_window",
+    ],
+)
+def test_reraised_errors_drop_the_internal_cause(call, tmp_path):
+    # a library caller's traceback shows the toolkit error alone, not the
+    # KeyError or ValueError it was raised while handling
+    with pytest.raises(thermoecon.ThermoeconError) as err:
+        call(tmp_path)
+    assert err.value.__suppress_context__
 
 
 def test_write_table_signature_is_pinned():

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thermoecon import SECONDS_PER_YEAR, Unit, UnitError, parse_unit_token
+from thermoecon import SECONDS_PER_YEAR, ThermoeconError, Unit, parse_unit_token
 from thermoecon.units import FILE_TOKENS, division_rule
+
+from test_series import exactly
 
 
 def test_seconds_per_year_is_julian():
@@ -26,7 +28,14 @@ def test_percent_token_scales_to_fraction():
 
 
 def test_unknown_token_rejected():
-    with pytest.raises(UnitError, match="unknown unit token"):
+    with pytest.raises(
+        ThermoeconError,
+        match=exactly(
+            "unknown unit token 'furlongs_per_fortnight'; known tokens: dimensionless, "
+            "gdp_trillion_usd2005_per_year, per_year_fraction, percent_per_year, power_terawatt, "
+            "usd2005_per_joule, watts_per_thousand_usd2005, wealth_trillion_usd2005, years"
+        ),
+    ):
         parse_unit_token("furlongs_per_fortnight")
 
 
@@ -42,7 +51,9 @@ def test_positivity_marks_physical_quantities():
 def test_integral_units():
     assert Unit.GDP_TRILLION_USD2005_PER_YEAR.integral_unit is Unit.WEALTH_TRILLION_USD2005
     assert Unit.PER_YEAR_FRACTION.integral_unit is Unit.DIMENSIONLESS
-    with pytest.raises(UnitError):
+    with pytest.raises(
+        ThermoeconError, match=exactly("cannot integrate a series in power_terawatt over years")
+    ):
         Unit.POWER_TERAWATT.integral_unit
 
 
@@ -69,7 +80,9 @@ def test_self_division_is_dimensionless(unit):
 
 
 def test_unsupported_division_raises():
-    with pytest.raises(UnitError, match="no division rule"):
+    with pytest.raises(
+        ThermoeconError, match=exactly("no division rule for years / power_terawatt")
+    ):
         division_rule(Unit.YEARS, Unit.POWER_TERAWATT)
 
 
