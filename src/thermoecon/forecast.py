@@ -22,6 +22,8 @@ from .series import (
     MAX_GRID_YEARS,
     AnnualSeries,
     _check_overflow,
+    _checked,
+    _stored,
     annual_grid,
     log_derivative,
     rolling_mean,
@@ -48,12 +50,11 @@ class Scenario:
     tau_eta: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.c0) or self.c0 <= 0.0:
-            raise ThermoeconError(f"c0 must be positive, got {self.c0}")
-        if not math.isfinite(self.eta0) or self.eta0 <= 0.0:
-            raise ThermoeconError(f"eta0 must be positive, got {self.eta0}")
-        if not math.isfinite(self.lambda0) or self.lambda0 <= 0.0:
-            raise ThermoeconError(f"lambda0 must be positive, got {self.lambda0}")
+        for name, value in (("c0", self.c0), ("eta0", self.eta0), ("lambda0", self.lambda0)):
+            if not math.isfinite(value):
+                raise ThermoeconError(f"{name} must be finite, got {value}")
+            if value <= 0.0:
+                raise ThermoeconError(f"{name} must be positive, got {value}")
         # the cap comes first, so int() below never sees an infinite horizon
         if self.horizon_years > MAX_GRID_YEARS:
             raise ThermoeconError(
@@ -113,6 +114,8 @@ def eta_from_productivity(lambda0: float, f: float) -> float:
     output per joule raises the return on wealth, hence growth, hence the
     eventual energy demand: efficiency gains backfire in this model.
     """
+    if not math.isfinite(f):
+        raise ThermoeconError(f"energy productivity must be finite, got {f}")
     if f <= 0.0:
         raise ThermoeconError(f"energy productivity must be positive, got {f}")
     return lambda0 / 1000.0 * f * SECONDS_PER_YEAR
@@ -135,42 +138,58 @@ class ForecastPath:
                 raise ThermoeconError("trajectory columns are on different year grids")
 
 
+# the forecast block's rows, in the order their series are checked
+_COLUMNS = ("wealth", "eta", "gdp", "power")
+_UNITS = (
+    Unit.WEALTH_TRILLION_USD2005,
+    Unit.PER_YEAR_FRACTION,
+    Unit.GDP_TRILLION_USD2005_PER_YEAR,
+    Unit.POWER_TERAWATT,
+)
+
+
 def _materialize(
     scenario: Scenario, years: np.ndarray, log_c: np.ndarray, eta: np.ndarray
 ) -> ForecastPath:
-    """Exponentiate the log-space columns; takes ownership of `eta`.
+    """Exponentiate the log-space columns into one checked (4, n) block.
 
-    Raises HorizonOverflowError for the first grid year at which the
-    exponentiated wealth, gdp or power (checked in that order) is inf,
-    and HorizonUnderflowError for the first year at which gdp rounds to
-    zero, naming eta if eta itself is zero there. The columns may hold
-    inf, 0 or NaN; call under np.errstate(all="ignore").
+    Wealth, eta, gdp and power are the rows of one private float64 block:
+    one exp over it in log space, then one max over it as the proof that
+    no value overflowed. Only when that proof fails are wealth, gdp and
+    power (in that order) scanned for inf, raising HorizonOverflowError
+    for the first grid year of the first column that holds one.
+    HorizonUnderflowError names the first year at which gdp rounds to
+    zero, naming eta if eta itself is zero there. The rows then become
+    the four series through one `_checked` call on one checked copy of
+    `years`; no array the caller passed is aliased or changed. The
+    columns may hold inf, 0 or NaN; call under np.errstate(all="ignore").
     """
-    t_label = scenario.start_year
-    c = np.exp(log_c)
-    gdp = np.exp(log_c + np.log(eta))
-    power = np.exp(log_c + math.log(scenario.lambda0 / 1000.0))
-    for quantity, column in (("wealth", c), ("gdp", gdp), ("power", power)):
-        over = np.isinf(column)
-        if over.any():
-            raise HorizonOverflowError(int(years[over.argmax()]), quantity)
+    block = np.empty((len(_COLUMNS), years.size))
+    block[0] = log_c
+    np.log(eta, out=block[1])
+    np.add(log_c, block[1], out=block[2])
+    np.add(log_c, math.log(scenario.lambda0 / 1000.0), out=block[3])
+    np.exp(block, out=block)
+    # eta itself, not exp(log(eta)), which may be off by an ulp
+    block[1] = eta
+    if not block.max() < math.inf:
+        for row in (0, 2, 3):
+            over = np.isinf(block[row])
+            if over.any():
+                raise HorizonOverflowError(int(years[over.argmax()]), _COLUMNS[row])
     # pin the start row to the exact scenario state; exp(log(c0)) is off
     # by an ulp and the t=0 identity C(start) == c0 is worth keeping
-    c[0] = scenario.c0
-    eta[0] = scenario.eta0
-    gdp[0] = scenario.eta0 * scenario.c0
-    power[0] = scenario.lambda0 / 1000.0 * scenario.c0
+    c0, eta0 = scenario.c0, scenario.eta0
+    block[:, 0] = (c0, eta0, eta0 * c0, scenario.lambda0 / 1000.0 * c0)
+    gdp = block[2]
     # Scenario keeps gdp[0] off zero, so a zero here is a later year
     if gdp.min() == 0.0:
         i = int((gdp == 0.0).argmax())
-        raise HorizonUnderflowError(int(years[i]), "eta" if eta[i] == 0.0 else "gdp")
-    wealth = AnnualSeries(years, c, Unit.WEALTH_TRILLION_USD2005, f"wealth from {t_label}")
+        raise HorizonUnderflowError(int(years[i]), "eta" if block[1, i] == 0.0 else "gdp")
+    labels = (f"wealth from {scenario.start_year}", "rate of return", "gdp", "power")
+    years, block = _checked(years, block, _UNITS, labels, own_years=False)
     return ForecastPath(
-        scenario=scenario,
-        wealth=wealth,
-        eta=wealth.with_values(eta, Unit.PER_YEAR_FRACTION, "rate of return"),
-        gdp=wealth.with_values(gdp, Unit.GDP_TRILLION_USD2005_PER_YEAR, "gdp"),
-        power=wealth.with_values(power, Unit.POWER_TERAWATT, "power"),
+        scenario, *(_stored(years, *column) for column in zip(block, _UNITS, labels))
     )
 
 
@@ -207,6 +226,8 @@ def doubling_times(eta: float, tau_eta: float | None = None) -> DoublingTimes:
     eta_years is None without innovation, or with tau <= 0 where eta is
     halving rather than doubling.
     """
+    if not math.isfinite(eta):
+        raise ThermoeconError(f"eta must be finite, got {eta}")
     if eta <= 0.0:
         raise ThermoeconError(f"eta must be positive, got {eta}")
     eta_years = None

@@ -78,7 +78,9 @@ def build_wealth(
         rate = interpolate(merged, annual_grid(epoch, end))
         init_mode, initial = "integrated_from_epoch", 0.0
     elif lambda0 is not None:
-        if not math.isfinite(lambda0) or lambda0 <= 0.0:
+        if not math.isfinite(lambda0):
+            raise ThermoeconError(f"lambda0 must be finite, got {lambda0}")
+        if lambda0 <= 0.0:
             raise ThermoeconError(f"lambda0 must be positive, got {lambda0}")
         lambda0, power0 = float(lambda0), float(power.values[0])
         rate = gdp

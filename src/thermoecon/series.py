@@ -8,6 +8,7 @@ grid says so and raises ThermoeconError otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,7 +46,10 @@ class AnnualSeries:
     as a read-only float64 array, each a private copy of its input.
     `with_values` builds a series on the same years: it shares this
     series' read-only years array, already checked, and copies and checks
-    only the new values. Equality and hashing are by identity.
+    only the new values. A forecast stores its four columns as the rows of
+    one private read-only block, so `values` may be one row of that block;
+    either way no caller's array is ever aliased. Equality and hashing are
+    by identity.
     """
 
     years: np.ndarray
@@ -57,7 +61,7 @@ class AnnualSeries:
         years = np.asarray(self.years)
         if years.ndim == 0:
             years = years.reshape(1)
-        years, values = _checked(years, self.values, self.unit, self.label, own_years=False)
+        years, values = _checked(years, self.values, (self.unit,), (self.label,), own_years=False)
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "values", values)
 
@@ -106,11 +110,8 @@ class AnnualSeries:
         """
         unit = self.unit if unit is None else unit
         label = self.label if label is None else label
-        years, values = _checked(self.years, values, unit, label, own_years=True)
-        # skips __post_init__, which would copy and check the years again
-        out = object.__new__(AnnualSeries)
-        out.__dict__.update(years=years, values=values, unit=unit, label=label)
-        return out
+        years, values = _checked(self.years, values, (unit,), (label,), own_years=True)
+        return _stored(years, values, unit, label)
 
     def __truediv__(self, other):
         if not isinstance(other, AnnualSeries):
@@ -135,17 +136,32 @@ def _check_overflow(what: str, years: np.ndarray, values: np.ndarray) -> None:
 
 
 def _checked(
-    years: np.ndarray, values, unit: Unit, label: str, own_years: bool
+    years: np.ndarray, values, units: tuple[Unit, ...], labels: tuple[str, ...], own_years: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only years and values a series stores, checked in order.
+    """The read-only years and values of one or more series, checked in order.
 
-    `values` is always copied to a private float64 array and checked.
+    `units` and `labels` give one entry per series. For one series,
+    `values` may be any array-like; it is copied to a private float64
+    array, which must have the shape of the 1-d `years`. For several,
+    `values` is a private (k, n) float64 block with one row per series on
+    the n `years`; it is checked and made read-only in place. Either way
+    the values come back in the layout they came in.
+
     With `own_years` the years are already a series' checked, read-only
     int64 array and are returned as they are; otherwise they are checked
-    and copied to one.
+    and copied to one. The years are checked before the values. One min
+    per row and one max over the block prove every row finite, and
+    positive where its unit requires it (NaN fails both comparisons);
+    only when that proof fails are the rows checked one at a time, each
+    for a non-finite value and then for a non-positive one, so the first
+    failing row raises its own message.
     """
-    values = np.array(values, dtype=float, ndmin=1)
-    if years.shape != values.shape or years.ndim != 1:
+    if len(units) == 1:
+        values = np.array(values, dtype=float, ndmin=1)
+        block = values[np.newaxis]
+    else:
+        block = values
+    if years.ndim != 1 or block.shape != (len(units), years.size):
         raise ThermoeconError("years and values must be 1-d and the same length")
     if not own_years:
         # signed-integer years pass this check by construction; float and
@@ -162,12 +178,28 @@ def _checked(
         if (years[1:] <= years[:-1]).any():
             raise ThermoeconError("years must be strictly increasing with no duplicates")
         years.flags.writeable = False
-    if not np.isfinite(values).all():
-        raise ThermoeconError(f"non-finite value in series {label!r}")
-    if unit.requires_positive and values.size and values.min() <= 0.0:
-        raise ThermoeconError(f"{unit.token} series {label!r} must be strictly positive")
+    if block.size and not (
+        block.max() < math.inf
+        and all(
+            low > (0.0 if unit.requires_positive else -math.inf)
+            for low, unit in zip(block.min(axis=1).tolist(), units)
+        )
+    ):
+        for row, unit, label in zip(block, units, labels):
+            if not np.isfinite(row).all():
+                raise ThermoeconError(f"non-finite value in series {label!r}")
+            if unit.requires_positive and row.min() <= 0.0:
+                raise ThermoeconError(f"{unit.token} series {label!r} must be strictly positive")
     values.flags.writeable = False
     return years, values
+
+
+def _stored(years: np.ndarray, values: np.ndarray, unit: Unit, label: str) -> AnnualSeries:
+    """A series on arrays `_checked` returned, built without __post_init__,
+    which would copy and check them again."""
+    out = object.__new__(AnnualSeries)
+    out.__dict__.update(years=years, values=values, unit=unit, label=label)
+    return out
 
 
 # ---------------------------------------------------------------------------

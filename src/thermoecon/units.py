@@ -35,7 +35,8 @@ class Unit(enum.Enum):
     @property
     def requires_positive(self) -> bool:
         """GDP, power and wealth are physical stocks/flows: strictly positive."""
-        return self in _POSITIVE_UNITS
+        # by token: a str hash is cached, Enum.__hash__ runs Python code
+        return self._value_ in _POSITIVE_TOKENS
 
     @property
     def integral_unit(self) -> "Unit":
@@ -48,11 +49,11 @@ class Unit(enum.Enum):
             ) from None
 
 
-_POSITIVE_UNITS = frozenset(
+_POSITIVE_TOKENS = frozenset(
     {
-        Unit.POWER_TERAWATT,
-        Unit.GDP_TRILLION_USD2005_PER_YEAR,
-        Unit.WEALTH_TRILLION_USD2005,
+        Unit.POWER_TERAWATT.token,
+        Unit.GDP_TRILLION_USD2005_PER_YEAR.token,
+        Unit.WEALTH_TRILLION_USD2005.token,
     }
 )
 

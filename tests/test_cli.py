@@ -421,6 +421,9 @@ class TestErrorHandling:
                     ["figure2", "--builtin-table1"],
                 )
             ),
+            (["fit", "--builtin-table1", "--lambda0", "inf"], "lambda0 must be finite, got inf"),
+            (["forecast", "--builtin-table1", "--eta0", "nan"], "eta0 must be finite, got nan"),
+            (["table1", "--lambda0", "nan"], "lambda0 must be finite, got nan"),
         ],
         ids=[
             "missing_inputs",
@@ -444,6 +447,9 @@ class TestErrorHandling:
             "fit_lambda0_1e308",
             "table1_lambda0_1e308",
             "figure2_lambda0_1e308",
+            "fit_lambda0_inf",
+            "forecast_eta0_nan",
+            "table1_lambda0_nan",
         ],
     )
     def test_one_error_line(self, argv, message, tmp_path, capsys):

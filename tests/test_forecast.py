@@ -185,8 +185,11 @@ class TestScenario:
                 dict(tau_eta=np.nan),
                 "tau_eta must be finite and nonzero, got nan; use None for no innovation",
             ),
+            (dict(c0=np.inf), "c0 must be finite, got inf"),
+            (dict(eta0=np.nan), "eta0 must be finite, got nan"),
+            (dict(lambda0=-np.inf), "lambda0 must be finite, got -inf"),
         ],
-        ids=[f"kw{i}" for i in range(10)],
+        ids=[f"kw{i}" for i in range(13)],
     )
     def test_invalid_parameters_rejected(self, kw, message):
         with pytest.raises(ThermoeconError, match=exactly(message)):
@@ -246,6 +249,45 @@ class TestClosedForm:
     def test_columns_share_the_wealth_years(self):
         p = forecast(scenario(horizon_years=5, tau_eta=80.0))
         assert p.eta.years is p.gdp.years is p.power.years is p.wealth.years
+
+    @staticmethod
+    def materialize_inputs(sc):
+        years = sc.years
+        t = (years - sc.start_year).astype(float)
+        log_c = math.log(sc.c0) + log_wealth_ratio(sc.eta0, sc.tau_eta, t)
+        return years, log_c, eta_trajectory(sc.eta0, sc.tau_eta, t)
+
+    @pytest.mark.parametrize(
+        "column, value, label",
+        [
+            ("log_c", np.nan, "wealth from 2009"),
+            ("eta", np.nan, "rate of return"),
+            ("eta", -0.01, "gdp"),
+        ],
+        ids=["nan_log_c", "nan_eta", "negative_eta"],
+    )
+    def test_non_finite_column_names_its_series(self, column, value, label):
+        sc = scenario(horizon_years=5, tau_eta=80.0)
+        years, log_c, eta = self.materialize_inputs(sc)
+        {"log_c": log_c, "eta": eta}[column][3] = value
+        with np.errstate(all="ignore"), pytest.raises(
+            ThermoeconError, match=exactly(f"non-finite value in series {label!r}")
+        ):
+            _materialize(sc, years, log_c, eta)
+
+    def test_columns_are_read_only_and_alias_no_input(self):
+        sc = scenario(horizon_years=5, tau_eta=80.0)
+        years, log_c, eta = self.materialize_inputs(sc)
+        given = [a.copy() for a in (years, log_c, eta)]
+        p = _materialize(sc, years, log_c, eta)
+        for column in (p.wealth, p.eta, p.gdp, p.power):
+            assert column.years is p.wealth.years
+            assert not column.years.flags.writeable and not column.values.flags.writeable
+            for a in (years, log_c, eta):
+                assert not np.shares_memory(column.values, a)
+                assert not np.shares_memory(column.years, a)
+        for a, b in zip((years, log_c, eta), given):
+            assert a.flags.writeable and np.array_equal(a, b)
 
     def test_columns_must_be_on_one_year_grid(self):
         sc = scenario(horizon_years=4)
@@ -500,6 +542,12 @@ class TestProductivityCoupling:
         ):
             eta_from_productivity(7.0, 0.0)
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(
+            ThermoeconError, match=exactly("energy productivity must be finite, got nan")
+        ):
+            eta_from_productivity(7.0, np.nan)
+
     @given(
         f_low=st.floats(2e-8, 1.2e-7),
         bump=st.floats(1e-9, 8e-8),
@@ -537,6 +585,11 @@ class TestDoublingTimes:
     def test_positive_eta_required(self):
         with pytest.raises(ThermoeconError, match=exactly("eta must be positive, got 0.0")):
             doubling_times(0.0)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_finite_eta_required(self, eta):
+        with pytest.raises(ThermoeconError, match=exactly(f"eta must be finite, got {eta}")):
+            doubling_times(eta)
 
     def test_doubling_halves_are_consistent(self):
         # doubling the rate halves the wealth doubling time
