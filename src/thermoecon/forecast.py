@@ -70,16 +70,16 @@ class Scenario:
                     f"tau_eta must be finite and nonzero, got {self.tau_eta}; "
                     "use None for no innovation"
                 )
-        if self.eta0 * self.c0 == 0.0:
-            raise ThermoeconError(
-                f"initial gdp eta0 * c0 = {self.eta0} * {self.c0} "
-                "rounds to zero in double precision"
-            )
-        if self.lambda0 / 1000.0 * self.c0 == 0.0:
-            raise ThermoeconError(
-                f"initial power lambda0/1000 * c0 = {self.lambda0}/1000 * {self.c0} "
-                "rounds to zero in double precision"
-            )
+        # the start column of every forecast holds these two products
+        gdp0, power0 = self.eta0 * self.c0, self.lambda0 / 1000.0 * self.c0
+        if not (0.0 < gdp0 < math.inf and 0.0 < power0 < math.inf):
+            for value, what in (
+                (gdp0, f"gdp eta0 * c0 = {self.eta0} * {self.c0}"),
+                (power0, f"power lambda0/1000 * c0 = {self.lambda0}/1000 * {self.c0}"),
+            ):
+                if value == 0.0 or value == math.inf:
+                    fate = "rounds to zero in" if value == 0.0 else "overflows"
+                    raise ThermoeconError(f"initial {what} {fate} double precision")
 
     @property
     def years(self) -> np.ndarray:
@@ -114,6 +114,10 @@ def eta_from_productivity(lambda0: float, f: float) -> float:
     output per joule raises the return on wealth, hence growth, hence the
     eventual energy demand: efficiency gains backfire in this model.
     """
+    if not math.isfinite(lambda0):
+        raise ThermoeconError(f"lambda0 must be finite, got {lambda0}")
+    if lambda0 <= 0.0:
+        raise ThermoeconError(f"lambda0 must be positive, got {lambda0}")
     if not math.isfinite(f):
         raise ThermoeconError(f"energy productivity must be finite, got {f}")
     if f <= 0.0:
@@ -146,24 +150,33 @@ _UNITS = (
     Unit.GDP_TRILLION_USD2005_PER_YEAR,
     Unit.POWER_TERAWATT,
 )
+# every value of a row lies above its floor: zero where the unit requires it, else -inf
+_FLOORS = tuple(0.0 if unit.requires_positive else -math.inf for unit in _UNITS)
 
 
-def _materialize(
-    scenario: Scenario, years: np.ndarray, log_c: np.ndarray, eta: np.ndarray
-) -> ForecastPath:
-    """Exponentiate the log-space columns into one checked (4, n) block.
+def _materialize(scenario: Scenario, log_c: np.ndarray, eta: np.ndarray) -> ForecastPath:
+    """Exponentiate the log-space columns into one (4, n) block, proved once.
 
-    Wealth, eta, gdp and power are the rows of one private float64 block:
-    one exp over it in log space, then one max over it as the proof that
-    no value overflowed. Only when that proof fails are wealth, gdp and
-    power (in that order) scanned for inf, raising HorizonOverflowError
-    for the first grid year of the first column that holds one.
-    HorizonUnderflowError names the first year at which gdp rounds to
-    zero, naming eta if eta itself is zero there. The rows then become
-    the four series through one `_checked` call on one checked copy of
-    `years`; no array the caller passed is aliased or changed. The
-    columns may hold inf, 0 or NaN; call under np.errstate(all="ignore").
+    Wealth, eta, gdp and power are the rows of one private float64 block
+    on the scenario's own year grid. `annual_grid` has just built those
+    years as a fresh, strictly increasing int64 array, so they are marked
+    read-only in place and never checked again. One exp turns the log
+    rows into values, and one max over the block proves that none of them
+    overflowed or went NaN. Only when that proof fails are wealth, gdp
+    and power (in that order) scanned for inf, raising
+    HorizonOverflowError for the first grid year of the first column that
+    holds one. After the start column is pinned, which `Scenario` keeps
+    finite and positive, one min per row is both the underflow test,
+    raising HorizonUnderflowError at the first year gdp rounds to zero
+    (naming eta if eta itself is zero there), and the rest of the proof:
+    every row above zero where its unit requires it, above -inf
+    otherwise. Only a failed proof hands the block to `series._checked`,
+    which names the first non-finite or non-positive row. No array the
+    caller passed is aliased or changed. The columns may hold inf, 0 or
+    NaN; call under np.errstate(all="ignore").
     """
+    years = scenario.years
+    years.flags.writeable = False
     block = np.empty((len(_COLUMNS), years.size))
     block[0] = log_c
     np.log(eta, out=block[1])
@@ -172,7 +185,8 @@ def _materialize(
     np.exp(block, out=block)
     # eta itself, not exp(log(eta)), which may be off by an ulp
     block[1] = eta
-    if not block.max() < math.inf:
+    finite = block.max() < math.inf
+    if not finite:
         for row in (0, 2, 3):
             over = np.isinf(block[row])
             if over.any():
@@ -181,13 +195,18 @@ def _materialize(
     # by an ulp and the t=0 identity C(start) == c0 is worth keeping
     c0, eta0 = scenario.c0, scenario.eta0
     block[:, 0] = (c0, eta0, eta0 * c0, scenario.lambda0 / 1000.0 * c0)
-    gdp = block[2]
+    low = block.min(axis=1).tolist()
     # Scenario keeps gdp[0] off zero, so a zero here is a later year
-    if gdp.min() == 0.0:
-        i = int((gdp == 0.0).argmax())
+    if low[2] == 0.0:
+        i = int((block[2] == 0.0).argmax())
         raise HorizonUnderflowError(int(years[i]), "eta" if block[1, i] == 0.0 else "gdp")
     labels = (f"wealth from {scenario.start_year}", "rate of return", "gdp", "power")
-    years, block = _checked(years, block, _UNITS, labels, own_years=False)
+    if finite and all(m > floor for m, floor in zip(low, _FLOORS)):
+        block.flags.writeable = False
+    else:
+        # a NaN, or a value at or below its floor: _checked names the row;
+        # a failure the pin overwrote in the start column passes there
+        years, block = _checked(years, block, _UNITS, labels, own_years=True)
     return ForecastPath(
         scenario, *(_stored(years, *column) for column in zip(block, _UNITS, labels))
     )
@@ -202,14 +221,14 @@ def forecast(scenario: Scenario) -> ForecastPath:
     which eta or gdp would round to zero, as a decaying eta (tau < 0) does
     over a long horizon.
     """
-    years = scenario.years
-    t = (years - scenario.start_year).astype(float)
+    # years since the start, exactly as (years - start_year) in float
+    t = np.arange(scenario.horizon_years + 1, dtype=float)
     # paths past the limits hold inf, 0 or NaN until _materialize names
     # the first failing year; numpy's float warnings would only repeat it
     with np.errstate(all="ignore"):
         log_c = math.log(scenario.c0) + log_wealth_ratio(scenario.eta0, scenario.tau_eta, t)
         eta = eta_trajectory(scenario.eta0, scenario.tau_eta, t)
-        return _materialize(scenario, years, log_c, eta)
+        return _materialize(scenario, log_c, eta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,15 +243,18 @@ def doubling_times(eta: float, tau_eta: float | None = None) -> DoublingTimes:
     """Instantaneous doubling times: ln2/eta for wealth, tau*ln2 for eta.
 
     eta_years is None without innovation, or with tau <= 0 where eta is
-    halving rather than doubling.
+    halving rather than doubling. A non-finite tau is refused.
     """
     if not math.isfinite(eta):
         raise ThermoeconError(f"eta must be finite, got {eta}")
     if eta <= 0.0:
         raise ThermoeconError(f"eta must be positive, got {eta}")
     eta_years = None
-    if tau_eta is not None and tau_eta > 0.0:
-        eta_years = tau_eta * LN2
+    if tau_eta is not None:
+        if not math.isfinite(tau_eta):
+            raise ThermoeconError(f"tau_eta must be finite, got {tau_eta}")
+        if tau_eta > 0.0:
+            eta_years = tau_eta * LN2
     return DoublingTimes(wealth_years=LN2 / eta, eta_years=eta_years)
 
 

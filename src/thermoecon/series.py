@@ -47,9 +47,9 @@ class AnnualSeries:
     `with_values` builds a series on the same years: it shares this
     series' read-only years array, already checked, and copies and checks
     only the new values. A forecast stores its four columns as the rows of
-    one private read-only block, so `values` may be one row of that block;
-    either way no caller's array is ever aliased. Equality and hashing are
-    by identity.
+    one private read-only block on its scenario's read-only year grid, so
+    `values` may be one row of that block; either way no caller's array
+    is ever aliased. Equality and hashing are by identity.
     """
 
     years: np.ndarray
@@ -142,18 +142,22 @@ def _checked(
 
     `units` and `labels` give one entry per series. For one series,
     `values` may be any array-like; it is copied to a private float64
-    array, which must have the shape of the 1-d `years`. For several,
-    `values` is a private (k, n) float64 block with one row per series on
-    the n `years`; it is checked and made read-only in place. Either way
-    the values come back in the layout they came in.
+    array, which must have the shape of the 1-d `years`. This is the path
+    of `AnnualSeries.__init__` and `with_values`. For several, `values` is
+    a private (k, n) float64 block with one row per series on the n
+    `years`, checked and made read-only in place: this multi-row form is
+    the forecast's diagnosis path, which `forecast._materialize` takes
+    only when its own one-pass proof of the block fails, so that the
+    failing row is named here. Either way the values come back in the
+    layout they came in.
 
-    With `own_years` the years are already a series' checked, read-only
-    int64 array and are returned as they are; otherwise they are checked
-    and copied to one. The years are checked before the values. One min
-    per row and one max over the block prove every row finite, and
-    positive where its unit requires it (NaN fails both comparisons);
-    only when that proof fails are the rows checked one at a time, each
-    for a non-finite value and then for a non-positive one, so the first
+    With `own_years` the years are already a checked, read-only int64
+    array and are returned as they are; otherwise they are checked and
+    copied to one. The years are checked before the values. One min per
+    row and one max over the block prove every row finite, and positive
+    where its unit requires it (NaN fails both comparisons); only when
+    that proof fails are the rows checked one at a time, each for a
+    non-finite value and then for a non-positive one, so the first
     failing row raises its own message.
     """
     if len(units) == 1:

@@ -424,6 +424,13 @@ class TestErrorHandling:
             (["fit", "--builtin-table1", "--lambda0", "inf"], "lambda0 must be finite, got inf"),
             (["forecast", "--builtin-table1", "--eta0", "nan"], "eta0 must be finite, got nan"),
             (["table1", "--lambda0", "nan"], "lambda0 must be finite, got nan"),
+            *(
+                (
+                    ["forecast", "--builtin-table1", "--eta0", "1e306", "--horizon", horizon],
+                    "initial gdp eta0 * c0 = 1e+306 * 2300.0 overflows double precision",
+                )
+                for horizon in ("0", "5")
+            ),
         ],
         ids=[
             "missing_inputs",
@@ -450,6 +457,8 @@ class TestErrorHandling:
             "fit_lambda0_inf",
             "forecast_eta0_nan",
             "table1_lambda0_nan",
+            "forecast_eta0_1e306_horizon_0",
+            "forecast_eta0_1e306_horizon_5",
         ],
     )
     def test_one_error_line(self, argv, message, tmp_path, capsys):

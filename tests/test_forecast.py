@@ -23,7 +23,7 @@ from thermoecon import (
     log_wealth_ratio,
 )
 from thermoecon.forecast import LN2, ForecastPath, _materialize
-from thermoecon.series import MAX_GRID_YEARS
+from thermoecon.series import MAX_GRID_YEARS, _checked, _stored, annual_grid
 
 from test_series import exactly, exponential_series
 
@@ -52,7 +52,7 @@ def forecast_base2(scenario: Scenario) -> ForecastPath:
         log2_ratio = delta_eta / (delta_c * LN2) * (2.0 ** (t / delta_eta) - 1.0)
         eta = scenario.eta0 * 2.0 ** (t / delta_eta)
     log_c = math.log(scenario.c0) + log2_ratio * LN2
-    return _materialize(scenario, years, log_c, eta)
+    return _materialize(scenario, log_c, eta)
 
 
 # log of the largest representable double; the oracle cuts a path off
@@ -132,6 +132,57 @@ def assert_matches_reference(sc: Scenario):
         assert np.array_equal(got.values.view(np.int64), col.view(np.int64))
 
 
+def materialize_inputs(sc: Scenario):
+    """The log wealth and eta columns that forecast() hands to _materialize."""
+    t = (sc.years - sc.start_year).astype(float)
+    log_c = math.log(sc.c0) + log_wealth_ratio(sc.eta0, sc.tau_eta, t)
+    return log_c, eta_trajectory(sc.eta0, sc.tau_eta, t)
+
+
+_REFERENCE_UNITS = (
+    Unit.WEALTH_TRILLION_USD2005,
+    Unit.PER_YEAR_FRACTION,
+    Unit.GDP_TRILLION_USD2005_PER_YEAR,
+    Unit.POWER_TERAWATT,
+)
+
+
+def materialize_reference(
+    scenario: Scenario, years: np.ndarray, log_c: np.ndarray, eta: np.ndarray
+) -> ForecastPath:
+    """Oracle: _materialize as it was, checking its block twice.
+
+    One exp over the (4, n) block, one max as the overflow proof with the
+    wealth, gdp, power inf scan behind it, the start-row pin, a gdp-zero
+    test, and then a full `_checked` pass that copies and checks the years
+    again and proves every row a second time.
+    """
+    block = np.empty((4, years.size))
+    block[0] = log_c
+    np.log(eta, out=block[1])
+    np.add(log_c, block[1], out=block[2])
+    np.add(log_c, math.log(scenario.lambda0 / 1000.0), out=block[3])
+    np.exp(block, out=block)
+    block[1] = eta
+    if not block.max() < math.inf:
+        for row, quantity in ((0, "wealth"), (2, "gdp"), (3, "power")):
+            over = np.isinf(block[row])
+            if over.any():
+                raise HorizonOverflowError(int(years[over.argmax()]), quantity)
+    c0, eta0 = scenario.c0, scenario.eta0
+    block[:, 0] = (c0, eta0, eta0 * c0, scenario.lambda0 / 1000.0 * c0)
+    gdp = block[2]
+    if gdp.min() == 0.0:
+        i = int((gdp == 0.0).argmax())
+        raise HorizonUnderflowError(int(years[i]), "eta" if block[1, i] == 0.0 else "gdp")
+    labels = (f"wealth from {scenario.start_year}", "rate of return", "gdp", "power")
+    years, block = _checked(years, block, _REFERENCE_UNITS, labels, own_years=False)
+    return ForecastPath(
+        scenario,
+        *(_stored(years, *column) for column in zip(block, _REFERENCE_UNITS, labels)),
+    )
+
+
 BASE = dict(c0=2300.0, eta0=0.0214, lambda0=7.0, start_year=2009)
 
 
@@ -188,8 +239,26 @@ class TestScenario:
             (dict(c0=np.inf), "c0 must be finite, got inf"),
             (dict(eta0=np.nan), "eta0 must be finite, got nan"),
             (dict(lambda0=-np.inf), "lambda0 must be finite, got -inf"),
+            # a start past double range, which no horizon can help
+            (
+                dict(c0=8.98846567431158e307, eta0=2.0, lambda0=1.0, horizon_years=0),
+                "initial gdp eta0 * c0 = 2.0 * 8.98846567431158e+307 overflows double precision",
+            ),
+            (
+                dict(eta0=1e306, horizon_years=5),
+                "initial gdp eta0 * c0 = 1e+306 * 2300.0 overflows double precision",
+            ),
+            (
+                dict(c0=1e300, eta0=1e10, horizon_years=0),
+                "initial gdp eta0 * c0 = 10000000000.0 * 1e+300 overflows double precision",
+            ),
+            (
+                dict(c0=1e306, eta0=1e-10, lambda0=1e6, horizon_years=0),
+                "initial power lambda0/1000 * c0 = 1000000.0/1000 * 1e+306 overflows double "
+                "precision",
+            ),
         ],
-        ids=[f"kw{i}" for i in range(13)],
+        ids=[f"kw{i}" for i in range(17)],
     )
     def test_invalid_parameters_rejected(self, kw, message):
         with pytest.raises(ThermoeconError, match=exactly(message)):
@@ -250,13 +319,6 @@ class TestClosedForm:
         p = forecast(scenario(horizon_years=5, tau_eta=80.0))
         assert p.eta.years is p.gdp.years is p.power.years is p.wealth.years
 
-    @staticmethod
-    def materialize_inputs(sc):
-        years = sc.years
-        t = (years - sc.start_year).astype(float)
-        log_c = math.log(sc.c0) + log_wealth_ratio(sc.eta0, sc.tau_eta, t)
-        return years, log_c, eta_trajectory(sc.eta0, sc.tau_eta, t)
-
     @pytest.mark.parametrize(
         "column, value, label",
         [
@@ -268,25 +330,40 @@ class TestClosedForm:
     )
     def test_non_finite_column_names_its_series(self, column, value, label):
         sc = scenario(horizon_years=5, tau_eta=80.0)
-        years, log_c, eta = self.materialize_inputs(sc)
+        log_c, eta = materialize_inputs(sc)
         {"log_c": log_c, "eta": eta}[column][3] = value
         with np.errstate(all="ignore"), pytest.raises(
             ThermoeconError, match=exactly(f"non-finite value in series {label!r}")
         ):
-            _materialize(sc, years, log_c, eta)
+            _materialize(sc, log_c, eta)
+
+    def test_power_rounding_to_zero_alone_names_power(self):
+        # ln wealth -740 leaves wealth and gdp subnormal but power zero
+        sc = scenario(horizon_years=5, eta0=0.01, lambda0=1e-3, tau_eta=None)
+        log_c, eta = materialize_inputs(sc)
+        log_c[3] = -740.0
+        with np.errstate(all="ignore"), pytest.raises(
+            ThermoeconError,
+            match=exactly("power_terawatt series 'power' must be strictly positive"),
+        ):
+            _materialize(sc, log_c, eta)
 
     def test_columns_are_read_only_and_alias_no_input(self):
         sc = scenario(horizon_years=5, tau_eta=80.0)
-        years, log_c, eta = self.materialize_inputs(sc)
-        given = [a.copy() for a in (years, log_c, eta)]
-        p = _materialize(sc, years, log_c, eta)
+        log_c, eta = materialize_inputs(sc)
+        given = [a.copy() for a in (log_c, eta)]
+        p = _materialize(sc, log_c, eta)
+        years = p.wealth.years
+        assert years.dtype == np.int64
+        assert np.array_equal(years, annual_grid(2009, 2014))
+        assert not years.flags.writeable
         for column in (p.wealth, p.eta, p.gdp, p.power):
-            assert column.years is p.wealth.years
-            assert not column.years.flags.writeable and not column.values.flags.writeable
-            for a in (years, log_c, eta):
+            assert column.years is years
+            assert not column.values.flags.writeable
+            for a in (log_c, eta):
                 assert not np.shares_memory(column.values, a)
                 assert not np.shares_memory(column.years, a)
-        for a, b in zip((years, log_c, eta), given):
+        for a, b in zip((log_c, eta), given):
             assert a.flags.writeable and np.array_equal(a, b)
 
     def test_columns_must_be_on_one_year_grid(self):
@@ -376,6 +453,57 @@ class TestBase2Form:
         assert gap < 1e-4
 
 
+# values that break a column: NaN, both infinities, both zeros, a
+# negative, the smallest subnormal, and a log whose exp is subnormal or
+# zero, which can send power to zero while gdp stays positive
+_BAD_CELLS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324]),
+    st.floats(-1e300, -1e-300),
+    st.floats(-760.0, -700.0),
+)
+
+
+@st.composite
+def damaged_inputs(draw):
+    """A scenario of 0-40 years and its _materialize inputs with bad cells."""
+    # the starting gdp and power stay inside double range for every draw
+    sc = scenario(
+        c0=draw(st.floats(1e-300, 1e300)),
+        eta0=draw(st.floats(1e-5, 10.0)),
+        lambda0=draw(st.floats(1e-3, 1e3)),
+        horizon_years=draw(st.integers(0, 40)),
+        tau_eta=draw(st.one_of(st.none(), st.floats(0.1, 1e6), st.floats(-1e6, -0.1))),
+    )
+    with np.errstate(all="ignore"):
+        log_c, eta = materialize_inputs(sc)
+    n = log_c.size
+    for _ in range(draw(st.integers(0, 4))):
+        column = draw(st.sampled_from([log_c, eta]))
+        column[draw(st.integers(0, n - 1))] = draw(_BAD_CELLS)
+    return sc, log_c, eta
+
+
+class TestMaterializeReference:
+    @given(case=damaged_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_same_columns_or_same_error(self, case):
+        sc, log_c, eta = case
+        with np.errstate(all="ignore"):
+            try:
+                want = materialize_reference(sc, sc.years, log_c.copy(), eta.copy())
+            except ThermoeconError as exc:
+                with pytest.raises(type(exc)) as err:
+                    _materialize(sc, log_c, eta)
+                assert type(err.value) is type(exc) and str(err.value) == str(exc)
+                return
+            got = _materialize(sc, log_c, eta)
+        for name in ("wealth", "eta", "gdp", "power"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.array_equal(a.years, b.years) and a.years.dtype == b.years.dtype
+            assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
+            assert (a.unit, a.label) == (b.unit, b.label)
+
+
 class TestReference:
     @given(
         sc=st.builds(
@@ -422,7 +550,8 @@ class TestReference:
             dict(horizon_years=33300, tau_eta=None),  # ln C = 720
             dict(horizon_years=40000, tau_eta=None),
             dict(c0=1.0, eta0=0.1, lambda0=1e8, horizon_years=6990, tau_eta=None),  # power
-            dict(c0=1e300, eta0=1e10, horizon_years=0, tau_eta=None),  # gdp at t=0
+            # gdp 1e308 at t=0; a start past double range is Scenario's error
+            dict(c0=1e300, eta0=1e8, horizon_years=0, tau_eta=None),
             dict(horizon_years=0, eta0=1e200, tau_eta=1e200),  # inf * 0 at t=0
             dict(horizon_years=5, eta0=1e200, tau_eta=1e200),  # NaN, then overflow
         ],
@@ -464,6 +593,11 @@ class TestUnderflow:
             ),
         ):
             scenario(c0=1e-300, lambda0=1e-30, horizon_years=10)
+
+    def test_largest_representable_start_is_kept(self):
+        c0 = float(np.finfo(np.float64).max)
+        path = forecast(scenario(c0=c0, eta0=1.0, lambda0=1000.0, horizon_years=0))
+        assert path.wealth.values[0] == path.gdp.values[0] == path.power.values[0] == c0
 
     def test_tiny_but_representable_start_is_kept(self):
         path = forecast(scenario(c0=1e-300, eta0=1e-10, lambda0=1e-5, horizon_years=3))
@@ -548,6 +682,20 @@ class TestProductivityCoupling:
         ):
             eta_from_productivity(7.0, np.nan)
 
+    @pytest.mark.parametrize(
+        "lambda0, message",
+        [
+            (np.inf, "lambda0 must be finite, got inf"),
+            (np.nan, "lambda0 must be finite, got nan"),
+            (-7.0, "lambda0 must be positive, got -7.0"),
+            (0.0, "lambda0 must be positive, got 0.0"),
+        ],
+        ids=["inf", "nan", "negative", "zero"],
+    )
+    def test_rejects_bad_lambda0(self, lambda0, message):
+        with pytest.raises(ThermoeconError, match=exactly(message)):
+            eta_from_productivity(lambda0, 1e-7)
+
     @given(
         f_low=st.floats(2e-8, 1.2e-7),
         bump=st.floats(1e-9, 8e-8),
@@ -590,6 +738,11 @@ class TestDoublingTimes:
     def test_finite_eta_required(self, eta):
         with pytest.raises(ThermoeconError, match=exactly(f"eta must be finite, got {eta}")):
             doubling_times(eta)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_finite_tau_required(self, tau):
+        with pytest.raises(ThermoeconError, match=exactly(f"tau_eta must be finite, got {tau}")):
+            doubling_times(0.02, tau)
 
     def test_doubling_halves_are_consistent(self):
         # doubling the rate halves the wealth doubling time
