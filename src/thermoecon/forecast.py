@@ -22,7 +22,9 @@ from .series import (
     MAX_GRID_YEARS,
     AnnualSeries,
     _check_overflow,
-    _checked,
+    _checked_values,
+    _floor,
+    _positive,
     _stored,
     annual_grid,
     log_derivative,
@@ -51,10 +53,7 @@ class Scenario:
 
     def __post_init__(self):
         for name, value in (("c0", self.c0), ("eta0", self.eta0), ("lambda0", self.lambda0)):
-            if not math.isfinite(value):
-                raise ThermoeconError(f"{name} must be finite, got {value}")
-            if value <= 0.0:
-                raise ThermoeconError(f"{name} must be positive, got {value}")
+            _positive(name, value)
         # the cap comes first, so int() below never sees an infinite horizon
         if self.horizon_years > MAX_GRID_YEARS:
             raise ThermoeconError(
@@ -95,8 +94,11 @@ def log_wealth_ratio(eta0: float, tau_eta: float | None, t) -> float | np.ndarra
     t = np.asarray(t, dtype=float)
     if tau_eta is None:
         out = eta0 * t
+    elif scale := eta0 * tau_eta:
+        out = scale * np.expm1(t / tau_eta)
     else:
-        out = eta0 * tau_eta * np.expm1(t / tau_eta)
+        # eta0 * tau rounded to zero; 0 * an overflowed expm1 would be NaN
+        out = eta0 * (tau_eta * np.expm1(t / tau_eta))
     return out if out.ndim else float(out)
 
 
@@ -114,15 +116,16 @@ def eta_from_productivity(lambda0: float, f: float) -> float:
     output per joule raises the return on wealth, hence growth, hence the
     eventual energy demand: efficiency gains backfire in this model.
     """
-    if not math.isfinite(lambda0):
-        raise ThermoeconError(f"lambda0 must be finite, got {lambda0}")
-    if lambda0 <= 0.0:
-        raise ThermoeconError(f"lambda0 must be positive, got {lambda0}")
-    if not math.isfinite(f):
-        raise ThermoeconError(f"energy productivity must be finite, got {f}")
-    if f <= 0.0:
-        raise ThermoeconError(f"energy productivity must be positive, got {f}")
-    return lambda0 / 1000.0 * f * SECONDS_PER_YEAR
+    _positive("lambda0", lambda0)
+    _positive("energy productivity", f)
+    eta = lambda0 / 1000.0 * f * SECONDS_PER_YEAR
+    if eta == 0.0 or eta == math.inf:
+        fate = "rounds to zero in" if eta == 0.0 else "overflows"
+        raise ThermoeconError(
+            f"eta lambda0/1000 * f * seconds per year = {lambda0}/1000 * {f} * "
+            f"{SECONDS_PER_YEAR} {fate} double precision"
+        )
+    return eta
 
 
 @dataclass(frozen=True)
@@ -150,30 +153,24 @@ _UNITS = (
     Unit.GDP_TRILLION_USD2005_PER_YEAR,
     Unit.POWER_TERAWATT,
 )
-# every value of a row lies above its floor: zero where the unit requires it, else -inf
-_FLOORS = tuple(0.0 if unit.requires_positive else -math.inf for unit in _UNITS)
+# the floor every value of a row lies above, by the rule AnnualSeries checks
+_FLOORS = tuple(map(_floor, _UNITS))
 
 
 def _materialize(scenario: Scenario, log_c: np.ndarray, eta: np.ndarray) -> ForecastPath:
     """Exponentiate the log-space columns into one (4, n) block, proved once.
 
     Wealth, eta, gdp and power are the rows of one private float64 block
-    on the scenario's own year grid. `annual_grid` has just built those
-    years as a fresh, strictly increasing int64 array, so they are marked
-    read-only in place and never checked again. One exp turns the log
-    rows into values, and one max over the block proves that none of them
-    overflowed or went NaN. Only when that proof fails are wealth, gdp
-    and power (in that order) scanned for inf, raising
-    HorizonOverflowError for the first grid year of the first column that
-    holds one. After the start column is pinned, which `Scenario` keeps
-    finite and positive, one min per row is both the underflow test,
-    raising HorizonUnderflowError at the first year gdp rounds to zero
-    (naming eta if eta itself is zero there), and the rest of the proof:
-    every row above zero where its unit requires it, above -inf
-    otherwise. Only a failed proof hands the block to `series._checked`,
-    which names the first non-finite or non-positive row. No array the
-    caller passed is aliased or changed. The columns may hold inf, 0 or
-    NaN; call under np.errstate(all="ignore").
+    on the scenario's fresh year grid, which is marked read-only in place
+    and never checked again. One max over the block is the overflow proof;
+    only when it fails are wealth, gdp and power scanned for the first inf
+    (HorizonOverflowError). After the start column is pinned to the
+    scenario state, one min per row is the underflow test (gdp at zero:
+    HorizonUnderflowError, naming eta if eta is zero there) and the rest
+    of the proof. Only a failed proof runs `_checked_values` on each row
+    in order, naming the first non-finite or non-positive one. No array
+    the caller passed is aliased or changed. The columns may hold inf, 0
+    or NaN; call under np.errstate(all="ignore").
     """
     years = scenario.years
     years.flags.writeable = False
@@ -201,12 +198,12 @@ def _materialize(scenario: Scenario, log_c: np.ndarray, eta: np.ndarray) -> Fore
         i = int((block[2] == 0.0).argmax())
         raise HorizonUnderflowError(int(years[i]), "eta" if block[1, i] == 0.0 else "gdp")
     labels = (f"wealth from {scenario.start_year}", "rate of return", "gdp", "power")
-    if finite and all(m > floor for m, floor in zip(low, _FLOORS)):
-        block.flags.writeable = False
-    else:
-        # a NaN, or a value at or below its floor: _checked names the row;
-        # a failure the pin overwrote in the start column passes there
-        years, block = _checked(years, block, _UNITS, labels, own_years=True)
+    if not (finite and all(m > floor for m, floor in zip(low, _FLOORS))):
+        # a NaN, or a value at or below its floor: name the first failing
+        # row; a failure the pin overwrote in the start column passes there
+        for row, unit, label in zip(block, _UNITS, labels):
+            _checked_values(row, unit, label)
+    block.flags.writeable = False
     return ForecastPath(
         scenario, *(_stored(years, *column) for column in zip(block, _UNITS, labels))
     )
@@ -245,17 +242,20 @@ def doubling_times(eta: float, tau_eta: float | None = None) -> DoublingTimes:
     eta_years is None without innovation, or with tau <= 0 where eta is
     halving rather than doubling. A non-finite tau is refused.
     """
-    if not math.isfinite(eta):
-        raise ThermoeconError(f"eta must be finite, got {eta}")
-    if eta <= 0.0:
-        raise ThermoeconError(f"eta must be positive, got {eta}")
+    _positive("eta", eta)
     eta_years = None
     if tau_eta is not None:
         if not math.isfinite(tau_eta):
             raise ThermoeconError(f"tau_eta must be finite, got {tau_eta}")
         if tau_eta > 0.0:
             eta_years = tau_eta * LN2
-    return DoublingTimes(wealth_years=LN2 / eta, eta_years=eta_years)
+    wealth_years = LN2 / eta
+    # a subnormal eta puts ln2 over it past the largest double
+    if wealth_years == math.inf:
+        raise ThermoeconError(
+            f"wealth doubling time ln2 / eta = ln2 / {eta} overflows double precision"
+        )
+    return DoublingTimes(wealth_years=wealth_years, eta_years=eta_years)
 
 
 def doubling_time_series(

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ThermoeconError
-from .series import AnnualSeries, annual_grid, cumulative_integral, interpolate
+from .series import AnnualSeries, _positive, annual_grid, cumulative_integral, interpolate
 from .units import Unit
 
 #: Minimum length, in consecutive calendar years, of the GDP/power overlap.
@@ -78,10 +78,7 @@ def build_wealth(
         rate = interpolate(merged, annual_grid(epoch, end))
         init_mode, initial = "integrated_from_epoch", 0.0
     elif lambda0 is not None:
-        if not math.isfinite(lambda0):
-            raise ThermoeconError(f"lambda0 must be finite, got {lambda0}")
-        if lambda0 <= 0.0:
-            raise ThermoeconError(f"lambda0 must be positive, got {lambda0}")
+        _positive("lambda0", lambda0)
         lambda0, power0 = float(lambda0), float(power.values[0])
         rate = gdp
         init_mode = "calibrated_from_lambda"

@@ -61,9 +61,9 @@ class AnnualSeries:
         years = np.asarray(self.years)
         if years.ndim == 0:
             years = years.reshape(1)
-        years, values = _checked(years, self.values, (self.unit,), (self.label,), own_years=False)
-        object.__setattr__(self, "years", years)
-        object.__setattr__(self, "values", values)
+        values = _values_on(years, self.values)
+        object.__setattr__(self, "years", _checked_years(years))
+        object.__setattr__(self, "values", _checked_values(values, self.unit, self.label))
 
     # -- basic queries ------------------------------------------------------
 
@@ -110,8 +110,8 @@ class AnnualSeries:
         """
         unit = self.unit if unit is None else unit
         label = self.label if label is None else label
-        years, values = _checked(self.years, values, (unit,), (label,), own_years=True)
-        return _stored(years, values, unit, label)
+        values = _checked_values(_values_on(self.years, values), unit, label)
+        return _stored(self.years, values, unit, label)
 
     def __truediv__(self, other):
         if not isinstance(other, AnnualSeries):
@@ -135,72 +135,65 @@ def _check_overflow(what: str, years: np.ndarray, values: np.ndarray) -> None:
         raise ThermoeconError(f"{what} overflows double precision at year {years[bad.argmax()]}")
 
 
-def _checked(
-    years: np.ndarray, values, units: tuple[Unit, ...], labels: tuple[str, ...], own_years: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only years and values of one or more series, checked in order.
+def _positive(name: str, value: float) -> None:
+    """Raise ThermoeconError unless the scalar `value` is finite and positive."""
+    if not math.isfinite(value):
+        raise ThermoeconError(f"{name} must be finite, got {value}")
+    if value <= 0.0:
+        raise ThermoeconError(f"{name} must be positive, got {value}")
 
-    `units` and `labels` give one entry per series. For one series,
-    `values` may be any array-like; it is copied to a private float64
-    array, which must have the shape of the 1-d `years`. This is the path
-    of `AnnualSeries.__init__` and `with_values`. For several, `values` is
-    a private (k, n) float64 block with one row per series on the n
-    `years`, checked and made read-only in place: this multi-row form is
-    the forecast's diagnosis path, which `forecast._materialize` takes
-    only when its own one-pass proof of the block fails, so that the
-    failing row is named here. Either way the values come back in the
-    layout they came in.
 
-    With `own_years` the years are already a checked, read-only int64
-    array and are returned as they are; otherwise they are checked and
-    copied to one. The years are checked before the values. One min per
-    row and one max over the block prove every row finite, and positive
-    where its unit requires it (NaN fails both comparisons); only when
-    that proof fails are the rows checked one at a time, each for a
-    non-finite value and then for a non-positive one, so the first
-    failing row raises its own message.
-    """
-    if len(units) == 1:
-        values = np.array(values, dtype=float, ndmin=1)
-        block = values[np.newaxis]
-    else:
-        block = values
-    if years.ndim != 1 or block.shape != (len(units), years.size):
+def _values_on(years: np.ndarray, values) -> np.ndarray:
+    """`values` as a private float64 copy, which must have the shape of the 1-d `years`."""
+    values = np.array(values, dtype=float, ndmin=1)
+    if years.ndim != 1 or values.shape != years.shape:
         raise ThermoeconError("years and values must be 1-d and the same length")
-    if not own_years:
-        # signed-integer years pass this check by construction; float and
-        # object (Python int) years the int64 cast cannot hold (NaN, inf,
-        # 2**63 and beyond) fail before the cast, which would warn or raise
-        if years.dtype.kind != "i" and years.size:
-            castable = years.dtype.kind not in "fO" or (
-                (years >= -_INT64_FLOAT_BOUND) & (years < _INT64_FLOAT_BOUND)
-            ).all()
-            if not (castable and np.array_equal(years, years.astype(np.int64))):
-                raise ThermoeconError("years must be integers")
-        years = years.astype(np.int64)
-        # compares neighbours directly: np.diff would wrap at extreme years
-        if (years[1:] <= years[:-1]).any():
-            raise ThermoeconError("years must be strictly increasing with no duplicates")
-        years.flags.writeable = False
-    if block.size and not (
-        block.max() < math.inf
-        and all(
-            low > (0.0 if unit.requires_positive else -math.inf)
-            for low, unit in zip(block.min(axis=1).tolist(), units)
-        )
-    ):
-        for row, unit, label in zip(block, units, labels):
-            if not np.isfinite(row).all():
-                raise ThermoeconError(f"non-finite value in series {label!r}")
-            if unit.requires_positive and row.min() <= 0.0:
-                raise ThermoeconError(f"{unit.token} series {label!r} must be strictly positive")
+    return values
+
+
+def _checked_years(years: np.ndarray) -> np.ndarray:
+    """1-d `years` as a private read-only int64 copy: integers, strictly increasing."""
+    # signed-integer years pass this check by construction; float and
+    # object (Python int) years the int64 cast cannot hold (NaN, inf,
+    # 2**63 and beyond) fail before the cast, which would warn or raise
+    if years.dtype.kind != "i" and years.size:
+        castable = years.dtype.kind not in "fO" or (
+            (years >= -_INT64_FLOAT_BOUND) & (years < _INT64_FLOAT_BOUND)
+        ).all()
+        if not (castable and np.array_equal(years, years.astype(np.int64))):
+            raise ThermoeconError("years must be integers")
+    years = years.astype(np.int64)
+    # compares neighbours directly: np.diff would wrap at extreme years
+    if (years[1:] <= years[:-1]).any():
+        raise ThermoeconError("years must be strictly increasing with no duplicates")
+    years.flags.writeable = False
+    return years
+
+
+def _floor(unit: Unit) -> float:
+    """Every value of a `unit` series lies above this: 0 where the unit requires it, else -inf."""
+    return 0.0 if unit.requires_positive else -math.inf
+
+
+def _checked_values(values: np.ndarray, unit: Unit, label: str) -> np.ndarray:
+    """The float64 `values` of series `label`, checked and made read-only in place.
+
+    One max and one min prove every value finite and above its unit's
+    floor (NaN fails both). Only a failed proof scans for a non-finite
+    value, reported before a non-positive one.
+    """
+    if values.size and not (values.max() < math.inf and values.min() > _floor(unit)):
+        if not np.isfinite(values).all():
+            raise ThermoeconError(f"non-finite value in series {label!r}")
+        # every value is finite, so the min sits at or below a zero floor
+        raise ThermoeconError(f"{unit.token} series {label!r} must be strictly positive")
     values.flags.writeable = False
-    return years, values
+    return values
 
 
 def _stored(years: np.ndarray, values: np.ndarray, unit: Unit, label: str) -> AnnualSeries:
-    """A series on arrays `_checked` returned, built without __post_init__,
-    which would copy and check them again."""
+    """A series on arrays already checked and read-only, built without
+    __post_init__, which would copy and check them again."""
     out = object.__new__(AnnualSeries)
     out.__dict__.update(years=years, values=values, unit=unit, label=label)
     return out

@@ -431,6 +431,14 @@ class TestErrorHandling:
                 )
                 for horizon in ("0", "5")
             ),
+            (
+                # eta0 * tau rounds to zero; it once met an overflowed expm1 as 0 * inf
+                [
+                    "forecast", "--builtin-table1",
+                    "--eta0", "1e-323", "--tau-eta", "0.01", "--horizon", "10",
+                ],
+                "forecast overflows double precision at year 2017 (wealth); shorten the horizon",
+            ),
         ],
         ids=[
             "missing_inputs",
@@ -459,6 +467,7 @@ class TestErrorHandling:
             "table1_lambda0_nan",
             "forecast_eta0_1e306_horizon_0",
             "forecast_eta0_1e306_horizon_5",
+            "forecast_eta0_1e-323_tau_0.01",
         ],
     )
     def test_one_error_line(self, argv, message, tmp_path, capsys):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermoecon import (
@@ -23,7 +23,7 @@ from thermoecon import (
     log_wealth_ratio,
 )
 from thermoecon.forecast import LN2, ForecastPath, _materialize
-from thermoecon.series import MAX_GRID_YEARS, _checked, _stored, annual_grid
+from thermoecon.series import MAX_GRID_YEARS, annual_grid
 
 from test_series import exactly, exponential_series
 
@@ -154,8 +154,8 @@ def materialize_reference(
 
     One exp over the (4, n) block, one max as the overflow proof with the
     wealth, gdp, power inf scan behind it, the start-row pin, a gdp-zero
-    test, and then a full `_checked` pass that copies and checks the years
-    again and proves every row a second time.
+    test, and then the four columns built with the public constructor,
+    which copies and checks the years again and every row a second time.
     """
     block = np.empty((4, years.size))
     block[0] = log_c
@@ -176,10 +176,9 @@ def materialize_reference(
         i = int((gdp == 0.0).argmax())
         raise HorizonUnderflowError(int(years[i]), "eta" if block[1, i] == 0.0 else "gdp")
     labels = (f"wealth from {scenario.start_year}", "rate of return", "gdp", "power")
-    years, block = _checked(years, block, _REFERENCE_UNITS, labels, own_years=False)
     return ForecastPath(
         scenario,
-        *(_stored(years, *column) for column in zip(block, _REFERENCE_UNITS, labels)),
+        *(AnnualSeries(years, *column) for column in zip(block, _REFERENCE_UNITS, labels)),
     )
 
 
@@ -560,6 +559,32 @@ class TestReference:
         assert_matches_reference(scenario(**kw))
 
 
+_POSITIVE_DOUBLES = st.floats(5e-324, float(np.finfo(np.float64).max))
+
+
+class TestRange:
+    @given(
+        c0=_POSITIVE_DOUBLES,
+        eta0=_POSITIVE_DOUBLES,
+        lambda0=_POSITIVE_DOUBLES,
+        horizon_years=st.integers(0, 3000),
+        tau_eta=st.one_of(st.none(), st.floats(1e-3, 1e6), st.floats(-1e6, -1e-3)),
+    )
+    @example(c0=2300.0, eta0=1e-323, lambda0=7.0, horizon_years=10, tau_eta=0.01)
+    @settings(max_examples=500, deadline=None)
+    def test_every_valid_scenario_forecasts_or_names_its_horizon(self, **kw):
+        # over the whole positive double range, subnormals included, a NaN
+        # that slipped past the horizon errors would end in a row message
+        try:
+            sc = scenario(**kw)
+        except ThermoeconError:
+            return
+        try:
+            forecast(sc)
+        except (HorizonOverflowError, HorizonUnderflowError):
+            pass
+
+
 class TestUnderflow:
     def test_decaying_eta_names_the_first_zero_year(self):
         with pytest.raises(HorizonUnderflowError) as err:
@@ -619,6 +644,13 @@ class TestOverflow:
         with pytest.raises(HorizonOverflowError) as err:
             forecast(sc)
         assert err.value.quantity == "wealth"
+
+    def test_underflowed_wealth_scale_still_names_the_overflow(self):
+        # eta0 * tau rounds to zero, while tau * expm1(t / tau) overflows at t = 8
+        sc = scenario(eta0=1e-323, tau_eta=0.01, horizon_years=10)
+        with pytest.raises(HorizonOverflowError) as err:
+            forecast(sc)
+        assert (err.value.year, err.value.quantity) == (2017, "wealth")
 
     def test_safe_horizon_does_not_raise(self):
         forecast(scenario(horizon_years=100, tau_eta=100.0))
@@ -696,6 +728,21 @@ class TestProductivityCoupling:
         with pytest.raises(ThermoeconError, match=exactly(message)):
             eta_from_productivity(lambda0, 1e-7)
 
+    @pytest.mark.parametrize(
+        "lambda0, f, fate",
+        [(1e300, 1e300, "overflows"), (1e-300, 1e-300, "rounds to zero in")],
+        ids=["overflow", "zero"],
+    )
+    def test_rejects_a_product_outside_double_precision(self, lambda0, f, fate):
+        with pytest.raises(
+            ThermoeconError,
+            match=exactly(
+                f"eta lambda0/1000 * f * seconds per year = {lambda0}/1000 * {f} * 31556900.0 "
+                f"{fate} double precision"
+            ),
+        ):
+            eta_from_productivity(lambda0, f)
+
     @given(
         f_low=st.floats(2e-8, 1.2e-7),
         bump=st.floats(1e-9, 8e-8),
@@ -738,6 +785,15 @@ class TestDoublingTimes:
     def test_finite_eta_required(self, eta):
         with pytest.raises(ThermoeconError, match=exactly(f"eta must be finite, got {eta}")):
             doubling_times(eta)
+
+    def test_overflowing_wealth_doubling_time_rejected(self):
+        with pytest.raises(
+            ThermoeconError,
+            match=exactly(
+                "wealth doubling time ln2 / eta = ln2 / 5e-324 overflows double precision"
+            ),
+        ):
+            doubling_times(5e-324)
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
     def test_finite_tau_required(self, tau):

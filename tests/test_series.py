@@ -17,7 +17,7 @@ from thermoecon import (
     rolling_mean,
     run_fit,
 )
-from thermoecon.series import MAX_GRID_YEARS, _checked
+from thermoecon.series import MAX_GRID_YEARS
 
 
 def exactly(message):
@@ -136,26 +136,6 @@ def with_values_inputs(draw):
     return source, values, unit, draw(st.sampled_from(["", "x", "power"]))
 
 
-@st.composite
-def block_inputs(draw):
-    """Years and a (k, n) block of positive values, a few entries replaced by
-    NaN, +-inf, 0 or a negative value, with a unit and a label per row."""
-    k, n = draw(st.integers(2, 5)), draw(st.integers(0, 6))
-    years = np.arange(2000, 2000 + n)
-    if n > 1 and draw(st.integers(0, 4)) == 0:
-        years[-1] = years[0]  # the years fail before any value
-    block = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=k * n, max_size=k * n)))
-    block = block.reshape(k, n)
-    for _ in range(draw(st.integers(0, 3)) if n else 0):
-        row, col = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
-        block[row, col] = draw(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0]))
-    units = tuple(
-        draw(st.sampled_from([Unit.DIMENSIONLESS, Unit.PER_YEAR_FRACTION, Unit.POWER_TERAWATT]))
-        for _ in range(k)
-    )
-    return years, block, units, tuple(f"row {i}" for i in range(k))
-
-
 class TestAnnualSeries:
     @given(series_inputs())
     @settings(max_examples=500, deadline=None)
@@ -193,28 +173,6 @@ class TestAnnualSeries:
         assert not got.values.flags.writeable
         values[...] = 7.0  # a private copy: the caller's array stays its own
         assert np.array_equal(got.values, want.values)
-
-    @given(block_inputs())
-    @settings(max_examples=300, deadline=None)
-    def test_block_check_matches_row_by_row(self, inputs):
-        years, block, units, labels = inputs
-        first = None
-        for row, unit, label in zip(block, units, labels):
-            try:
-                _checked(years, row, (unit,), (label,), own_years=False)
-            except ThermoeconError as exc:
-                first = exc
-                break
-        given_block = block.copy()
-        if first is not None:
-            with pytest.raises(ThermoeconError, match=exactly(str(first))):
-                _checked(years, block, units, labels, own_years=False)
-            return
-        got_years, got = _checked(years, block, units, labels, own_years=False)
-        assert got is block and not got.flags.writeable
-        assert np.array_equal(got.view(np.int64), given_block.view(np.int64))
-        assert got_years.dtype == np.int64 and not got_years.flags.writeable
-        assert np.array_equal(got_years, years) and not np.shares_memory(got_years, years)
 
     def test_stores_a_private_copy(self):
         years, values = np.arange(2000, 2003), np.ones(3)
