@@ -8,12 +8,12 @@ miniature: every efficiency gain raises the power trajectory.
 
 import argparse
 
-from thermoecon import Scenario, eta_from_productivity, forecast
+from thermoecon import Scenario, builtin_table1, eta_from_productivity, forecast
 
-C0 = 2300.0
-ETA0 = 0.0214
-LAMBDA0 = 7.0
-START = 2009
+# the last printed row of the built-in table seeds both sweeps
+TABLE1 = builtin_table1()
+START = TABLE1.power.last_year
+C0, ETA0, LAMBDA0 = TABLE1.state_at(START)
 
 
 def sweep_tau(horizon):

@@ -12,25 +12,27 @@ from thermoecon import builtin_table1, doubling_times, fit_innovation, run_fit
 
 def main():
     t1 = builtin_table1()
-    res = run_fit(t1.gdp, t1.power, lambda0=6.4)
-    m, inn, dec = res.model, res.innovation, res.decomposition
+    lambda0 = float(t1.power_over_wealth.values[0])  # the printed 1970 ratio
+    res = run_fit(t1.gdp, t1.power, lambda0=lambda0)
+    m, inn = res.model, res.innovation
 
-    print("annual-grid fit, 1970:2009, wealth calibrated at lambda0 = 6.4")
+    print(f"annual-grid fit, 1970:2009, wealth calibrated at lambda0 = {lambda0}")
     print(f"  lambda mean            {m.lambda_mean:10.4f} W/k$")
     print(f"  lambda relative spread {m.lambda_rel_std * 100:10.2f} %")
     print(f"  eta mean               {m.eta_mean * 100:10.2f} %/yr")
     print(f"  energy productivity    {m.f_mean:10.3e} $/J")
     print(f"  innovation rate        {inn.slope * 100:10.2f} %/yr")
-    print(f"  predicted gdp growth   {dec.predicted_growth * 100:10.2f} %/yr")
+    print(f"  predicted gdp growth   {res.predicted_growth * 100:10.2f} %/yr")
 
     # the nine printed return values carry their own trend
     printed = fit_innovation(t1.rate_of_return)
     print(f"  printed-return trend   {printed.slope * 100:10.2f} %/yr "
           f"(rms {printed.residual_rms:.3f})")
 
-    d_now = doubling_times(0.0214, printed.tau_eta)
+    eta_now = t1.state_at(2009)[1]
+    d_now = doubling_times(eta_now, printed.tau_eta)
     d_slow = doubling_times(0.0035)
-    print(f"  wealth doubling at 2.14 %/yr: {d_now.wealth_years:6.1f} yr")
+    print(f"  wealth doubling at {eta_now * 100:.2f} %/yr: {d_now.wealth_years:6.1f} yr")
     print(f"  wealth doubling at 0.35 %/yr: {d_slow.wealth_years:6.1f} yr")
 
     c = res.wealth

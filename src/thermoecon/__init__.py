@@ -26,13 +26,11 @@ from .forecast import (
 )
 from .growth import (
     FitResult,
-    GrowthDecomposition,
     InnovationFit,
     ModelFit,
     build_wealth,
     fit_innovation,
     fit_lambda,
-    gdp_growth_decomposition,
     run_fit,
 )
 from .ingest import (
@@ -58,7 +56,6 @@ __all__ = [
     "DoublingTimes",
     "FitResult",
     "ForecastPath",
-    "GrowthDecomposition",
     "HorizonOverflowError",
     "HorizonUnderflowError",
     "InnovationFit",
@@ -80,7 +77,6 @@ __all__ = [
     "fit_innovation",
     "fit_lambda",
     "forecast",
-    "gdp_growth_decomposition",
     "interpolate",
     "load_series",
     "log_derivative",

@@ -19,18 +19,10 @@ from . import __version__
 from .errors import ThermoeconError
 from .forecast import Scenario, doubling_time_series, forecast
 from .growth import FitResult, fit_innovation, run_fit
-from .ingest import builtin_table1, load_series, write_table
+from .ingest import Table1, builtin_table1, load_series, write_table
 from .units import Unit
 
 _VERSION_COMMENT = f"thermoecon {__version__}"
-
-# printed end state of the built-in benchmark: 16.1 TW at 7.0 W per
-# thousand dollars gives 2300 T$ of wealth returning 2.14 %/yr in 2009
-_BUILTIN_SEED_YEAR = 2009
-_BUILTIN_SEED_C0 = 2300.0  # 1000 * 16.1 / 7.0 at printed precision
-_BUILTIN_SEED_ETA0 = 0.0214
-_BUILTIN_SEED_LAMBDA0 = 7.0
-_BUILTIN_LAMBDA0_CALIBRATION = 6.4  # printed ratio at 1970, anchors wealth
 
 _SMOOTHING_WINDOW_YEARS = 10
 
@@ -51,6 +43,12 @@ def _figure(value: float, decimals: int) -> str:
     return f"{value:.{decimals}{'e' if abs(value) >= 1e6 else 'f'}}"
 
 
+def _calibration(t1: Table1) -> float:
+    # the printed ratio of the first row anchors the built-in wealth; a
+    # Python float, so comment lines print 6.4, not np.float64(6.4)
+    return float(t1.power_over_wealth.values[0])
+
+
 def _reject_with_builtin(args: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(args, name) is not None:
@@ -64,7 +62,7 @@ def _resolve_fit(args: argparse.Namespace) -> FitResult:
         _reject_with_builtin(args, "gdp", "power", "historical_gdp")
         t1 = builtin_table1()
         gdp, power, historical = t1.gdp, t1.power, None
-        lambda0 = _BUILTIN_LAMBDA0_CALIBRATION if args.lambda0 is None else args.lambda0
+        lambda0 = _calibration(t1) if args.lambda0 is None else args.lambda0
     else:
         if args.gdp is None or args.power is None:
             raise ThermoeconError("provide --gdp and --power, or --builtin-table1")
@@ -101,7 +99,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         f"fit window {m.window[0]}:{m.window[1]}",
         f"wealth init {anchor}",
     )
-    inn, dec = res.innovation, res.decomposition
+    inn = res.innovation
     tau_text = "none (trend not positive)" if inn.tau_eta is None else f"{inn.tau_eta:.6g} yr"
     lines = [
         "fit summary",
@@ -115,9 +113,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         f"innovation rate: {inn.slope:.12g} /yr ({_figure(inn.slope * 100, 2)} %/yr)",
         f"ln(eta) fit residual rms: {inn.residual_rms:.12g}",
         f"eta e-folding time: {tau_text}",
-        f"decomposition: {dec.eta_mean!r} + {dec.innovation_rate!r} = "
-        f"{dec.predicted_growth!r}",
-        f"predicted gdp growth: {_figure(dec.predicted_growth * 100, 2)} %/yr",
+        f"decomposition: {m.eta_mean!r} + {inn.slope!r} = {res.predicted_growth!r}",
+        f"predicted gdp growth: {_figure(res.predicted_growth * 100, 2)} %/yr",
     ]
     summary_path = Path(args.out) / "summary.txt"
     summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -128,15 +125,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def _resolve_scenario(args: argparse.Namespace) -> Scenario:
     if args.builtin_table1:
-        # the printed 2009 state seeds the run; the window only picks the
-        # years of the rate-of-return trend that sets the default tau
+        # the last printed row (2009) seeds the run; the window only picks
+        # the years of the rate-of-return trend that sets the default tau
         _reject_with_builtin(args, "gdp", "power", "historical_gdp", "lambda0")
         window = None if args.window is None else _parse_window(args.window)
-        start = _BUILTIN_SEED_YEAR
-        c0 = _BUILTIN_SEED_C0
-        eta0 = _BUILTIN_SEED_ETA0
-        lambda0 = _BUILTIN_SEED_LAMBDA0
-        default_tau = fit_innovation(builtin_table1().rate_of_return, window).tau_eta
+        t1 = builtin_table1()
+        start = t1.power.last_year
+        c0, eta0, lambda0 = t1.state_at(start)
+        default_tau = fit_innovation(t1.rate_of_return, window).tau_eta
     else:
         res = _resolve_fit(args)
         end = res.model.window[1]
@@ -201,7 +197,7 @@ def _round4(values: np.ndarray) -> np.ndarray:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     t1 = builtin_table1()
-    lambda0 = _BUILTIN_LAMBDA0_CALIBRATION if args.lambda0 is None else args.lambda0
+    lambda0 = _calibration(t1) if args.lambda0 is None else args.lambda0
     res = run_fit(t1.gdp, t1.power, lambda0=lambda0)
     years = t1.power.years
     lam = res.model.lambda_series

@@ -94,10 +94,11 @@ def log_wealth_ratio(eta0: float, tau_eta: float | None, t) -> float | np.ndarra
     t = np.asarray(t, dtype=float)
     if tau_eta is None:
         out = eta0 * t
-    elif scale := eta0 * tau_eta:
+    elif 0.0 < abs(scale := eta0 * tau_eta) < math.inf:
         out = scale * np.expm1(t / tau_eta)
     else:
-        # eta0 * tau rounded to zero; 0 * an overflowed expm1 would be NaN
+        # eta0 * tau rounded to zero or overflowed: 0 * an overflowed
+        # expm1, or inf * expm1(0), would be NaN
         out = eta0 * (tau_eta * np.expm1(t / tau_eta))
     return out if out.ndim else float(out)
 

@@ -228,13 +228,16 @@ def write_table(
 # ---------------------------------------------------------------------------
 # built-in benchmark data: world primary power, GDP, their ratio to wealth and
 # the rate of return on wealth at nine reference years, 1970-2009, all in
-# inflation-adjusted 2005 MER US dollar units.
+# inflation-adjusted 2005 MER US dollar units. The files bundled in data/ are
+# the one copy; each row here is (file, unit, label) in Table1 field order.
 
-TABLE1_YEARS = (1970, 1975, 1980, 1985, 1990, 1995, 2000, 2005, 2009)
-TABLE1_POWER_TW = (7.2, 8.3, 9.6, 10.2, 11.6, 12.1, 13.1, 15.2, 16.1)
-TABLE1_POWER_OVER_WEALTH = (6.4, 6.9, 7.3, 7.2, 7.5, 7.1, 6.9, 7.2, 7.0)
-TABLE1_GDP = (15.3, 18.4, 22.2, 25.3, 30.2, 33.5, 39.7, 45.7, 49.1)
-TABLE1_RATE_OF_RETURN_PCT = (1.37, 1.53, 1.70, 1.78, 1.94, 1.96, 2.10, 2.18, 2.14)
+_DATA_DIR = Path(__file__).parent / "data"
+_BUNDLED_FILES = (
+    ("world_power.csv", Unit.POWER_TERAWATT, "power production"),
+    ("world_gdp.csv", Unit.GDP_TRILLION_USD2005_PER_YEAR, "world GDP"),
+    ("power_wealth_ratio.csv", Unit.WATTS_PER_THOUSAND_USD2005, "power/wealth ratio"),
+    ("rate_of_return.csv", Unit.PER_YEAR_FRACTION, "rate of return"),
+)
 
 
 class Table1(NamedTuple):
@@ -243,32 +246,29 @@ class Table1(NamedTuple):
     power_over_wealth: AnnualSeries
     rate_of_return: AnnualSeries
 
+    def state_at(self, year: int) -> tuple[float, float, float]:
+        """(c0, eta0, lambda0) of the printed row at `year`.
+
+        Wealth is 1000 * power / ratio. Each value is read at the 12
+        significant digits a report cell carries, so the 2009 row gives
+        exactly 2300.0 T$, 0.0214 /yr and 7.0 W/k$, not the
+        2300.0000000000005 and 0.021400000000000002 of the raw arithmetic.
+        """
+        power, ratio = self.power.value_at(year), self.power_over_wealth.value_at(year)
+        state = (1000.0 * power / ratio, self.rate_of_return.value_at(year), ratio)
+        return tuple(float(_CELL_SPEC % v) for v in state)
+
 
 def builtin_table1() -> Table1:
     """The built-in nine-year benchmark dataset, exactly as published.
 
-    Percent rows are converted to per-year fractions here; everything else
-    keeps its printed unit (TW, T$/yr, W per thousand $).
+    Loads the bundled files through `load_series`, so percent rows become
+    per-year fractions and everything else keeps its printed unit (TW,
+    T$/yr, W per thousand $).
     """
-    years = np.array(TABLE1_YEARS)
     return Table1(
-        power=AnnualSeries(
-            years, np.array(TABLE1_POWER_TW), Unit.POWER_TERAWATT, "power production"
-        ),
-        gdp=AnnualSeries(
-            years, np.array(TABLE1_GDP), Unit.GDP_TRILLION_USD2005_PER_YEAR, "world GDP"
-        ),
-        power_over_wealth=AnnualSeries(
-            years,
-            np.array(TABLE1_POWER_OVER_WEALTH),
-            Unit.WATTS_PER_THOUSAND_USD2005,
-            "power/wealth ratio",
-        ),
-        rate_of_return=AnnualSeries(
-            years,
-            np.array(TABLE1_RATE_OF_RETURN_PCT) * 0.01,
-            Unit.PER_YEAR_FRACTION,
-            "rate of return",
-        ),
+        *(
+            (s := load_series(_DATA_DIR / name, unit)).with_values(s.values, label=label)
+            for name, unit, label in _BUNDLED_FILES
+        )
     )
-

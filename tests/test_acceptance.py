@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from thermoecon import (
+    FitResult,
     Scenario,
     SECONDS_PER_YEAR,
     Unit,
@@ -21,7 +22,6 @@ from thermoecon import (
     eta_from_productivity,
     eta_trajectory,
     forecast,
-    gdp_growth_decomposition,
     load_series,
     log_wealth_ratio,
     run_fit,
@@ -63,12 +63,12 @@ def test_criterion_03_growth_decomposition(tmp_path):
     # documented reference split is arithmetically consistent
     assert abs((1.87 + 0.93) - 2.80) < 1e-9
     assert abs((2.93 - 2.80) - 0.13) < 1e-9
-    doc = gdp_growth_decomposition.__doc__
+    doc = FitResult.predicted_growth.__doc__
     assert "2.93" in doc and "0.13" in doc
     # fitted innovation rate lands in the credible band
     t1 = builtin_table1()
     res = run_fit(t1.gdp, t1.power, lambda0=6.4)
-    rate_pct = res.decomposition.innovation_rate * 100.0
+    rate_pct = res.innovation.slope * 100.0
     assert 0.8 <= rate_pct <= 1.3
     # and the emitted summary line adds up exactly as floats
     assert cli_main(["fit", "--builtin-table1", "--out", str(tmp_path)]) == 0

@@ -12,7 +12,7 @@ from test_series import exponential_series
 
 GDP = Unit.GDP_TRILLION_USD2005_PER_YEAR
 POWER = Unit.POWER_TERAWATT
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "thermoecon" / "data"
 
 
 def run(*argv):
@@ -390,6 +390,12 @@ class TestErrorHandling:
                 "innovation fit needs at least 3 points, got 2 in window 2005:2009",
             ),
             (
+                # a trend window past the printed years is refused, not clipped
+                ["forecast", "--builtin-table1", "--window", "1900:2100", "--horizon", "10"],
+                "window 1900:2100 extrapolates beyond series 'rate of return' "
+                "coverage [1970, 2009]",
+            ),
+            (
                 ["forecast", "--builtin-table1", "--gdp", str(DATA_DIR / "world_gdp.csv")],
                 "--gdp cannot be combined with --builtin-table1",
             ),
@@ -454,6 +460,7 @@ class TestErrorHandling:
             "window_2e9",
             "window_past_2_53",
             "builtin_trend_window_2_years",
+            "builtin_trend_window_past_coverage",
             "builtin_forecast_with_gdp",
             "builtin_forecast_with_lambda0",
             "builtin_fit_with_power",

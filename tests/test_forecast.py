@@ -432,6 +432,15 @@ class TestDerivativeIdentity:
         assert out.shape == t.shape
         assert out[0] == 0.0
 
+    @pytest.mark.parametrize("tau", [1e200, -1e200])
+    def test_overflowing_eta0_tau_product(self, tau):
+        # eta0 * tau is inf; ln(C(t)/C0) is still 0 at t = 0 and about
+        # eta0 * t at t = 1, with no NaN and no RuntimeWarning
+        assert log_wealth_ratio(1e200, tau, 0.0) == 0.0
+        assert log_wealth_ratio(1e200, tau, 1.0) == 1e200
+        out = log_wealth_ratio(1e200, tau, np.array([0.0, 1.0]))
+        assert out.tolist() == [0.0, 1e200]
+
 
 class TestBase2Form:
     @given(sc=valid_scenarios)

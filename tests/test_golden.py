@@ -1,8 +1,9 @@
 """Byte-for-byte golden outputs of the command line front end.
 
 Each case runs one subcommand, on the built-in benchmark data or on the
-files under data/ and tests/golden/inputs/, and compares every file it
-writes, plus its stdout, with the frozen copy under tests/golden/<case>/.
+files under src/thermoecon/data/ and tests/golden/inputs/, and compares
+every file it writes, plus its stdout, with the frozen copy under
+tests/golden/<case>/.
 The output directory in "wrote ..." lines is replaced by "<out>" so the
 goldens do not depend on where the test runs; input paths never appear
 in the outputs.
@@ -17,7 +18,7 @@ import pytest
 from thermoecon.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-DATA_DIR = GOLDEN_DIR.parent.parent / "data"
+DATA_DIR = GOLDEN_DIR.parent.parent / "src" / "thermoecon" / "data"
 HISTORICAL_GDP = str(GOLDEN_DIR / "inputs" / "historical_gdp.csv")
 STDOUT_NAME = "stdout.txt"
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from thermoecon import (
     AnnualSeries,
+    FitResult,
     SECONDS_PER_YEAR,
     ThermoeconError,
     Unit,
@@ -12,7 +13,6 @@ from thermoecon import (
     build_wealth,
     fit_innovation,
     fit_lambda,
-    gdp_growth_decomposition,
     interpolate,
     run_fit,
 )
@@ -383,22 +383,26 @@ class TestFitInnovation:
         assert clipped.n_points == 20
         assert clipped.slope != full.slope
 
+    @pytest.mark.parametrize("window", [(1960, 2009), (1970, 2010), (1900, 2100)])
+    def test_window_past_coverage_rejected(self, table1, window):
+        # clipping would fit silently on fewer years than asked for
+        with pytest.raises(
+            ThermoeconError,
+            match=exactly(
+                f"window {window[0]}:{window[1]} extrapolates beyond series "
+                "'rate of return' coverage [1970, 2009]"
+            ),
+        ):
+            fit_innovation(table1.rate_of_return, window=window)
+
 
 class TestDecomposition:
     def test_sum_identity_is_exact(self, benchmark_fit):
-        dec = benchmark_fit.decomposition
-        assert dec.predicted_growth == dec.eta_mean + dec.innovation_rate
-
-    def test_window_mismatch_rejected(self, benchmark_fit):
-        clipped = fit_innovation(benchmark_fit.model.eta_series, window=(1990, 2009))
-        with pytest.raises(
-            ThermoeconError,
-            match=exactly("fit window (1970, 2009) and innovation window (1990, 2009) differ"),
-        ):
-            gdp_growth_decomposition(benchmark_fit.model, clipped)
+        m, inn = benchmark_fit.model, benchmark_fit.innovation
+        assert benchmark_fit.predicted_growth == m.eta_mean + inn.slope
 
     def test_reference_numbers_recorded(self):
-        doc = gdp_growth_decomposition.__doc__
+        doc = FitResult.predicted_growth.__doc__
         assert "1.87" in doc and "0.93" in doc and "2.80" in doc
         assert "2.93" in doc and "0.13" in doc
         # and the recorded split is arithmetically consistent
@@ -406,10 +410,10 @@ class TestDecomposition:
         assert abs((2.93 - 2.80) - 0.13) < 1e-9
 
     def test_benchmark_terms(self, benchmark_fit):
-        dec = benchmark_fit.decomposition
-        assert dec.eta_mean == pytest.approx(0.018438, abs=2e-5)
-        assert dec.innovation_rate == pytest.approx(0.011318, abs=2e-5)
-        assert 0.008 <= dec.innovation_rate <= 0.013
+        eta_mean, rate = benchmark_fit.model.eta_mean, benchmark_fit.innovation.slope
+        assert eta_mean == pytest.approx(0.018438, abs=2e-5)
+        assert rate == pytest.approx(0.011318, abs=2e-5)
+        assert 0.008 <= rate <= 0.013
 
 
 class TestEnergyProductivity:

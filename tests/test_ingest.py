@@ -20,7 +20,9 @@ from thermoecon.units import FILE_TOKENS, parse_unit_token
 
 from test_series import exactly
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_DIR = ROOT / "src" / "thermoecon"
+DATA_DIR = PACKAGE_DIR / "data"
 
 # ---------------------------------------------------------------------------
 # the original reader and writers, kept as oracles for the one-split reader
@@ -466,19 +468,78 @@ class TestBuiltinTable:
 
     def test_bundled_files_match_builtin(self, table1):
         pairs = [
-            ("world_power.csv", Unit.POWER_TERAWATT, table1.power),
-            ("world_gdp.csv", Unit.GDP_TRILLION_USD2005_PER_YEAR, table1.gdp),
+            ("world_power.csv", Unit.POWER_TERAWATT, table1.power, "power production"),
+            (
+                "world_gdp.csv",
+                Unit.GDP_TRILLION_USD2005_PER_YEAR,
+                table1.gdp,
+                "world GDP",
+            ),
             (
                 "power_wealth_ratio.csv",
                 Unit.WATTS_PER_THOUSAND_USD2005,
                 table1.power_over_wealth,
+                "power/wealth ratio",
             ),
-            ("rate_of_return.csv", Unit.PER_YEAR_FRACTION, table1.rate_of_return),
+            (
+                "rate_of_return.csv",
+                Unit.PER_YEAR_FRACTION,
+                table1.rate_of_return,
+                "rate of return",
+            ),
         ]
-        for name, unit, expected in pairs:
+        for name, unit, expected, label in pairs:
             s = load_series(DATA_DIR / name, unit)
-            assert np.array_equal(s.years, expected.years)
-            assert np.allclose(s.values, expected.values, rtol=1e-15)
+            assert s.years.tobytes() == expected.years.tobytes()
+            assert s.values.tobytes() == expected.values.tobytes()
+            # error messages name the series by these labels, not file stems
+            assert expected.label == label
+
+    def test_printed_rows(self, table1):
+        # the published table, an oracle independent of the bundled files;
+        # percent rows scale by 0.01 exactly as np.array(...) * 0.01 does
+        printed = [
+            (7.2, 8.3, 9.6, 10.2, 11.6, 12.1, 13.1, 15.2, 16.1),
+            (15.3, 18.4, 22.2, 25.3, 30.2, 33.5, 39.7, 45.7, 49.1),
+            (6.4, 6.9, 7.3, 7.2, 7.5, 7.1, 6.9, 7.2, 7.0),
+        ]
+        ror_pct = (1.37, 1.53, 1.70, 1.78, 1.94, 1.96, 2.10, 2.18, 2.14)
+        years = np.array([1970, 1975, 1980, 1985, 1990, 1995, 2000, 2005, 2009])
+        expected = [*map(np.array, printed), np.array(ror_pct) * 0.01]
+        for s, values in zip(table1, expected):
+            assert s.years.tobytes() == years.tobytes()
+            assert s.values.tobytes() == values.tobytes()
+
+    def test_loads_from_any_working_directory(self, table1, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for s, expected in zip(builtin_table1(), table1):
+            assert s.years.tobytes() == expected.years.tobytes()
+            assert s.values.tobytes() == expected.values.tobytes()
+            assert (s.unit, s.label) == (expected.unit, expected.label)
+
+    def test_state_at_reads_the_printed_digits(self, table1):
+        # raw arithmetic gives 2300.0000000000005 and 0.021400000000000002
+        state = table1.state_at(2009)
+        assert state == (2300.0, 0.0214, 7.0)
+        assert [type(v) for v in state] == [float] * 3
+        # 1990: 11.6 TW at 7.5 W/k$ and 1.94 %/yr
+        assert table1.state_at(1990) == (1546.66666667, 0.0194, 7.5)
+
+    def test_state_at_needs_a_printed_year(self, table1):
+        with pytest.raises(
+            ThermoeconError, match=exactly("year 2008 not in series 'power production'")
+        ):
+            table1.state_at(2008)
+
+    def test_bundled_files_ship_as_package_data(self):
+        # an installed package holds only what a package-data glob names
+        tomllib = pytest.importorskip("tomllib")
+        config = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        globs = config["tool"]["setuptools"]["package-data"]["thermoecon"]
+        shipped = {path for glob in globs for path in PACKAGE_DIR.glob(glob)}
+        files = {path for path in DATA_DIR.rglob("*") if path.is_file()}
+        assert len(files) == 4
+        assert files - shipped == set()
 
 
 class TestLoadSeriesErrors:

@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "DoublingTimes",
     "FitResult",
     "ForecastPath",
-    "GrowthDecomposition",
     "HorizonOverflowError",
     "HorizonUnderflowError",
     "InnovationFit",
@@ -46,7 +45,6 @@ PUBLIC_NAMES = [
     "fit_innovation",
     "fit_lambda",
     "forecast",
-    "gdp_growth_decomposition",
     "interpolate",
     "load_series",
     "log_derivative",
