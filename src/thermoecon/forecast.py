@@ -23,7 +23,6 @@ from .series import (
     AnnualSeries,
     _check_overflow,
     _checked_values,
-    _floor,
     _positive,
     _stored,
     annual_grid,
@@ -41,7 +40,9 @@ class Scenario:
 
     tau_eta is the e-folding time of the rate of return in years; None
     freezes eta at eta0. Negative tau is allowed and means innovation in
-    reverse, eta decaying toward zero.
+    reverse, eta decaying toward zero. The year grid from start_year to
+    the end of the horizon is checked by `annual_grid` and built once, at
+    construction; `years` returns that one read-only array.
     """
 
     c0: float
@@ -63,12 +64,7 @@ class Scenario:
             raise ThermoeconError(
                 f"horizon_years must be a non-negative integer, got {self.horizon_years}"
             )
-        if self.tau_eta is not None:
-            if not math.isfinite(self.tau_eta) or self.tau_eta == 0.0:
-                raise ThermoeconError(
-                    f"tau_eta must be finite and nonzero, got {self.tau_eta}; "
-                    "use None for no innovation"
-                )
+        _check_tau(self.tau_eta)
         # the start column of every forecast holds these two products
         gdp0, power0 = self.eta0 * self.c0, self.lambda0 / 1000.0 * self.c0
         if not (0.0 < gdp0 < math.inf and 0.0 < power0 < math.inf):
@@ -79,34 +75,75 @@ class Scenario:
                 if value == 0.0 or value == math.inf:
                     fate = "rounds to zero in" if value == 0.0 else "overflows"
                     raise ThermoeconError(f"initial {what} {fate} double precision")
+        # the year grid is checked and built once, read-only, and every
+        # forecast of this scenario shares it
+        years = annual_grid(self.start_year, self.start_year + self.horizon_years)
+        years.flags.writeable = False
+        object.__setattr__(self, "_years", years)
 
     @property
     def years(self) -> np.ndarray:
-        return annual_grid(self.start_year, self.start_year + self.horizon_years)
+        """The read-only int64 grid from start_year to the end of the horizon."""
+        return self._years
+
+
+def _check_tau(tau_eta: float | None) -> None:
+    """Raise ThermoeconError unless tau_eta is None or finite and nonzero."""
+    if tau_eta is not None and (not math.isfinite(tau_eta) or tau_eta == 0.0):
+        raise ThermoeconError(
+            f"tau_eta must be finite and nonzero, got {tau_eta}; use None for no innovation"
+        )
+
+
+def _closed_form(
+    eta0: float, tau_eta: float | None, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """ln(C(t)/C0) and eta(t), with t / tau formed once, in place, in the float array `t`.
+
+    `t` comes back holding eta(t). expm1 keeps the tau -> inf limit smooth:
+    eta0 * tau * expm1(t/tau) -> eta0 * t. When eta0 * tau rounds to zero
+    or overflows, 0 times an overflowed expm1, or inf times expm1(0), would
+    be NaN, so the product is reassociated as eta0 * (tau * expm1(t/tau)).
+    """
+    log_ratio = np.empty_like(t)
+    if tau_eta is None:
+        np.multiply(t, eta0, out=log_ratio)
+        t.fill(eta0)
+        return log_ratio, t
+    x = np.divide(t, tau_eta, out=t)
+    np.expm1(x, out=log_ratio)
+    if 0.0 < abs(scale := eta0 * tau_eta) < math.inf:
+        log_ratio *= scale
+    else:
+        log_ratio *= tau_eta
+        log_ratio *= eta0
+    np.exp(x, out=x)
+    x *= eta0
+    return log_ratio, x
 
 
 def log_wealth_ratio(eta0: float, tau_eta: float | None, t) -> float | np.ndarray:
-    """ln(C(t)/C0) at t years after the start; exact, overflow-free.
+    """ln(C(t)/C0) at t years after the start, exact to rounding.
 
-    expm1 keeps the no-innovation limit smooth: as tau -> inf the product
-    eta0 * tau * expm1(t/tau) -> eta0 * t.
+    An eta0 * tau that rounds to zero or overflows takes the reassociated
+    product, so t = 0 gives 0 for every valid pair. The value itself
+    overflows to inf once it leaves double range, as it soon does for a
+    tiny tau. eta0 and tau_eta are refused as Scenario refuses them.
     """
-    t = np.asarray(t, dtype=float)
-    if tau_eta is None:
-        out = eta0 * t
-    elif 0.0 < abs(scale := eta0 * tau_eta) < math.inf:
-        out = scale * np.expm1(t / tau_eta)
-    else:
-        # eta0 * tau rounded to zero or overflowed: 0 * an overflowed
-        # expm1, or inf * expm1(0), would be NaN
-        out = eta0 * (tau_eta * np.expm1(t / tau_eta))
+    _positive("eta0", eta0)
+    _check_tau(tau_eta)
+    out = _closed_form(eta0, tau_eta, np.array(t, dtype=float))[0]
     return out if out.ndim else float(out)
 
 
 def eta_trajectory(eta0: float, tau_eta: float | None, t) -> float | np.ndarray:
-    """Rate of return at t years after the start."""
-    t = np.asarray(t, dtype=float)
-    out = eta0 * np.ones_like(t) if tau_eta is None else eta0 * np.exp(t / tau_eta)
+    """Rate of return at t years after the start.
+
+    eta0 and tau_eta are refused as Scenario refuses them.
+    """
+    _positive("eta0", eta0)
+    _check_tau(tau_eta)
+    out = _closed_form(eta0, tau_eta, np.array(t, dtype=float))[1]
     return out if out.ndim else float(out)
 
 
@@ -154,27 +191,26 @@ _UNITS = (
     Unit.GDP_TRILLION_USD2005_PER_YEAR,
     Unit.POWER_TERAWATT,
 )
-# the floor every value of a row lies above, by the rule AnnualSeries checks
-_FLOORS = tuple(map(_floor, _UNITS))
 
 
 def _materialize(scenario: Scenario, log_c: np.ndarray, eta: np.ndarray) -> ForecastPath:
     """Exponentiate the log-space columns into one (4, n) block, proved once.
 
     Wealth, eta, gdp and power are the rows of one private float64 block
-    on the scenario's fresh year grid, which is marked read-only in place
-    and never checked again. One max over the block is the overflow proof;
-    only when it fails are wealth, gdp and power scanned for the first inf
-    (HorizonOverflowError). After the start column is pinned to the
-    scenario state, one min per row is the underflow test (gdp at zero:
-    HorizonUnderflowError, naming eta if eta is zero there) and the rest
-    of the proof. Only a failed proof runs `_checked_values` on each row
-    in order, naming the first non-finite or non-positive one. No array
-    the caller passed is aliased or changed. The columns may hold inf, 0
-    or NaN; call under np.errstate(all="ignore").
+    on the scenario's read-only year grid. One max over the block is the
+    overflow test; only when it fails are wealth, gdp and power scanned
+    for the first inf (HorizonOverflowError). After the start column is
+    pinned to the scenario state, one min over the block ends the proof:
+    every value is finite and positive. eta alone may be non-positive by
+    its unit, but a later eta at or below 0, or NaN, leaves gdp 0 or NaN
+    there, so per-row floors would reject nothing more. Only a failed
+    proof diagnoses the rows in order: gdp at zero is
+    HorizonUnderflowError, naming eta if eta is zero there; then
+    `_checked_values` names the first bad row, and a failure the pin
+    overwrote passes. No array the caller passed is aliased or changed.
+    The columns may hold inf, 0 or NaN; call under np.errstate(all="ignore").
     """
     years = scenario.years
-    years.flags.writeable = False
     block = np.empty((len(_COLUMNS), years.size))
     block[0] = log_c
     np.log(eta, out=block[1])
@@ -193,39 +229,36 @@ def _materialize(scenario: Scenario, log_c: np.ndarray, eta: np.ndarray) -> Fore
     # by an ulp and the t=0 identity C(start) == c0 is worth keeping
     c0, eta0 = scenario.c0, scenario.eta0
     block[:, 0] = (c0, eta0, eta0 * c0, scenario.lambda0 / 1000.0 * c0)
-    low = block.min(axis=1).tolist()
-    # Scenario keeps gdp[0] off zero, so a zero here is a later year
-    if low[2] == 0.0:
-        i = int((block[2] == 0.0).argmax())
-        raise HorizonUnderflowError(int(years[i]), "eta" if block[1, i] == 0.0 else "gdp")
     labels = (f"wealth from {scenario.start_year}", "rate of return", "gdp", "power")
-    if not (finite and all(m > floor for m, floor in zip(low, _FLOORS))):
-        # a NaN, or a value at or below its floor: name the first failing
-        # row; a failure the pin overwrote in the start column passes there
+    if not (finite and block.min() > 0.0):
+        # Scenario keeps gdp[0] off zero, so a zero here is a later year
+        if block[2].min() == 0.0:
+            i = int((block[2] == 0.0).argmax())
+            raise HorizonUnderflowError(int(years[i]), "eta" if block[1, i] == 0.0 else "gdp")
         for row, unit, label in zip(block, _UNITS, labels):
             _checked_values(row, unit, label)
     block.flags.writeable = False
-    return ForecastPath(
-        scenario, *(_stored(years, *column) for column in zip(block, _UNITS, labels))
-    )
+    return ForecastPath(scenario, *map(_stored, (years,) * len(_COLUMNS), block, _UNITS, labels))
 
 
 def forecast(scenario: Scenario) -> ForecastPath:
     """Closed-form trajectory of the scenario on its year grid.
 
-    Raises HorizonOverflowError naming the first grid year at which any
-    emitted quantity would exceed double range; super-exponential paths get
-    there fast. Raises HorizonUnderflowError naming the first grid year at
-    which eta or gdp would round to zero, as a decaying eta (tau < 0) does
-    over a long horizon.
+    ln wealth and eta are written into arrays this call owns, from one
+    t / tau, and `_materialize` builds and proves the block. Raises
+    HorizonOverflowError naming the first grid year at which any emitted
+    quantity would exceed double range; super-exponential paths get there
+    fast. Raises HorizonUnderflowError naming the first grid year at which
+    eta or gdp would round to zero, as a decaying eta (tau < 0) does over
+    a long horizon.
     """
     # years since the start, exactly as (years - start_year) in float
     t = np.arange(scenario.horizon_years + 1, dtype=float)
     # paths past the limits hold inf, 0 or NaN until _materialize names
     # the first failing year; numpy's float warnings would only repeat it
     with np.errstate(all="ignore"):
-        log_c = math.log(scenario.c0) + log_wealth_ratio(scenario.eta0, scenario.tau_eta, t)
-        eta = eta_trajectory(scenario.eta0, scenario.tau_eta, t)
+        log_c, eta = _closed_form(scenario.eta0, scenario.tau_eta, t)
+        log_c += math.log(scenario.c0)
         return _materialize(scenario, log_c, eta)
 
 

@@ -272,6 +272,28 @@ class TestScenario:
         ):
             forecast(scenario(start_year=start, horizon_years=5))
 
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            (2009.5, "year range [2009.5, 2014.5] holds a non-integer year"),
+            (np.nan, "year range [nan, nan] holds a non-integer year"),
+            (np.inf, "year range [inf, inf] holds a non-integer year"),
+            (
+                2**60,
+                "year range [1152921504606846976, 1152921504606846981] reaches past +-2**53",
+            ),
+        ],
+        ids=["fraction", "nan", "inf", "2**60"],
+    )
+    def test_start_year_off_the_grid_rejected_at_construction(self, start, message):
+        with pytest.raises(ThermoeconError, match=exactly(message)):
+            scenario(start_year=start, horizon_years=5)
+
+    def test_years_is_one_read_only_grid(self):
+        s = scenario(horizon_years=3)
+        assert s.years is s.years
+        assert s.years.dtype == np.int64 and not s.years.flags.writeable
+
     def test_horizon_cap(self):
         assert scenario(horizon_years=MAX_GRID_YEARS).horizon_years == 1_000_000
         for horizon in (MAX_GRID_YEARS + 1, 10**11, np.inf):
@@ -432,6 +454,28 @@ class TestDerivativeIdentity:
         assert out.shape == t.shape
         assert out[0] == 0.0
 
+    @pytest.mark.parametrize("helper", [log_wealth_ratio, eta_trajectory])
+    def test_zero_tau_refused(self, helper):
+        with pytest.raises(
+            ThermoeconError,
+            match=exactly(
+                "tau_eta must be finite and nonzero, got 0.0; use None for no innovation"
+            ),
+        ):
+            helper(0.02, 0.0, 1.0)
+
+    def test_nan_eta0_refused(self):
+        with pytest.raises(ThermoeconError, match=exactly("eta0 must be finite, got nan")):
+            log_wealth_ratio(math.nan, 10.0, 1.0)
+
+    def test_scalar_and_array_results(self):
+        assert type(log_wealth_ratio(0.02, None, 2.0)) is float
+        assert type(eta_trajectory(0.02, 100.0, 2.0)) is float
+        t = np.array([0.0, 1.0, 2.0])
+        assert eta_trajectory(0.02, None, t).tolist() == [0.02] * 3
+        assert np.array_equal(eta_trajectory(0.02, 100.0, t), 0.02 * np.exp(t / 100.0))
+        assert t.tolist() == [0.0, 1.0, 2.0]
+
     @pytest.mark.parametrize("tau", [1e200, -1e200])
     def test_overflowing_eta0_tau_product(self, tau):
         # eta0 * tau is inf; ln(C(t)/C0) is still 0 at t = 0 and about
@@ -491,8 +535,25 @@ def damaged_inputs(draw):
     return sc, log_c, eta
 
 
+def damaged(column: str, index: int, value: float):
+    """The 20-year benchmark scenario's _materialize inputs with one bad cell."""
+    sc = scenario(horizon_years=20, tau_eta=80.0)
+    log_c, eta = materialize_inputs(sc)
+    {"log_c": log_c, "eta": eta}[column][index] = value
+    return sc, log_c, eta
+
+
 class TestMaterializeReference:
     @given(case=damaged_inputs())
+    # the edges of the whole-block proof: an eta of -0.0 underflows gdp
+    # and names eta, the smallest subnormal eta passes, wealth rounding
+    # to zero sends gdp to zero, a NaN in the last year of eta, and an
+    # overflow in the start column, which the max sees before the pin
+    @example(case=damaged("eta", 7, -0.0))
+    @example(case=damaged("eta", 7, 5e-324))
+    @example(case=damaged("log_c", 7, -800.0))
+    @example(case=damaged("eta", -1, math.nan))
+    @example(case=damaged("log_c", 0, math.inf))
     @settings(max_examples=400, deadline=None)
     def test_same_columns_or_same_error(self, case):
         sc, log_c, eta = case

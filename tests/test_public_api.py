@@ -126,6 +126,17 @@ def test_write_table_signature_is_pinned():
     ]
 
 
+@pytest.mark.parametrize("name", ["log_wealth_ratio", "eta_trajectory"])
+def test_closed_form_signatures_are_pinned(name):
+    params = inspect.signature(getattr(thermoecon, name)).parameters.values()
+    empty = inspect.Parameter.empty
+    assert [(p.name, p.default) for p in params] == [
+        ("eta0", empty),
+        ("tau_eta", empty),
+        ("t", empty),
+    ]
+
+
 @pytest.mark.parametrize(
     "script, argv, headers",
     [
