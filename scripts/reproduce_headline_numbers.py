@@ -12,11 +12,10 @@ from thermoecon import builtin_table1, doubling_times, fit_innovation, run_fit
 
 def main():
     t1 = builtin_table1()
-    lambda0 = float(t1.power_over_wealth.values[0])  # the printed 1970 ratio
-    res = run_fit(t1.gdp, t1.power, lambda0=lambda0)
+    res = run_fit(t1.gdp, t1.power, lambda0=t1.calibration)
     m, inn = res.model, res.innovation
 
-    print(f"annual-grid fit, 1970:2009, wealth calibrated at lambda0 = {lambda0}")
+    print(f"annual-grid fit, 1970:2009, wealth calibrated at lambda0 = {t1.calibration}")
     print(f"  lambda mean            {m.lambda_mean:10.4f} W/k$")
     print(f"  lambda relative spread {m.lambda_rel_std * 100:10.2f} %")
     print(f"  eta mean               {m.eta_mean * 100:10.2f} %/yr")

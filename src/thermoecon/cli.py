@@ -19,7 +19,7 @@ from . import __version__
 from .errors import ThermoeconError
 from .forecast import Scenario, doubling_time_series, forecast
 from .growth import FitResult, fit_innovation, run_fit
-from .ingest import Table1, builtin_table1, load_series, write_table
+from .ingest import builtin_table1, load_series, write_table
 from .units import Unit
 
 _VERSION_COMMENT = f"thermoecon {__version__}"
@@ -43,12 +43,6 @@ def _figure(value: float, decimals: int) -> str:
     return f"{value:.{decimals}{'e' if abs(value) >= 1e6 else 'f'}}"
 
 
-def _calibration(t1: Table1) -> float:
-    # the printed ratio of the first row anchors the built-in wealth; a
-    # Python float, so comment lines print 6.4, not np.float64(6.4)
-    return float(t1.power_over_wealth.values[0])
-
-
 def _reject_with_builtin(args: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(args, name) is not None:
@@ -62,7 +56,7 @@ def _resolve_fit(args: argparse.Namespace) -> FitResult:
         _reject_with_builtin(args, "gdp", "power", "historical_gdp")
         t1 = builtin_table1()
         gdp, power, historical = t1.gdp, t1.power, None
-        lambda0 = _calibration(t1) if args.lambda0 is None else args.lambda0
+        lambda0 = t1.calibration if args.lambda0 is None else args.lambda0
     else:
         if args.gdp is None or args.power is None:
             raise ThermoeconError("provide --gdp and --power, or --builtin-table1")
@@ -197,7 +191,7 @@ def _round4(values: np.ndarray) -> np.ndarray:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     t1 = builtin_table1()
-    lambda0 = _calibration(t1) if args.lambda0 is None else args.lambda0
+    lambda0 = t1.calibration if args.lambda0 is None else args.lambda0
     res = run_fit(t1.gdp, t1.power, lambda0=lambda0)
     years = t1.power.years
     lam = res.model.lambda_series

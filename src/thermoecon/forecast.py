@@ -13,7 +13,7 @@ GDP ride along through a = (lambda0/1000) C and Y = eta C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,9 +40,9 @@ class Scenario:
 
     tau_eta is the e-folding time of the rate of return in years; None
     freezes eta at eta0. Negative tau is allowed and means innovation in
-    reverse, eta decaying toward zero. The year grid from start_year to
-    the end of the horizon is checked by `annual_grid` and built once, at
-    construction; `years` returns that one read-only array.
+    reverse, eta decaying toward zero. `years`, the read-only int64 grid
+    from start_year to the end of the horizon, is checked by `annual_grid`
+    and built once, at construction; init, repr and equality skip it.
     """
 
     c0: float
@@ -51,6 +51,7 @@ class Scenario:
     start_year: int
     horizon_years: int
     tau_eta: float | None = None
+    years: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, value in (("c0", self.c0), ("eta0", self.eta0), ("lambda0", self.lambda0)):
@@ -79,12 +80,7 @@ class Scenario:
         # forecast of this scenario shares it
         years = annual_grid(self.start_year, self.start_year + self.horizon_years)
         years.flags.writeable = False
-        object.__setattr__(self, "_years", years)
-
-    @property
-    def years(self) -> np.ndarray:
-        """The read-only int64 grid from start_year to the end of the horizon."""
-        return self._years
+        object.__setattr__(self, "years", years)
 
 
 def _check_tau(tau_eta: float | None) -> None:
@@ -132,7 +128,9 @@ def log_wealth_ratio(eta0: float, tau_eta: float | None, t) -> float | np.ndarra
     """
     _positive("eta0", eta0)
     _check_tau(tau_eta)
-    out = _closed_form(eta0, tau_eta, np.array(t, dtype=float))[0]
+    # the column not returned may overflow where this one does not
+    with np.errstate(all="ignore"):
+        out = _closed_form(eta0, tau_eta, np.array(t, dtype=float))[0]
     return out if out.ndim else float(out)
 
 
@@ -143,7 +141,9 @@ def eta_trajectory(eta0: float, tau_eta: float | None, t) -> float | np.ndarray:
     """
     _positive("eta0", eta0)
     _check_tau(tau_eta)
-    out = _closed_form(eta0, tau_eta, np.array(t, dtype=float))[1]
+    # the column not returned may overflow where this one does not
+    with np.errstate(all="ignore"):
+        out = _closed_form(eta0, tau_eta, np.array(t, dtype=float))[1]
     return out if out.ndim else float(out)
 
 

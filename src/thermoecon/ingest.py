@@ -246,6 +246,11 @@ class Table1(NamedTuple):
     power_over_wealth: AnnualSeries
     rate_of_return: AnnualSeries
 
+    @property
+    def calibration(self) -> float:
+        """The printed 1970 ratio anchoring wealth, as a float that prints 6.4."""
+        return float(self.power_over_wealth.values[0])
+
     def state_at(self, year: int) -> tuple[float, float, float]:
         """(c0, eta0, lambda0) of the printed row at `year`.
 

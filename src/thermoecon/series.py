@@ -9,6 +9,7 @@ grid says so and raises ThermoeconError otherwise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -151,8 +152,8 @@ def _values_on(years: np.ndarray, values) -> np.ndarray:
     return values
 
 
-def _checked_years(years: np.ndarray) -> np.ndarray:
-    """1-d `years` as a private read-only int64 copy: integers, strictly increasing."""
+def _int64_years(years: np.ndarray) -> np.ndarray:
+    """`years` as a private int64 copy; ThermoeconError unless every year is an integer."""
     # signed-integer years pass this check by construction; float and
     # object (Python int) years the int64 cast cannot hold (NaN, inf,
     # 2**63 and beyond) fail before the cast, which would warn or raise
@@ -162,17 +163,17 @@ def _checked_years(years: np.ndarray) -> np.ndarray:
         ).all()
         if not (castable and np.array_equal(years, years.astype(np.int64))):
             raise ThermoeconError("years must be integers")
-    years = years.astype(np.int64)
+    return years.astype(np.int64)
+
+
+def _checked_years(years: np.ndarray) -> np.ndarray:
+    """1-d `years` as a private read-only int64 copy: integers, strictly increasing."""
+    years = _int64_years(years)
     # compares neighbours directly: np.diff would wrap at extreme years
     if (years[1:] <= years[:-1]).any():
         raise ThermoeconError("years must be strictly increasing with no duplicates")
     years.flags.writeable = False
     return years
-
-
-def _floor(unit: Unit) -> float:
-    """Every value of a `unit` series lies above this: 0 where the unit requires it, else -inf."""
-    return 0.0 if unit.requires_positive else -math.inf
 
 
 def _checked_values(values: np.ndarray, unit: Unit, label: str) -> np.ndarray:
@@ -182,7 +183,8 @@ def _checked_values(values: np.ndarray, unit: Unit, label: str) -> np.ndarray:
     floor (NaN fails both). Only a failed proof scans for a non-finite
     value, reported before a non-positive one.
     """
-    if values.size and not (values.max() < math.inf and values.min() > _floor(unit)):
+    floor = 0.0 if unit.requires_positive else -math.inf
+    if values.size and not (values.max() < math.inf and values.min() > floor):
         if not np.isfinite(values).all():
             raise ThermoeconError(f"non-finite value in series {label!r}")
         # every value is finite, so the min sits at or below a zero floor
@@ -208,11 +210,11 @@ def interpolate(series: AnnualSeries, year_grid: Sequence[int]) -> AnnualSeries:
 
     ln(value) is interpolated linearly in time, which is exact for
     exponential growth between knots and requires positive values.
-    Extrapolation is refused.
+    Extrapolation is refused, and so is a grid year that is not an integer.
     """
     if len(series) == 0:
         raise ThermoeconError("cannot interpolate an empty series")
-    grid = np.atleast_1d(np.asarray(year_grid, dtype=np.int64))
+    grid = _int64_years(np.atleast_1d(np.asarray(year_grid)))
     if grid.size == 0:
         return AnnualSeries(grid, np.array([]), series.unit, series.label)
     if grid.min() < series.first_year or grid.max() > series.last_year:
@@ -242,23 +244,29 @@ def cumulative_integral(series: AnnualSeries, from_year: int, initial: float) ->
     years from `from_year` on are returned, so a stock that starts at zero
     before them never has to be a series of its own. Output unit is the
     rate unit integrated over years (e.g. T$/yr -> T$), and its token is
-    the output label. A sum past the largest double raises ThermoeconError.
+    the output label. A sum past the largest double raises ThermoeconError,
+    as do a from_year that is not an integer and an initial that is not finite.
     """
     out_unit = series.unit.integral_unit
     if len(series) == 0:
         raise ThermoeconError("cannot integrate an empty series")
-    if from_year < series.first_year or from_year > series.last_year:
+    if (year := _integral(from_year)) is None:
+        raise ThermoeconError(f"from_year must be an integer, got {from_year}")
+    if year < series.first_year or year > series.last_year:
         raise ThermoeconError(
-            f"from_year {from_year} outside series coverage "
+            f"from_year {year} outside series coverage "
             f"[{series.first_year}, {series.last_year}]"
         )
     if not series.is_dense:
         raise ThermoeconError(f"series {series.label!r} has gaps; interpolate before integrating")
+    # NaN, inf and an int past double range all fail this
+    if not abs(initial) <= sys.float_info.max:
+        raise ThermoeconError(f"initial must be finite, got {initial}")
     v = series.values
     with np.errstate(all="ignore"):
         run = initial + np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]))])
     _check_overflow(f"{out_unit.token} integral of series {series.label!r}", series.years, run)
-    k = from_year - series.first_year
+    k = year - series.first_year
     return AnnualSeries(series.years[k:], run[k:], out_unit, out_unit.token)
 
 
@@ -296,8 +304,11 @@ def rolling_mean(series: AnnualSeries, window_years: int) -> AnnualSeries:
     Full windows are summed as sliding windows, not as a running cumulative
     sum: each window is one numpy reduction over its own points, so the
     result is bit-for-bit that of averaging every window separately.
+    `window_years` must be an integer; an integral float passes.
     """
-    if window_years < 1:
+    if (window := _integral(window_years)) is None:
+        raise ThermoeconError(f"window_years must be an integer, got {window_years}")
+    if window < 1:
         raise ThermoeconError("window_years must be >= 1")
     if len(series) == 0:
         return series
@@ -305,21 +316,30 @@ def rolling_mean(series: AnnualSeries, window_years: int) -> AnnualSeries:
         raise ThermoeconError(f"series {series.label!r} has gaps; interpolate before smoothing")
     v = series.values
     n = len(v)
-    half = window_years // 2
+    half = window // 2
     out = np.empty_like(v)
     full = n - 2 * half  # points whose whole window lies inside the series
     if full > 0:
-        if window_years % 2:
-            total = sliding_window_view(v, window_years).sum(axis=1)
+        if window % 2:
+            total = sliding_window_view(v, window).sum(axis=1)
         else:
             # inner 2*half-1 points at full weight, the two extremes at half
-            inner = sliding_window_view(v[1:-1], window_years - 1).sum(axis=1)
-            total = inner + 0.5 * (v[:full] + v[window_years:])
-        out[half : n - half] = total / window_years
+            inner = sliding_window_view(v[1:-1], window - 1).sum(axis=1)
+            total = inner + 0.5 * (v[:full] + v[window:])
+        out[half : n - half] = total / window
     for i in (*range(min(half, n)), *range(max(n - half, half), n)):
         h = min(i, n - 1 - i)
         out[i] = v[i - h : i + h + 1].mean()
     return series.with_values(out)
+
+
+def _integral(value) -> int | None:
+    """`value` as an int if it is one, or an integral float; else None."""
+    try:
+        out = int(value)
+    except (ValueError, OverflowError):  # NaN, inf
+        return None
+    return out if out == value else None
 
 
 def annual_grid(start_year: int, end_year: int) -> np.ndarray:
@@ -330,11 +350,8 @@ def annual_grid(start_year: int, end_year: int) -> np.ndarray:
     and non-finite years are refused, and so are years past +-2**53: the
     fits work on float years, which skip integers there.
     """
-    try:
-        start, end = int(start_year), int(end_year)
-    except (ValueError, OverflowError):  # NaN, inf
-        start = end = None
-    if start != start_year or end != end_year:
+    start, end = _integral(start_year), _integral(end_year)
+    if start is None or end is None:
         raise ThermoeconError(f"year range [{start_year}, {end_year}] holds a non-integer year")
     start_year, end_year = start, end
     if end_year < start_year:

@@ -1,9 +1,9 @@
 """Units for annual economic/energy series and the rules for combining them.
 
-The unit set is deliberately tiny: the model works in trillions of
-inflation-adjusted 2005 MER US dollars, terawatts, and per-year fractions.
-Cross-unit arithmetic goes through an explicit rule table; anything not in
-the table raises ThermoeconError, never a silent coercion.
+The unit set is deliberately tiny: trillions of constant 2005 MER US dollars,
+terawatts, per-year fractions. Each unit declares its file-header token and
+whether its values must be positive. Cross-unit arithmetic goes through an
+explicit rule table; anything else raises ThermoeconError, never a coercion.
 """
 
 from __future__ import annotations
@@ -18,25 +18,22 @@ SECONDS_PER_YEAR = 3.15569e7
 
 
 class Unit(enum.Enum):
-    POWER_TERAWATT = "power_terawatt"
-    GDP_TRILLION_USD2005_PER_YEAR = "gdp_trillion_usd2005_per_year"
-    WEALTH_TRILLION_USD2005 = "wealth_trillion_usd2005"
-    WATTS_PER_THOUSAND_USD2005 = "watts_per_thousand_usd2005"
-    USD2005_PER_JOULE = "usd2005_per_joule"
-    PER_YEAR_FRACTION = "per_year_fraction"
-    YEARS = "years"
-    DIMENSIONLESS = "dimensionless"
+    """Each member declares (token, requires_positive): its file-header
+    spelling, and whether its values must be strictly positive, as GDP,
+    power and wealth, physical stocks and flows, must be."""
 
-    @property
-    def token(self) -> str:
-        """Canonical spelling used in file headers."""
-        return self.value
+    POWER_TERAWATT = ("power_terawatt", True)
+    GDP_TRILLION_USD2005_PER_YEAR = ("gdp_trillion_usd2005_per_year", True)
+    WEALTH_TRILLION_USD2005 = ("wealth_trillion_usd2005", True)
+    WATTS_PER_THOUSAND_USD2005 = ("watts_per_thousand_usd2005", False)
+    USD2005_PER_JOULE = ("usd2005_per_joule", False)
+    PER_YEAR_FRACTION = ("per_year_fraction", False)
+    YEARS = ("years", False)
+    DIMENSIONLESS = ("dimensionless", False)
 
-    @property
-    def requires_positive(self) -> bool:
-        """GDP, power and wealth are physical stocks/flows: strictly positive."""
-        # by token: a str hash is cached, Enum.__hash__ runs Python code
-        return self._value_ in _POSITIVE_TOKENS
+    def __init__(self, token: str, requires_positive: bool):
+        self.token = token
+        self.requires_positive = requires_positive
 
     @property
     def integral_unit(self) -> "Unit":
@@ -48,14 +45,6 @@ class Unit(enum.Enum):
                 f"cannot integrate a series in {self.token} over years"
             ) from None
 
-
-_POSITIVE_TOKENS = frozenset(
-    {
-        Unit.POWER_TERAWATT.token,
-        Unit.GDP_TRILLION_USD2005_PER_YEAR.token,
-        Unit.WEALTH_TRILLION_USD2005.token,
-    }
-)
 
 _INTEGRAL_UNIT = {
     Unit.GDP_TRILLION_USD2005_PER_YEAR: Unit.WEALTH_TRILLION_USD2005,

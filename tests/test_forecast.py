@@ -485,6 +485,14 @@ class TestDerivativeIdentity:
         out = log_wealth_ratio(1e200, tau, np.array([0.0, 1.0]))
         assert out.tolist() == [0.0, 1e200]
 
+    def test_column_not_returned_may_overflow_silently(self):
+        # eta overflows where ln(C/C0) does not, and the other way round;
+        # the suite's error::RuntimeWarning filter fails on a stray warning
+        assert eta_trajectory(1e306, 1e6, 1000.0) == 1.0010005001667084e306
+        assert log_wealth_ratio(100.0, 0.01, 7.07) == 1.1122405015634333e307
+        # a returned value past double range is inf
+        assert eta_trajectory(0.02, 1.0, 1000.0) == math.inf
+
 
 class TestBase2Form:
     @given(sc=valid_scenarios)
@@ -878,6 +886,17 @@ class TestDoublingTimes:
 
 
 class TestDoublingTimeSeries:
+    def test_window_must_be_an_integer(self, benchmark_fit):
+        eta = benchmark_fit.model.eta_series
+        a = doubling_time_series(eta, 10)
+        b = doubling_time_series(eta, 10.0)
+        for x, y in zip(a, b):
+            assert np.array_equal(x.years, y.years) and np.array_equal(x.values, y.values)
+        with pytest.raises(
+            ThermoeconError, match=exactly("window_years must be an integer, got 2.5")
+        ):
+            doubling_time_series(eta, 2.5)
+
     def test_benchmark_endpoints(self, benchmark_fit):
         delta_c, delta_eta = doubling_time_series(
             benchmark_fit.model.eta_series, window_years=10

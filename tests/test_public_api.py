@@ -163,3 +163,24 @@ def test_script_runs(script, argv, headers, monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     for header in headers:
         assert header in out
+
+
+@pytest.mark.parametrize(
+    "script, argv, golden",
+    [
+        ("reproduce_headline_numbers.py", [], "reproduce_headline_numbers.txt"),
+        (
+            "forecast_horizon_sweep.py",
+            ["--horizon", "20"],
+            "forecast_horizon_sweep_horizon_20.txt",
+        ),
+    ],
+    ids=["reproduce_headline_numbers", "forecast_horizon_sweep"],
+)
+def test_script_stdout_matches_golden(script, argv, golden, monkeypatch, capsys):
+    """The whole stdout, so no printed number changes unseen."""
+    path = SCRIPTS / script
+    monkeypatch.setattr(sys, "argv", [str(path), *argv])
+    runpy.run_path(str(path), run_name="__main__")
+    expected = SCRIPTS.parent / "tests" / "golden" / "scripts" / golden
+    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")

@@ -432,6 +432,15 @@ class TestInterpolate:
         ):
             interpolate(s, [2002, 2000])
 
+    def test_grid_years_must_be_integers(self, table1):
+        ints = interpolate(table1.gdp, [1970, 1975])
+        floats = interpolate(table1.gdp, [1970.0, 1975.0])
+        assert np.array_equal(floats.years, ints.years)
+        assert np.array_equal(floats.values, ints.values)
+        for grid in ([1970.5, 1975.9], np.array([np.nan]), [1970, np.inf], [2**64]):
+            with pytest.raises(ThermoeconError, match=exactly("years must be integers")):
+                interpolate(table1.gdp, grid)
+
 
 class TestCumulativeIntegral:
     def test_constant_rate_integrates_to_ramp(self):
@@ -502,6 +511,28 @@ class TestCumulativeIntegral:
         ):
             cumulative_integral(s, from_year=1999, initial=0.0)
 
+    def test_from_year_must_be_an_integer(self):
+        s = series([1.0, 2.0, 3.0], unit=Unit.GDP_TRILLION_USD2005_PER_YEAR)
+        c = cumulative_integral(s, from_year=2001.0, initial=0.0)
+        assert list(c.years) == [2001, 2002] and list(c.values) == [1.5, 4.0]
+        for year in (2000.5, np.nan, np.inf):
+            with pytest.raises(
+                ThermoeconError, match=exactly(f"from_year must be an integer, got {year}")
+            ):
+                cumulative_integral(s, from_year=year, initial=0.0)
+        with pytest.raises(
+            ThermoeconError, match=exactly("from_year 2003 outside series coverage [2000, 2002]")
+        ):
+            cumulative_integral(s, from_year=2003.0, initial=0.0)
+
+    @pytest.mark.parametrize("initial", [np.nan, np.inf, -np.inf, 10**400])
+    def test_initial_must_be_finite(self, initial):
+        s = series([1.0, 2.0, 3.0], unit=Unit.GDP_TRILLION_USD2005_PER_YEAR)
+        with pytest.raises(
+            ThermoeconError, match=exactly(f"initial must be finite, got {initial}")
+        ):
+            cumulative_integral(s, from_year=2000, initial=initial)
+
     @given(scale=st.floats(0.25, 4.0))
     @settings(max_examples=25)
     def test_linearity_in_the_integrand(self, scale):
@@ -565,6 +596,15 @@ class TestRollingMean:
         ):
             rolling_mean(gapped, 3)
 
+    def test_window_must_be_an_integer(self):
+        s = series([3.0, 1.0, 4.0, 1.0, 5.0])
+        assert np.array_equal(rolling_mean(s, 2.0).values, rolling_mean(s, 2).values)
+        for window in (2.5, np.nan, np.inf):
+            with pytest.raises(
+                ThermoeconError, match=exactly(f"window_years must be an integer, got {window}")
+            ):
+                rolling_mean(s, window)
+
     def test_linear_ramp_even_window_returns_own_value(self):
         years = np.arange(2000, 2030)
         ramp = AnnualSeries(years, np.arange(30, dtype=float), Unit.DIMENSIONLESS)
@@ -624,6 +664,53 @@ class TestRollingMean:
         got = rolling_mean(series(values), window).values
         want = rolling_mean_reference(values, window)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def scalars(low, high):
+    """Ints, integral floats and fractions near [low, high], any int or
+    float at all, and both infinities and NaN."""
+    near = st.integers(low, high)
+    return st.one_of(
+        near,
+        near.map(float),
+        st.builds(float.__add__, near.map(float), st.floats(0.001, 0.999)),
+        st.integers(),
+        st.floats(),
+        st.sampled_from([np.inf, -np.inf, np.nan]),
+    )
+
+
+class TestScalarArguments:
+    """Year and window arguments either work or end in a ThermoeconError;
+    no other exception, and no RuntimeWarning under the suite's filter."""
+
+    GDP = AnnualSeries(
+        np.arange(2000, 2010), np.linspace(1.0, 2.0, 10), Unit.GDP_TRILLION_USD2005_PER_YEAR, "g"
+    )
+
+    @given(
+        grid=st.one_of(scalars(1995, 2015), st.lists(scalars(1995, 2015), max_size=5)),
+        from_year=scalars(1995, 2015),
+        initial=scalars(-1000, 1000),
+        window=scalars(-2, 12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_return_or_refuse(self, grid, from_year, initial, window):
+        try:
+            out = interpolate(self.GDP, grid)
+            assert np.array_equal(out.years, np.atleast_1d(np.asarray(grid, dtype=float)))
+        except ThermoeconError:
+            pass
+        try:
+            out = cumulative_integral(self.GDP, from_year, initial)
+            assert out.first_year == from_year and out.values[-1] == pytest.approx(initial + 13.5)
+        except ThermoeconError:
+            pass
+        try:
+            out = rolling_mean(self.GDP, window)
+            assert window == int(window) >= 1 and out.years is self.GDP.years
+        except ThermoeconError:
+            pass
 
 
 class TestHelpers:
