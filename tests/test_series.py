@@ -525,7 +525,9 @@ class TestCumulativeIntegral:
         ):
             cumulative_integral(s, from_year=2003.0, initial=0.0)
 
-    @pytest.mark.parametrize("initial", [np.nan, np.inf, -np.inf, 10**400])
+    @pytest.mark.parametrize(
+        "initial", [np.nan, np.inf, -np.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"]
+    )
     def test_initial_must_be_finite(self, initial):
         s = series([1.0, 2.0, 3.0], unit=Unit.GDP_TRILLION_USD2005_PER_YEAR)
         with pytest.raises(
