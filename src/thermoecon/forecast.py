@@ -21,9 +21,13 @@ from .errors import HorizonOverflowError, HorizonUnderflowError, ThermoeconError
 from .series import (
     MAX_GRID_YEARS,
     AnnualSeries,
+    _FLOAT_MAX,
     _check_overflow,
     _checked_values,
+    _finite,
+    _integral,
     _positive,
+    _representable,
     _stored,
     annual_grid,
     log_derivative,
@@ -56,26 +60,22 @@ class Scenario:
     def __post_init__(self):
         for name, value in (("c0", self.c0), ("eta0", self.eta0), ("lambda0", self.lambda0)):
             _positive(name, value)
-        # the cap comes first, so int() below never sees an infinite horizon
+        # the cap comes first, so an infinite horizon is named as too long
         if self.horizon_years > MAX_GRID_YEARS:
             raise ThermoeconError(
                 f"horizon_years must be at most {MAX_GRID_YEARS}, got {self.horizon_years}"
             )
-        if not self.horizon_years >= 0 or int(self.horizon_years) != self.horizon_years:
+        if (horizon := _integral(self.horizon_years)) is None or horizon < 0:
             raise ThermoeconError(
                 f"horizon_years must be a non-negative integer, got {self.horizon_years}"
             )
         _check_tau(self.tau_eta)
-        # the start column of every forecast holds these two products
+        # the start column of every forecast holds these; int products never reach inf
         gdp0, power0 = self.eta0 * self.c0, self.lambda0 / 1000.0 * self.c0
-        if not (0.0 < gdp0 < math.inf and 0.0 < power0 < math.inf):
-            for value, what in (
-                (gdp0, f"gdp eta0 * c0 = {self.eta0} * {self.c0}"),
-                (power0, f"power lambda0/1000 * c0 = {self.lambda0}/1000 * {self.c0}"),
-            ):
-                if value == 0.0 or value == math.inf:
-                    fate = "rounds to zero in" if value == 0.0 else "overflows"
-                    raise ThermoeconError(f"initial {what} {fate} double precision")
+        if not (0.0 < gdp0 <= _FLOAT_MAX and 0.0 < power0 <= _FLOAT_MAX):
+            _representable(gdp0, "initial gdp eta0 * c0 = {} * {}", self.eta0, self.c0)
+            what = "initial power lambda0/1000 * c0 = {}/1000 * {}"
+            _representable(power0, what, self.lambda0, self.c0)
         # the year grid is checked and built once, read-only, and every
         # forecast of this scenario shares it
         years = annual_grid(self.start_year, self.start_year + self.horizon_years)
@@ -85,7 +85,7 @@ class Scenario:
 
 def _check_tau(tau_eta: float | None) -> None:
     """Raise ThermoeconError unless tau_eta is None or finite and nonzero."""
-    if tau_eta is not None and (not math.isfinite(tau_eta) or tau_eta == 0.0):
+    if tau_eta is not None and (not _finite(tau_eta) or tau_eta == 0.0):
         raise ThermoeconError(
             f"tau_eta must be finite and nonzero, got {tau_eta}; use None for no innovation"
         )
@@ -108,7 +108,7 @@ def _closed_form(
         return log_ratio, t
     x = np.divide(t, tau_eta, out=t)
     np.expm1(x, out=log_ratio)
-    if 0.0 < abs(scale := eta0 * tau_eta) < math.inf:
+    if 0.0 < abs(scale := eta0 * tau_eta) <= _FLOAT_MAX:
         log_ratio *= scale
     else:
         log_ratio *= tau_eta
@@ -157,12 +157,8 @@ def eta_from_productivity(lambda0: float, f: float) -> float:
     _positive("lambda0", lambda0)
     _positive("energy productivity", f)
     eta = lambda0 / 1000.0 * f * SECONDS_PER_YEAR
-    if eta == 0.0 or eta == math.inf:
-        fate = "rounds to zero in" if eta == 0.0 else "overflows"
-        raise ThermoeconError(
-            f"eta lambda0/1000 * f * seconds per year = {lambda0}/1000 * {f} * "
-            f"{SECONDS_PER_YEAR} {fate} double precision"
-        )
+    what = "eta lambda0/1000 * f * seconds per year = {}/1000 * {} * {}"
+    _representable(eta, what, lambda0, f, SECONDS_PER_YEAR)
     return eta
 
 
@@ -198,10 +194,10 @@ def _materialize(scenario: Scenario, log_c: np.ndarray, eta: np.ndarray) -> Fore
 
     Wealth, eta, gdp and power are the rows of one private float64 block
     on the scenario's read-only year grid. One max over the block is the
-    overflow test; only when it fails are wealth, gdp and power scanned
-    for the first inf (HorizonOverflowError). After the start column is
-    pinned to the scenario state, one min over the block ends the proof:
-    every value is finite and positive. eta alone may be non-positive by
+    overflow test; only when it fails is the first year with an inf in
+    wealth, gdp or power named (HorizonOverflowError). After the start
+    column is pinned, one min over the block ends the proof: every value
+    is finite and positive. eta alone may be non-positive by
     its unit, but a later eta at or below 0, or NaN, leaves gdp 0 or NaN
     there, so per-row floors would reject nothing more. Only a failed
     proof diagnoses the rows in order: gdp at zero is
@@ -221,10 +217,11 @@ def _materialize(scenario: Scenario, log_c: np.ndarray, eta: np.ndarray) -> Fore
     block[1] = eta
     finite = block.max() < math.inf
     if not finite:
-        for row in (0, 2, 3):
-            over = np.isinf(block[row])
-            if over.any():
-                raise HorizonOverflowError(int(years[over.argmax()]), _COLUMNS[row])
+        # year-major, so the first inf is in the first year any row overflows
+        over = np.isinf(block[[0, 2, 3]].T)
+        if over.any():
+            i, row = divmod(int(over.argmax()), 3)
+            raise HorizonOverflowError(int(years[i]), ("wealth", "gdp", "power")[row])
     # pin the start row to the exact scenario state; exp(log(c0)) is off
     # by an ulp and the t=0 identity C(start) == c0 is worth keeping
     c0, eta0 = scenario.c0, scenario.eta0
@@ -279,16 +276,13 @@ def doubling_times(eta: float, tau_eta: float | None = None) -> DoublingTimes:
     _positive("eta", eta)
     eta_years = None
     if tau_eta is not None:
-        if not math.isfinite(tau_eta):
+        if not _finite(tau_eta):
             raise ThermoeconError(f"tau_eta must be finite, got {tau_eta}")
         if tau_eta > 0.0:
             eta_years = tau_eta * LN2
     wealth_years = LN2 / eta
     # a subnormal eta puts ln2 over it past the largest double
-    if wealth_years == math.inf:
-        raise ThermoeconError(
-            f"wealth doubling time ln2 / eta = ln2 / {eta} overflows double precision"
-        )
+    _representable(wealth_years, "wealth doubling time ln2 / eta = ln2 / {}", eta)
     return DoublingTimes(wealth_years=wealth_years, eta_years=eta_years)
 
 

@@ -30,7 +30,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParseError, ThermoeconError
-from .series import AnnualSeries
+from .series import AnnualSeries, _int64_years
 from .units import FILE_TOKENS, Unit, parse_unit_token
 
 _UNIT_RE = re.compile(r"^#\s*unit:\s*(\S+)\s*$")
@@ -210,11 +210,11 @@ def write_table(
     presentation scale. Grid years missing from a series become empty
     cells (sparse columns such as doubling times that are undefined in
     non-innovating stretches); values at years off the grid are not
-    written.
+    written, and a non-integer grid year is refused before writing.
     """
     path = Path(path)
     delim = "\t" if fmt == "tsv" else ","
-    grid = np.asarray(year_grid, dtype=np.int64)
+    grid = _int64_years(np.atleast_1d(np.asarray(year_grid)))
     cols = [_column_cells(grid, name, column) for name, column in columns.items()]
     lines = [f"# {c}" for c in comments]
     lines.append("# columns: year," + ",".join(columns))

@@ -24,6 +24,7 @@ MAX_GRID_YEARS = 1_000_000
 
 # 2**63 as a float64 scalar, so that float16/32 years compare in float64
 _INT64_FLOAT_BOUND = np.float64(2.0**63)
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +63,11 @@ class AnnualSeries:
         years = np.asarray(self.years)
         if years.ndim == 0:
             years = years.reshape(1)
-        values = _values_on(years, self.values)
-        object.__setattr__(self, "years", _checked_years(years))
+        values = _values_on(years, self.values, self.label)
+        if not _increasing(years := _int64_years(years)):
+            raise ThermoeconError("years must be strictly increasing with no duplicates")
+        years.flags.writeable = False
+        object.__setattr__(self, "years", years)
         object.__setattr__(self, "values", _checked_values(values, self.unit, self.label))
 
     # -- basic queries ------------------------------------------------------
@@ -111,7 +115,7 @@ class AnnualSeries:
         """
         unit = self.unit if unit is None else unit
         label = self.label if label is None else label
-        values = _checked_values(_values_on(self.years, values), unit, label)
+        values = _checked_values(_values_on(self.years, values, label), unit, label)
         return _stored(self.years, values, unit, label)
 
     def __truediv__(self, other):
@@ -136,17 +140,31 @@ def _check_overflow(what: str, years: np.ndarray, values: np.ndarray) -> None:
         raise ThermoeconError(f"{what} overflows double precision at year {years[bad.argmax()]}")
 
 
+def _finite(value: float) -> bool:
+    """False for NaN, +-inf and an int past double range; never converts to float."""
+    return abs(value) <= _FLOAT_MAX
+
+
 def _positive(name: str, value: float) -> None:
     """Raise ThermoeconError unless the scalar `value` is finite and positive."""
-    if not math.isfinite(value):
-        raise ThermoeconError(f"{name} must be finite, got {value}")
-    if value <= 0.0:
-        raise ThermoeconError(f"{name} must be positive, got {value}")
+    if not 0.0 < value <= _FLOAT_MAX:
+        rule = "positive" if _finite(value) else "finite"
+        raise ThermoeconError(f"{name} must be {rule}, got {value}")
 
 
-def _values_on(years: np.ndarray, values) -> np.ndarray:
-    """`values` as a private float64 copy, which must have the shape of the 1-d `years`."""
-    values = np.array(values, dtype=float, ndmin=1)
+def _representable(value: float, what: str, *args) -> None:
+    """Raise ThermoeconError unless `value` is nonzero and finite; formats `what` only then."""
+    if not (value != 0.0 and _finite(value)):
+        fate = "rounds to zero in" if value == 0.0 else "overflows"
+        raise ThermoeconError(f"{what.format(*args)} {fate} double precision")
+
+
+def _values_on(years: np.ndarray, values, label: str) -> np.ndarray:
+    """`values` of series `label` as a private float64 copy shaped as the 1-d `years`."""
+    try:
+        values = np.array(values, dtype=float, ndmin=1)
+    except OverflowError:  # a Python int past double range
+        raise ThermoeconError(f"non-finite value in series {label!r}") from None
     if years.ndim != 1 or values.shape != years.shape:
         raise ThermoeconError("years and values must be 1-d and the same length")
     return values
@@ -154,26 +172,21 @@ def _values_on(years: np.ndarray, values) -> np.ndarray:
 
 def _int64_years(years: np.ndarray) -> np.ndarray:
     """`years` as a private int64 copy; ThermoeconError unless every year is an integer."""
-    # signed-integer years pass this check by construction; float and
-    # object (Python int) years the int64 cast cannot hold (NaN, inf,
-    # 2**63 and beyond) fail before the cast, which would warn or raise
+    # signed-integer years pass by construction; float and object (Python
+    # int) years past int64 (NaN, inf, 2**63 on) fail before the cast warns or raises
     if years.dtype.kind != "i" and years.size:
-        castable = years.dtype.kind not in "fO" or (
-            (years >= -_INT64_FLOAT_BOUND) & (years < _INT64_FLOAT_BOUND)
-        ).all()
+        with np.errstate(invalid="ignore"):  # a NaN among Python ints warns here
+            castable = years.dtype.kind not in "fO" or (
+                (years >= -_INT64_FLOAT_BOUND) & (years < _INT64_FLOAT_BOUND)
+            ).all()
         if not (castable and np.array_equal(years, years.astype(np.int64))):
             raise ThermoeconError("years must be integers")
     return years.astype(np.int64)
 
 
-def _checked_years(years: np.ndarray) -> np.ndarray:
-    """1-d `years` as a private read-only int64 copy: integers, strictly increasing."""
-    years = _int64_years(years)
-    # compares neighbours directly: np.diff would wrap at extreme years
-    if (years[1:] <= years[:-1]).any():
-        raise ThermoeconError("years must be strictly increasing with no duplicates")
-    years.flags.writeable = False
-    return years
+def _increasing(years: np.ndarray) -> bool:
+    """True if the int64 `years` strictly increase; np.diff would wrap at extreme years."""
+    return not (years[1:] <= years[:-1]).any()
 
 
 def _checked_values(values: np.ndarray, unit: Unit, label: str) -> np.ndarray:
@@ -222,7 +235,7 @@ def interpolate(series: AnnualSeries, year_grid: Sequence[int]) -> AnnualSeries:
             f"grid [{grid.min()}, {grid.max()}] extrapolates beyond series "
             f"{series.label!r} coverage [{series.first_year}, {series.last_year}]"
         )
-    if not np.all(np.diff(grid) > 0):
+    if not _increasing(grid):
         raise ThermoeconError("year_grid must be strictly increasing")
 
     if np.any(series.values <= 0.0):
@@ -259,8 +272,7 @@ def cumulative_integral(series: AnnualSeries, from_year: int, initial: float) ->
         )
     if not series.is_dense:
         raise ThermoeconError(f"series {series.label!r} has gaps; interpolate before integrating")
-    # NaN, inf and an int past double range all fail this
-    if not abs(initial) <= sys.float_info.max:
+    if not _finite(initial):
         raise ThermoeconError(f"initial must be finite, got {initial}")
     v = series.values
     with np.errstate(all="ignore"):
@@ -284,13 +296,7 @@ def log_derivative(series: AnnualSeries) -> AnnualSeries:
         )
     if np.any(series.values <= 0.0):
         raise ThermoeconError("log_derivative requires strictly positive values")
-    ln = np.log(series.values)
-    out = np.empty_like(ln)
-    out[0] = ln[1] - ln[0]
-    out[-1] = ln[-1] - ln[-2]
-    if len(series) > 2:
-        out[1:-1] = 0.5 * (ln[2:] - ln[:-2])
-    return series.with_values(out, Unit.PER_YEAR_FRACTION)
+    return series.with_values(np.gradient(np.log(series.values)), Unit.PER_YEAR_FRACTION)
 
 
 def rolling_mean(series: AnnualSeries, window_years: int) -> AnnualSeries:

@@ -541,6 +541,16 @@ class TestErrorHandling:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    def test_forecast_overflow_names_the_first_year(self, tmp_path, capsys):
+        # gdp passes the largest double in 2044, a year before wealth does
+        argv = ["forecast", "--builtin-table1", "--eta0", "20", "--tau-eta", "0"]
+        assert run(*argv, "--horizon", "50", "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: forecast overflows double precision at year 2044 (gdp); shorten the horizon\n"
+        )
+        assert captured.out == ""
+
     def test_history_from_two_billion_years_back(self, tmp_path, capsys):
         gdp, power = synthetic_inputs(tmp_path)
         history = tmp_path / "history.csv"

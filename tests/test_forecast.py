@@ -15,17 +15,21 @@ from thermoecon import (
     SECONDS_PER_YEAR,
     ThermoeconError,
     Unit,
+    build_wealth,
+    cumulative_integral,
     doubling_time_series,
     doubling_times,
     eta_from_productivity,
     eta_trajectory,
     forecast,
+    interpolate,
     log_wealth_ratio,
+    write_table,
 )
 from thermoecon.forecast import LN2, ForecastPath, _materialize
 from thermoecon.series import MAX_GRID_YEARS, annual_grid
 
-from test_series import exactly, exponential_series
+from test_series import exactly, exponential_series, scalars
 
 
 def forecast_base2(scenario: Scenario) -> ForecastPath:
@@ -74,21 +78,20 @@ def reference_log_columns(scenario: Scenario):
 
 
 def forecast_reference(scenario: Scenario):
-    """The original forecast() arithmetic and overflow check, kept as the oracle.
+    """The original forecast() arithmetic, kept as the oracle, with an overflow
+    check that names the first year any quantity overflows.
 
     Returns the grid years and the raw (wealth, eta, gdp, power) columns
     without building series, so a column that rounded to zero can be seen.
     """
     years = scenario.years
     eta, log_c, log_gdp, log_power = reference_log_columns(scenario)
-    for quantity, log_values in (
-        ("wealth", log_c),
-        ("gdp", log_gdp),
-        ("power", log_power),
-    ):
-        over = log_values > _LOG_FLOAT_MAX
-        if np.any(over):
-            raise HorizonOverflowError(int(years[np.argmax(over)]), quantity)
+    # the first year any quantity overflows, then the first quantity in it
+    over = np.array([log_c, log_gdp, log_power]) > _LOG_FLOAT_MAX
+    if over.any():
+        i = int(over.any(axis=0).argmax())
+        quantity = ("wealth", "gdp", "power")[int(over[:, i].argmax())]
+        raise HorizonOverflowError(int(years[i]), quantity)
     c = np.exp(log_c)
     gdp = np.exp(log_gdp)
     power = np.exp(log_power)
@@ -152,10 +155,11 @@ def materialize_reference(
 ) -> ForecastPath:
     """Oracle: _materialize as it was, checking its block twice.
 
-    One exp over the (4, n) block, one max as the overflow proof with the
-    wealth, gdp, power inf scan behind it, the start-row pin, a gdp-zero
-    test, and then the four columns built with the public constructor,
-    which copies and checks the years again and every row a second time.
+    One exp over the (4, n) block, one max as the overflow proof with a
+    first-year scan of wealth, gdp and power behind it, the start-row pin,
+    a gdp-zero test, and then the four columns built with the public
+    constructor, which copies and checks the years again and every row a
+    second time.
     """
     block = np.empty((4, years.size))
     block[0] = log_c
@@ -165,10 +169,12 @@ def materialize_reference(
     np.exp(block, out=block)
     block[1] = eta
     if not block.max() < math.inf:
-        for row, quantity in ((0, "wealth"), (2, "gdp"), (3, "power")):
-            over = np.isinf(block[row])
-            if over.any():
-                raise HorizonOverflowError(int(years[over.argmax()]), quantity)
+        # the first year any of wealth, gdp, power is inf, then the first of them
+        over = np.isinf(block[[0, 2, 3]])
+        if over.any():
+            i = int(over.any(axis=0).argmax())
+            quantity = ("wealth", "gdp", "power")[int(over[:, i].argmax())]
+            raise HorizonOverflowError(int(years[i]), quantity)
     c0, eta0 = scenario.c0, scenario.eta0
     block[:, 0] = (c0, eta0, eta0 * c0, scenario.lambda0 / 1000.0 * c0)
     gdp = block[2]
@@ -733,6 +739,31 @@ class TestOverflow:
     def test_safe_horizon_does_not_raise(self):
         forecast(scenario(horizon_years=100, tau_eta=100.0))
 
+    @pytest.mark.parametrize(
+        "kw, year, quantity",
+        [
+            # the 2009 state at 20 /yr: gdp passes the largest double in
+            # 2044, a year before wealth does
+            (dict(eta0=20.0, horizon_years=50, tau_eta=None), 2044, "gdp"),
+            # power overflows in 2019, wealth only in 2087
+            (
+                dict(c0=math.exp(702), eta0=0.1, lambda0=9e5, horizon_years=100, tau_eta=None),
+                2019,
+                "power",
+            ),
+            (
+                dict(c0=2.0, eta0=3.0, lambda0=1.0, horizon_years=237, tau_eta=None),
+                2245,
+                "gdp",
+            ),
+        ],
+        ids=["gdp_a_year_before_wealth", "power_decades_before_wealth", "gdp_at_2245"],
+    )
+    def test_names_the_first_year_any_quantity_overflows(self, kw, year, quantity):
+        with pytest.raises(HorizonOverflowError) as err:
+            forecast(scenario(**kw))
+        assert (err.value.year, err.value.quantity) == (year, quantity)
+
 
 class TestOverflowBoundary:
     # a frozen-eta run one year long: at 2010, ln C = ln c0 + eta0, and
@@ -925,3 +956,130 @@ class TestDoublingTimeSeries:
         delta_c, delta_eta = doubling_time_series(rising, window_years=5)
         assert np.array_equal(delta_eta.years, rising.years)
         assert np.allclose(delta_eta.values, np.log(2.0) / 0.01, rtol=1e-9)
+
+
+_HUGE = 10**400
+
+
+class TestArgumentsPastDoubleRange:
+    """Python ints past double range, and exact int products that leave it,
+    get the messages a non-finite float or an overflowing product gets."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: scenario(c0=_HUGE, horizon_years=10),
+                f"c0 must be finite, got {_HUGE}",
+            ),
+            (
+                lambda: scenario(c0=1.0, horizon_years=10, tau_eta=_HUGE),
+                f"tau_eta must be finite and nonzero, got {_HUGE}; use None for no innovation",
+            ),
+            (lambda: doubling_times(_HUGE), f"eta must be finite, got {_HUGE}"),
+            (lambda: doubling_times(0.02, _HUGE), f"tau_eta must be finite, got {_HUGE}"),
+            (
+                lambda: eta_from_productivity(7.0, _HUGE),
+                f"energy productivity must be finite, got {_HUGE}",
+            ),
+            (lambda: log_wealth_ratio(_HUGE, 10.0, 1.0), f"eta0 must be finite, got {_HUGE}"),
+            (lambda: eta_trajectory(-_HUGE, None, 1.0), f"eta0 must be finite, got {-_HUGE}"),
+            (
+                lambda: scenario(c0=10**200, eta0=10**200, horizon_years=10),
+                f"initial gdp eta0 * c0 = {10**200} * {10**200} overflows double precision",
+            ),
+        ],
+        ids=[
+            "scenario_c0",
+            "scenario_tau",
+            "doubling_eta",
+            "doubling_tau",
+            "productivity_f",
+            "log_wealth_ratio_eta0",
+            "eta_trajectory_eta0",
+            "scenario_int_gdp_product",
+        ],
+    )
+    def test_refused_with_the_float_message(self, call, message):
+        with pytest.raises(ThermoeconError, match=exactly(message)):
+            call()
+
+    def test_build_wealth_lambda0(self, gdp_ramp):
+        power = gdp_ramp.with_values(gdp_ramp.values / 2.0, Unit.POWER_TERAWATT)
+        with pytest.raises(ThermoeconError, match=exactly(f"lambda0 must be finite, got {_HUGE}")):
+            build_wealth(gdp_ramp, power, lambda0=_HUGE)
+
+    def test_exact_int_eta0_tau_product_past_double_range(self):
+        # eta0 * tau is the int 10**400; the product is reassociated, as
+        # for a float eta0 * tau that overflows
+        assert log_wealth_ratio(10**200, 10**200, 1.0) == pytest.approx(1e200)
+        assert eta_trajectory(10**200, 10**200, 1.0) == pytest.approx(1e200)
+        assert log_wealth_ratio(10**200, -(10**200), 0.0) == 0.0
+
+
+# ints either side of double range and of its square root, of both signs
+_HUGE_INTS = st.sampled_from([10**200, -(10**200), 10**400, -(10**400)])
+
+
+def arguments(low, high):
+    """`test_series.scalars` near [low, high], and ints past double range."""
+    return st.one_of(scalars(low, high), _HUGE_INTS)
+
+
+_GDP = AnnualSeries(
+    np.arange(2000, 2010), np.linspace(1.0, 2.0, 10), Unit.GDP_TRILLION_USD2005_PER_YEAR, "g"
+)
+_POWER = _GDP.with_values(_GDP.values / 2.0, Unit.POWER_TERAWATT, "p")
+
+
+class TestScalarArguments:
+    """Every scalar argument of the forecast helpers, the wealth anchor, the
+    series builders and the table writer either works or ends in a
+    ThermoeconError; no other exception, and no RuntimeWarning under the
+    suite's filter."""
+
+    @given(
+        c0=arguments(1, 5000),
+        eta0=arguments(0, 1),
+        lambda0=arguments(1, 20),
+        horizon=arguments(-2, 60),
+        tau=st.one_of(st.none(), arguments(-500, 500)),
+        f=arguments(0, 1),
+        t=scalars(-10, 100),
+        years=st.one_of(arguments(1995, 2015), st.lists(arguments(1995, 2015), max_size=4)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_return_or_refuse(
+        self, tmp_path_factory, c0, eta0, lambda0, horizon, tau, f, t, years
+    ):
+        path = tmp_path_factory.getbasetemp() / "scalar_arguments.csv"
+        path.unlink(missing_ok=True)
+        grid = np.atleast_1d(np.asarray(years, dtype=object))
+        calls = {
+            "forecast": lambda: forecast(Scenario(c0, eta0, lambda0, 2009, horizon, tau)),
+            "doubling_times": lambda: doubling_times(eta0, tau),
+            "eta_from_productivity": lambda: eta_from_productivity(lambda0, f),
+            "build_wealth": lambda: build_wealth(_GDP, _POWER, lambda0=lambda0),
+            "log_wealth_ratio": lambda: log_wealth_ratio(eta0, tau, t),
+            "eta_trajectory": lambda: eta_trajectory(eta0, tau, t),
+            "cumulative_integral": lambda: cumulative_integral(_GDP, 2000, c0),
+            "AnnualSeries": lambda: AnnualSeries(2009, c0, Unit.GDP_TRILLION_USD2005_PER_YEAR),
+            "with_values": lambda: _GDP.with_values([c0] * len(_GDP)),
+            "interpolate": lambda: interpolate(_GDP, years),
+            "write_table": lambda: write_table(
+                path, years, {"x": (np.ones(grid.size), Unit.YEARS)}
+            ),
+        }
+        done = set()
+        for name, call in calls.items():
+            try:
+                call()
+                done.add(name)
+            except ThermoeconError:
+                pass
+        # a refused grid writes nothing; an accepted one writes each year
+        if "write_table" in done:
+            rows = path.read_text().splitlines()[2:]
+            assert [int(row.split(",")[0]) for row in rows] == [int(y) for y in grid]
+        else:
+            assert not path.exists()

@@ -445,6 +445,18 @@ class TestMultiColumn:
         assert np.array_equal(back.years, sparse.years)
         assert np.array_equal(back.values, sparse.values)
 
+    @pytest.mark.parametrize("grid", [[2000.5], [np.nan], [2**70], [2000, 2001.5]])
+    def test_non_integer_grid_year_refused_before_writing(self, tmp_path, grid):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ThermoeconError, match=exactly("years must be integers")):
+            write_table(path, grid, {"a": (np.ones(len(grid)), Unit.YEARS)})
+        assert not path.exists()
+
+    def test_scalar_grid_is_one_year(self, tmp_path):
+        # a scalar year is a one-year grid, as interpolate takes it
+        path = write_table(tmp_path / "t.csv", 2000, {"a": (np.array([1.5]), Unit.YEARS)})
+        assert path.read_text().splitlines()[-1] == "2000,1.5"
+
     def test_unknown_raw_token_rejected_at_write(self, tmp_path):
         with pytest.raises(
             ThermoeconError, match=exactly("unknown unit token 'bogus' for column 'r'")

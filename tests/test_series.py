@@ -236,6 +236,14 @@ class TestAnnualSeries:
         with pytest.raises(ThermoeconError, match=exactly("years must be integers")):
             AnnualSeries(np.asarray(years), np.ones(2), Unit.DIMENSIONLESS)
 
+    @pytest.mark.parametrize("years", [[-(2**63) - 1, np.nan], [np.nan, 10**400]])
+    def test_nan_among_python_ints_rejected_without_warning(self, years):
+        # Python ints past int64 make an object array; its NaN must not warn
+        with pytest.raises(ThermoeconError, match=exactly("years must be integers")):
+            AnnualSeries(np.asarray(years), np.ones(2), Unit.DIMENSIONLESS)
+        with pytest.raises(ThermoeconError, match=exactly("years must be integers")):
+            interpolate(series(np.ones(3)), years)
+
     def test_float_years_at_the_int64_bounds(self):
         s = AnnualSeries(np.array([-(2.0**63), 2.0**62]), np.ones(2), Unit.DIMENSIONLESS)
         assert list(s.years) == [-(2**63), 2**62]
@@ -245,6 +253,13 @@ class TestAnnualSeries:
             series([1.0, np.nan])
         with pytest.raises(ThermoeconError, match=exactly("non-finite value in series ''")):
             series([1.0, np.inf])
+
+    def test_int_values_past_double_range_rejected(self):
+        with pytest.raises(ThermoeconError, match=exactly("non-finite value in series ''")):
+            AnnualSeries([2000], [10**400], Unit.YEARS)
+        s = series([1.0, 2.0])
+        with pytest.raises(ThermoeconError, match=exactly("non-finite value in series 'big'")):
+            s.with_values([1, -(10**400)], label="big")
 
     def test_physical_units_must_be_positive(self):
         with pytest.raises(
@@ -440,6 +455,12 @@ class TestInterpolate:
         for grid in ([1970.5, 1975.9], np.array([np.nan]), [1970, np.inf], [2**64]):
             with pytest.raises(ThermoeconError, match=exactly("years must be integers")):
                 interpolate(table1.gdp, grid)
+
+    def test_extreme_grid_years_do_not_wrap(self):
+        years = np.array([-(2**63), 2**62])
+        s = AnnualSeries(years, np.ones(2), Unit.DIMENSIONLESS)
+        out = interpolate(s, years)
+        assert np.array_equal(out.years, years) and np.array_equal(out.values, s.values)
 
 
 class TestCumulativeIntegral:
