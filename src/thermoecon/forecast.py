@@ -69,7 +69,10 @@ class Scenario:
             raise ThermoeconError(
                 f"horizon_years must be a non-negative integer, got {self.horizon_years}"
             )
-        _check_tau(self.tau_eta)
+        if (tau := self.tau_eta) is not None and (not _finite(tau) or tau == 0.0):
+            raise ThermoeconError(
+                f"tau_eta must be finite and nonzero, got {tau}; use None for no innovation"
+            )
         # the start column of every forecast holds these; int products never reach inf
         gdp0, power0 = self.eta0 * self.c0, self.lambda0 / 1000.0 * self.c0
         if not (0.0 < gdp0 <= _FLOAT_MAX and 0.0 < power0 <= _FLOAT_MAX):
@@ -81,14 +84,6 @@ class Scenario:
         years = annual_grid(self.start_year, self.start_year + self.horizon_years)
         years.flags.writeable = False
         object.__setattr__(self, "years", years)
-
-
-def _check_tau(tau_eta: float | None) -> None:
-    """Raise ThermoeconError unless tau_eta is None or finite and nonzero."""
-    if tau_eta is not None and (not _finite(tau_eta) or tau_eta == 0.0):
-        raise ThermoeconError(
-            f"tau_eta must be finite and nonzero, got {tau_eta}; use None for no innovation"
-        )
 
 
 def _closed_form(
@@ -116,35 +111,6 @@ def _closed_form(
     np.exp(x, out=x)
     x *= eta0
     return log_ratio, x
-
-
-def log_wealth_ratio(eta0: float, tau_eta: float | None, t) -> float | np.ndarray:
-    """ln(C(t)/C0) at t years after the start, exact to rounding.
-
-    An eta0 * tau that rounds to zero or overflows takes the reassociated
-    product, so t = 0 gives 0 for every valid pair. The value itself
-    overflows to inf once it leaves double range, as it soon does for a
-    tiny tau. eta0 and tau_eta are refused as Scenario refuses them.
-    """
-    _positive("eta0", eta0)
-    _check_tau(tau_eta)
-    # the column not returned may overflow where this one does not
-    with np.errstate(all="ignore"):
-        out = _closed_form(eta0, tau_eta, np.array(t, dtype=float))[0]
-    return out if out.ndim else float(out)
-
-
-def eta_trajectory(eta0: float, tau_eta: float | None, t) -> float | np.ndarray:
-    """Rate of return at t years after the start.
-
-    eta0 and tau_eta are refused as Scenario refuses them.
-    """
-    _positive("eta0", eta0)
-    _check_tau(tau_eta)
-    # the column not returned may overflow where this one does not
-    with np.errstate(all="ignore"):
-        out = _closed_form(eta0, tau_eta, np.array(t, dtype=float))[1]
-    return out if out.ndim else float(out)
 
 
 def eta_from_productivity(lambda0: float, f: float) -> float:

@@ -16,8 +16,10 @@ Report files with several value columns declare them explicitly:
     2009,2300,0.0214
 
 An empty cell in a multi-column file means "no value that year" and the
-point is skipped, which is how sparse columns round-trip. Years must fit
-in int64 and values must be finite (no nan, inf or 1e400).
+point is skipped, which is how sparse columns round-trip; a column with
+no value in any row loads as an empty series, but a file with no data
+rows is refused. Years must fit in int64 and values must be finite (no
+nan, inf or 1e400).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParseError, ThermoeconError
-from .series import AnnualSeries, _int64_years
+from .series import AnnualSeries, _increasing, _int64_years
 from .units import FILE_TOKENS, Unit, parse_unit_token
 
 _UNIT_RE = re.compile(r"^#\s*unit:\s*(\S+)\s*$")
@@ -67,6 +69,7 @@ def load_series(
     columns: list[str] | None = None
     column_units: dict[str, str] = {}
     points: dict[int, float] = {}
+    has_rows = False
     n_fields, idx = 2, 1  # plain files: year,value; idx None = no such column
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -91,6 +94,7 @@ def load_series(
                 column_units[m.group(1)] = m.group(2)
             continue
 
+        has_rows = True
         # split the unstripped row: a sparse last column in TSV ends in a tab
         fields = raw.split("\t" if "\t" in raw else ",")
         if len(fields) != n_fields:
@@ -142,7 +146,7 @@ def load_series(
             f"{name}: declared unit {token!r} is {unit.token}, expected {expected_unit.token}"
         )
 
-    if not points:
+    if not has_rows:
         raise ThermoeconError(f"{name}: no data rows")
 
     years = np.fromiter(points, dtype=np.int64, count=len(points))
@@ -210,11 +214,14 @@ def write_table(
     presentation scale. Grid years missing from a series become empty
     cells (sparse columns such as doubling times that are undefined in
     non-innovating stretches); values at years off the grid are not
-    written, and a non-integer grid year is refused before writing.
+    written. A non-integer grid year, or a grid that is not strictly
+    increasing and so would not load back, is refused before writing.
     """
     path = Path(path)
     delim = "\t" if fmt == "tsv" else ","
     grid = _int64_years(np.atleast_1d(np.asarray(year_grid)))
+    if not _increasing(grid):
+        raise ThermoeconError("year_grid must be strictly increasing")
     cols = [_column_cells(grid, name, column) for name, column in columns.items()]
     lines = [f"# {c}" for c in comments]
     lines.append("# columns: year," + ",".join(columns))

@@ -13,20 +13,19 @@ import time
 import numpy as np
 
 from thermoecon import (
-    FitResult,
     Scenario,
-    SECONDS_PER_YEAR,
     Unit,
     builtin_table1,
     doubling_times,
     eta_from_productivity,
-    eta_trajectory,
     forecast,
     load_series,
-    log_wealth_ratio,
     run_fit,
 )
 from thermoecon.cli import main as cli_main
+from thermoecon.forecast import _closed_form
+from thermoecon.growth import FitResult
+from thermoecon.units import SECONDS_PER_YEAR
 
 from test_forecast import forecast_base2
 
@@ -144,11 +143,9 @@ def test_criterion_07_wealth_growth_rate_matches_eta():
         eta0 = float(rng.uniform(0.005, 0.05))
         tau = float(rng.uniform(30.0, 300.0))
         for t in rng.uniform(0.0, 40.0, size=5):
-            fd = (
-                log_wealth_ratio(eta0, tau, t + h)
-                - log_wealth_ratio(eta0, tau, t - h)
-            ) / (2.0 * h)
-            worst = max(worst, abs(fd - eta_trajectory(eta0, tau, t)))
+            log_ratio, eta = _closed_form(eta0, tau, np.array([t + h, t - h, t]))
+            fd = (log_ratio[0] - log_ratio[1]) / (2.0 * h)
+            worst = max(worst, abs(fd - eta[2]))
     assert worst <= 1e-4
     print(
         f"criterion 7: PASS (d ln C/dt deviates from eta by at most {worst:.2e} "

@@ -1,11 +1,19 @@
+import io
+import math
 import re
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoecon import Unit, load_series, run_fit
 from thermoecon.cli import main
+from thermoecon.units import parse_unit_token
 
 from test_ingest import write_series_reference
 from test_series import exponential_series
@@ -251,6 +259,13 @@ class TestFigure2Command:
         assert missing == [2007, 2008, 2009]
         assert delta_c.value_at(1970) == pytest.approx(50.967, abs=2e-3)
         assert delta_c.value_at(2009) == pytest.approx(32.633, abs=2e-3)
+
+    def test_column_with_no_positive_trend_loads_empty(self, tmp_path):
+        # a large lambda0 leaves the smoothed eta trend negative in every year
+        assert run("figure2", "--builtin-table1", "--lambda0", "100", "--out", str(tmp_path)) == 0
+        path = tmp_path / "figure2_data.csv"
+        assert len(load_series(path, Unit.YEARS, column="delta_c_years")) == 40
+        assert len(load_series(path, Unit.YEARS, column="delta_eta_years")) == 0
 
     def test_empty_cells_written_for_missing_years(self, tmp_path):
         run("figure2", "--builtin-table1", "--out", str(tmp_path))
@@ -618,3 +633,114 @@ class TestErrorHandling:
             run("--version")
         assert exc.value.code == 0
         assert "thermoecon 0.1.0" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every command line ends in exit 0 with loadable outputs, or in
+# exit 2 with one error line. Any float and any fault can be drawn, but
+# plausible values are drawn more often, so that many runs get past the
+# checks and write files.
+
+_SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, 1e-320, 1e308, math.nan, math.inf])
+
+
+def _all_heads(draw, flips):
+    """True with odds 1 in 2**flips; a drawn integer would skew towards 0."""
+    return all(draw(st.booleans()) for _ in range(flips))
+
+
+def _flag(draw, name, low, high):
+    """No flag, a plausible value or, one time in four, any float."""
+    if _all_heads(draw, 2):
+        value = draw(st.one_of(st.floats(), _SPECIAL_FLOATS))
+    else:
+        value = draw(st.one_of(st.none(), st.floats(low, high)))
+    # the = form, so argparse takes a negative number as the value
+    return [] if value is None else [f"--{name}={value!r}"]
+
+
+@st.composite
+def input_file(draw, unit, years):
+    """The bytes of one input file with a row for each of `years`.
+
+    A BOM and CRLF line ends are valid; a missing, foreign or unknown unit
+    header, a value that is not a positive finite float and a byte that is
+    not UTF-8 are not. Rows come in drawn order, so years may repeat or
+    run backwards.
+    """
+    token = draw(st.sampled_from([None, "years", "bogus"])) if _all_heads(draw, 3) else unit.token
+    cells = st.floats() if _all_heads(draw, 3) else st.floats(1e-3, 1e3)
+    lines = ["# generated"] + ([] if token is None else [f"# unit: {token}"])
+    lines += [f"{year},{draw(cells)!r}" for year in years]
+    data = (("\r\n" if draw(st.booleans()) else "\n").join(lines) + "\n").encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if _all_heads(draw, 3):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@st.composite
+def command_lines(draw, directory):
+    """(argv, {path: bytes}) for one run of fit, forecast, figure2 or table1."""
+    command = draw(st.sampled_from(["fit", "forecast", "figure2", "table1"]))
+    argv, files = [command, "--format", draw(st.sampled_from(["csv", "tsv"]))], {}
+    builtin = command == "table1" or draw(st.booleans())
+    # forecast refuses --lambda0 with the built-in table
+    if not (command == "forecast" and builtin) or _all_heads(draw, 3):
+        argv += _flag(draw, "lambda0", 2.0, 20.0)
+    if command == "table1":
+        return argv + (["--index-1970"] if draw(st.booleans()) else []), files
+    year = st.integers(-3000, 3000)
+    if builtin:
+        argv.append("--builtin-table1")
+        years = list(range(1970, 2010))
+    else:
+        years = draw(st.lists(year, min_size=1, max_size=30, unique=not _all_heads(draw, 2)))
+        history = draw(st.one_of(st.none(), st.lists(year, max_size=30)))
+        inputs = [("gdp", GDP, years), ("power", POWER, years), ("historical-gdp", GDP, history)]
+        for flag, unit, rows in inputs:
+            if rows is not None:
+                path = directory / f"{flag}.csv"
+                files[path] = draw(input_file(unit, rows))
+                argv += [f"--{flag}", str(path)]
+    if _all_heads(draw, 3):
+        argv.append("--window=" + draw(st.sampled_from(["1970", "a:b", ":", "1:2:3"])))
+    elif draw(st.booleans()):
+        end = st.one_of(st.sampled_from(years), st.integers(-3100, 3100))
+        window = draw(end), draw(end)
+        argv.append("--window={}:{}".format(*(window if _all_heads(draw, 2) else sorted(window))))
+    if command == "forecast":
+        argv += _flag(draw, "eta0", 1e-3, 0.1) + _flag(draw, "tau-eta", -500.0, 500.0)
+        if draw(st.booleans()):
+            argv.append(f"--horizon={draw(st.integers(-5, 3000))}")
+    return argv, files
+
+
+class TestCommandLineFuzz:
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_exit_zero_with_loadable_outputs_or_one_error_line(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            argv, files = data.draw(command_lines(directory), label="argv, files")
+            for path, text in files.items():
+                path.write_bytes(text)
+            out, stderr = directory / "out", io.StringIO()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+                    code = main([*argv, "--out", str(out)])
+            err = stderr.getvalue()
+            if code == 2:
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+                return
+            assert code == 0 and err == ""
+            reports = [p for p in out.iterdir() if p.suffix in (".csv", ".tsv")]
+            assert reports
+            for path in reports:
+                # every column of every report loads back under its own unit
+                text = path.read_text(encoding="utf-8")
+                for name, token in re.findall(r"^# unit\.(\w+): (\S+)$", text, re.MULTILINE):
+                    load_series(path, parse_unit_token(token)[0], column=name)

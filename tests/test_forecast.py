@@ -12,22 +12,18 @@ from thermoecon import (
     HorizonOverflowError,
     HorizonUnderflowError,
     Scenario,
-    SECONDS_PER_YEAR,
     ThermoeconError,
     Unit,
-    build_wealth,
-    cumulative_integral,
     doubling_time_series,
     doubling_times,
     eta_from_productivity,
-    eta_trajectory,
     forecast,
-    interpolate,
-    log_wealth_ratio,
     write_table,
 )
-from thermoecon.forecast import LN2, ForecastPath, _materialize
-from thermoecon.series import MAX_GRID_YEARS, annual_grid
+from thermoecon.forecast import LN2, ForecastPath, _closed_form, _materialize
+from thermoecon.growth import build_wealth
+from thermoecon.series import MAX_GRID_YEARS, annual_grid, cumulative_integral, interpolate
+from thermoecon.units import SECONDS_PER_YEAR
 
 from test_series import exactly, exponential_series, scalars
 
@@ -68,10 +64,9 @@ def reference_log_columns(scenario: Scenario):
     """The oracle's eta and its ln wealth, ln gdp and ln power columns."""
     years = scenario.years
     t = (years - scenario.start_year).astype(float)
-    log_c = math.log(scenario.c0) + np.asarray(
-        log_wealth_ratio(scenario.eta0, scenario.tau_eta, t)
-    )
-    eta = np.asarray(eta_trajectory(scenario.eta0, scenario.tau_eta, t))
+    with np.errstate(all="ignore"):
+        log_ratio, eta = _closed_form(scenario.eta0, scenario.tau_eta, t.copy())
+    log_c = math.log(scenario.c0) + log_ratio
     log_gdp = log_c + np.log(eta)
     log_power = log_c + math.log(scenario.lambda0 / 1000.0)
     return eta, log_c, log_gdp, log_power
@@ -138,8 +133,9 @@ def assert_matches_reference(sc: Scenario):
 def materialize_inputs(sc: Scenario):
     """The log wealth and eta columns that forecast() hands to _materialize."""
     t = (sc.years - sc.start_year).astype(float)
-    log_c = math.log(sc.c0) + log_wealth_ratio(sc.eta0, sc.tau_eta, t)
-    return log_c, eta_trajectory(sc.eta0, sc.tau_eta, t)
+    with np.errstate(all="ignore"):
+        log_ratio, eta = _closed_form(sc.eta0, sc.tau_eta, t.copy())
+    return math.log(sc.c0) + log_ratio, eta
 
 
 _REFERENCE_UNITS = (
@@ -449,55 +445,31 @@ class TestDerivativeIdentity:
     @settings(max_examples=60)
     def test_log_slope_equals_eta(self, eta0, tau, t):
         h = 0.01
-        fd = (
-            log_wealth_ratio(eta0, tau, t + h) - log_wealth_ratio(eta0, tau, t - h)
-        ) / (2.0 * h)
-        assert fd == pytest.approx(eta_trajectory(eta0, tau, t), abs=1e-4)
+        log_ratio, eta = _closed_form(eta0, tau, np.array([t + h, t - h, t]))
+        fd = (log_ratio[0] - log_ratio[1]) / (2.0 * h)
+        assert fd == pytest.approx(eta[2], abs=1e-4)
 
     def test_vector_evaluation(self):
         t = np.linspace(0.0, 30.0, 7)
-        out = log_wealth_ratio(0.02, 100.0, t)
+        out = _closed_form(0.02, 100.0, t.copy())[0]
         assert out.shape == t.shape
         assert out[0] == 0.0
-
-    @pytest.mark.parametrize("helper", [log_wealth_ratio, eta_trajectory])
-    def test_zero_tau_refused(self, helper):
-        with pytest.raises(
-            ThermoeconError,
-            match=exactly(
-                "tau_eta must be finite and nonzero, got 0.0; use None for no innovation"
-            ),
-        ):
-            helper(0.02, 0.0, 1.0)
-
-    def test_nan_eta0_refused(self):
-        with pytest.raises(ThermoeconError, match=exactly("eta0 must be finite, got nan")):
-            log_wealth_ratio(math.nan, 10.0, 1.0)
-
-    def test_scalar_and_array_results(self):
-        assert type(log_wealth_ratio(0.02, None, 2.0)) is float
-        assert type(eta_trajectory(0.02, 100.0, 2.0)) is float
-        t = np.array([0.0, 1.0, 2.0])
-        assert eta_trajectory(0.02, None, t).tolist() == [0.02] * 3
-        assert np.array_equal(eta_trajectory(0.02, 100.0, t), 0.02 * np.exp(t / 100.0))
-        assert t.tolist() == [0.0, 1.0, 2.0]
 
     @pytest.mark.parametrize("tau", [1e200, -1e200])
     def test_overflowing_eta0_tau_product(self, tau):
         # eta0 * tau is inf; ln(C(t)/C0) is still 0 at t = 0 and about
         # eta0 * t at t = 1, with no NaN and no RuntimeWarning
-        assert log_wealth_ratio(1e200, tau, 0.0) == 0.0
-        assert log_wealth_ratio(1e200, tau, 1.0) == 1e200
-        out = log_wealth_ratio(1e200, tau, np.array([0.0, 1.0]))
+        out = _closed_form(1e200, tau, np.array([0.0, 1.0]))[0]
         assert out.tolist() == [0.0, 1e200]
 
     def test_column_not_returned_may_overflow_silently(self):
         # eta overflows where ln(C/C0) does not, and the other way round;
-        # the suite's error::RuntimeWarning filter fails on a stray warning
-        assert eta_trajectory(1e306, 1e6, 1000.0) == 1.0010005001667084e306
-        assert log_wealth_ratio(100.0, 0.01, 7.07) == 1.1122405015634333e307
-        # a returned value past double range is inf
-        assert eta_trajectory(0.02, 1.0, 1000.0) == math.inf
+        # forecast() ignores the warnings and names the failing year itself
+        with np.errstate(all="ignore"):
+            assert _closed_form(1e306, 1e6, np.array([1000.0]))[1][0] == 1.0010005001667084e306
+            assert _closed_form(100.0, 0.01, np.array([7.07]))[0][0] == 1.1122405015634333e307
+            # a value past double range is inf
+            assert _closed_form(0.02, 1.0, np.array([1000.0]))[1][0] == math.inf
 
 
 class TestBase2Form:
@@ -982,8 +954,14 @@ class TestArgumentsPastDoubleRange:
                 lambda: eta_from_productivity(7.0, _HUGE),
                 f"energy productivity must be finite, got {_HUGE}",
             ),
-            (lambda: log_wealth_ratio(_HUGE, 10.0, 1.0), f"eta0 must be finite, got {_HUGE}"),
-            (lambda: eta_trajectory(-_HUGE, None, 1.0), f"eta0 must be finite, got {-_HUGE}"),
+            (
+                lambda: scenario(eta0=_HUGE, horizon_years=10),
+                f"eta0 must be finite, got {_HUGE}",
+            ),
+            (
+                lambda: scenario(eta0=-_HUGE, horizon_years=10),
+                f"eta0 must be finite, got {-_HUGE}",
+            ),
             (
                 lambda: scenario(c0=10**200, eta0=10**200, horizon_years=10),
                 f"initial gdp eta0 * c0 = {10**200} * {10**200} overflows double precision",
@@ -995,8 +973,8 @@ class TestArgumentsPastDoubleRange:
             "doubling_eta",
             "doubling_tau",
             "productivity_f",
-            "log_wealth_ratio_eta0",
-            "eta_trajectory_eta0",
+            "scenario_eta0",
+            "scenario_negative_eta0",
             "scenario_int_gdp_product",
         ],
     )
@@ -1012,9 +990,10 @@ class TestArgumentsPastDoubleRange:
     def test_exact_int_eta0_tau_product_past_double_range(self):
         # eta0 * tau is the int 10**400; the product is reassociated, as
         # for a float eta0 * tau that overflows
-        assert log_wealth_ratio(10**200, 10**200, 1.0) == pytest.approx(1e200)
-        assert eta_trajectory(10**200, 10**200, 1.0) == pytest.approx(1e200)
-        assert log_wealth_ratio(10**200, -(10**200), 0.0) == 0.0
+        log_ratio, eta = _closed_form(10**200, 10**200, np.array([1.0]))
+        assert log_ratio[0] == pytest.approx(1e200)
+        assert eta[0] == pytest.approx(1e200)
+        assert _closed_form(10**200, -(10**200), np.array([0.0]))[0][0] == 0.0
 
 
 # ints either side of double range and of its square root, of both signs
@@ -1045,12 +1024,11 @@ class TestScalarArguments:
         horizon=arguments(-2, 60),
         tau=st.one_of(st.none(), arguments(-500, 500)),
         f=arguments(0, 1),
-        t=scalars(-10, 100),
         years=st.one_of(arguments(1995, 2015), st.lists(arguments(1995, 2015), max_size=4)),
     )
     @settings(max_examples=300, deadline=None)
     def test_return_or_refuse(
-        self, tmp_path_factory, c0, eta0, lambda0, horizon, tau, f, t, years
+        self, tmp_path_factory, c0, eta0, lambda0, horizon, tau, f, years
     ):
         path = tmp_path_factory.getbasetemp() / "scalar_arguments.csv"
         path.unlink(missing_ok=True)
@@ -1060,8 +1038,6 @@ class TestScalarArguments:
             "doubling_times": lambda: doubling_times(eta0, tau),
             "eta_from_productivity": lambda: eta_from_productivity(lambda0, f),
             "build_wealth": lambda: build_wealth(_GDP, _POWER, lambda0=lambda0),
-            "log_wealth_ratio": lambda: log_wealth_ratio(eta0, tau, t),
-            "eta_trajectory": lambda: eta_trajectory(eta0, tau, t),
             "cumulative_integral": lambda: cumulative_integral(_GDP, 2000, c0),
             "AnnualSeries": lambda: AnnualSeries(2009, c0, Unit.GDP_TRILLION_USD2005_PER_YEAR),
             "with_values": lambda: _GDP.with_values([c0] * len(_GDP)),

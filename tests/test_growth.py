@@ -3,19 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoecon import (
-    AnnualSeries,
-    FitResult,
-    SECONDS_PER_YEAR,
-    ThermoeconError,
-    Unit,
-    annual_grid,
-    build_wealth,
-    fit_innovation,
-    fit_lambda,
-    interpolate,
-    run_fit,
-)
+from thermoecon import AnnualSeries, ThermoeconError, Unit, fit_innovation, run_fit
+from thermoecon.growth import FitResult, build_wealth, fit_lambda
+from thermoecon.series import annual_grid, interpolate
+from thermoecon.units import SECONDS_PER_YEAR
 
 from test_series import exactly, exponential_series
 

@@ -47,6 +47,7 @@ def load_series_reference(path, expected_unit, column="value"):
     columns = None
     column_units = {}
     points = {}
+    has_rows = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -68,6 +69,7 @@ def load_series_reference(path, expected_unit, column="value"):
                 column_units[m.group(1)] = m.group(2)
             continue
 
+        has_rows = True
         fields = _split_row_reference(raw)
         if columns is None:
             if len(fields) != 2:
@@ -115,7 +117,7 @@ def load_series_reference(path, expected_unit, column="value"):
             f"{path.name}: declared unit {token!r} is {unit.token}, expected {expected_unit.token}"
         )
 
-    if not points:
+    if not has_rows:
         raise ThermoeconError(f"{path.name}: no data rows")
 
     years = sorted(points)
@@ -366,6 +368,11 @@ class TestMultiColumn:
         assert len(full) == 3
         assert list(holey.years) == [2000, 2002]
 
+    def test_column_with_no_value_round_trips_empty(self, tmp_path):
+        empty = AnnualSeries([], [], Unit.YEARS)
+        path = write_table(tmp_path / "t.csv", [2000, 2001], {"a": empty})
+        assert len(load_series(path, Unit.YEARS, column="a")) == 0
+
     def test_unknown_column_requested(self, tmp_path):
         path = write_table(tmp_path / "t.csv", [2000], {"a": (np.array([1.0]), Unit.YEARS)})
         with pytest.raises(ParseError, match="no column 'b'"):
@@ -449,6 +456,14 @@ class TestMultiColumn:
     def test_non_integer_grid_year_refused_before_writing(self, tmp_path, grid):
         path = tmp_path / "t.csv"
         with pytest.raises(ThermoeconError, match=exactly("years must be integers")):
+            write_table(path, grid, {"a": (np.ones(len(grid)), Unit.YEARS)})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("grid", [[2001, 2000, 2000], [2000, 2000], [2001, 2000]])
+    def test_grid_that_would_not_load_back_refused_before_writing(self, tmp_path, grid):
+        # load_series refuses a duplicate year, and rows out of order are no report
+        path = tmp_path / "t.csv"
+        with pytest.raises(ThermoeconError, match=exactly("year_grid must be strictly increasing")):
             write_table(path, grid, {"a": (np.ones(len(grid)), Unit.YEARS)})
         assert not path.exists()
 
@@ -831,7 +846,8 @@ class TestLoadSeriesFuzz:
         except ThermoeconError as exc:
             assert str(exc).startswith("input.csv: ")
             return
-        assert len(s) and np.isfinite(s.values).all()
+        # only a report file's column may hold no value at all
+        assert (len(s) or b"columns:" in data) and np.isfinite(s.values).all()
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoecon import (
-    AnnualSeries,
-    ThermoeconError,
-    Unit,
+from thermoecon import AnnualSeries, ThermoeconError, Unit, run_fit
+from thermoecon.growth import build_wealth
+from thermoecon.series import (
+    MAX_GRID_YEARS,
     annual_grid,
-    build_wealth,
     cumulative_integral,
     interpolate,
     log_derivative,
     rolling_mean,
-    run_fit,
 )
-from thermoecon.series import MAX_GRID_YEARS
 
 
 def exactly(message):

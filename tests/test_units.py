@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thermoecon import SECONDS_PER_YEAR, ThermoeconError, Unit, parse_unit_token
-from thermoecon.units import FILE_TOKENS, division_rule
+from thermoecon import ThermoeconError, Unit
+from thermoecon.units import FILE_TOKENS, SECONDS_PER_YEAR, division_rule, parse_unit_token
 
 from test_series import exactly
 
