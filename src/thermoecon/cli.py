@@ -20,7 +20,8 @@ from .errors import ThermoeconError
 from .forecast import Scenario, doubling_time_series, forecast
 from .growth import FitResult, fit_innovation, run_fit
 from .ingest import builtin_table1, load_series, write_table
-from .units import Unit
+from .series import AnnualSeries
+from .units import LAMBDA_SCALE, Unit
 
 _VERSION_COMMENT = f"thermoecon {__version__}"
 
@@ -50,6 +51,13 @@ def _reject_with_builtin(args: argparse.Namespace, *names: str) -> None:
             raise ThermoeconError(f"{flag} cannot be combined with --builtin-table1")
 
 
+def _load_input(path: str, unit: Unit) -> AnnualSeries:
+    series = load_series(path, unit)
+    if not len(series):
+        raise ThermoeconError(f"{Path(path).name}: no values in column 'value'")
+    return series
+
+
 def _resolve_fit(args: argparse.Namespace) -> FitResult:
     window = None if args.window is None else _parse_window(args.window)
     if args.builtin_table1:
@@ -60,13 +68,11 @@ def _resolve_fit(args: argparse.Namespace) -> FitResult:
     else:
         if args.gdp is None or args.power is None:
             raise ThermoeconError("provide --gdp and --power, or --builtin-table1")
-        gdp = load_series(args.gdp, Unit.GDP_TRILLION_USD2005_PER_YEAR)
-        power = load_series(args.power, Unit.POWER_TERAWATT)
+        gdp = _load_input(args.gdp, Unit.GDP_TRILLION_USD2005_PER_YEAR)
+        power = _load_input(args.power, Unit.POWER_TERAWATT)
         historical = None
         if args.historical_gdp is not None:
-            historical = load_series(
-                args.historical_gdp, Unit.GDP_TRILLION_USD2005_PER_YEAR
-            )
+            historical = _load_input(args.historical_gdp, Unit.GDP_TRILLION_USD2005_PER_YEAR)
         lambda0 = args.lambda0
     return run_fit(gdp, power, window=window, lambda0=lambda0, historical_gdp=historical)
 
@@ -200,7 +206,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     # the printed ratio row defines its own implied wealth; reconstructing
     # the return column through it reproduces the printed rounding, the
     # trapezoid wealth does not quite
-    implied_wealth = 1000.0 * t1.power.values / ratio_printed
+    implied_wealth = LAMBDA_SCALE * t1.power.values / ratio_printed
     ror_computed = 100.0 * t1.gdp.values / implied_wealth
     ror_printed = 100.0 * t1.rate_of_return.values
     ratio_deviation = ratio_computed - ratio_printed

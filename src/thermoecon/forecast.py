@@ -33,7 +33,7 @@ from .series import (
     log_derivative,
     rolling_mean,
 )
-from .units import SECONDS_PER_YEAR, Unit
+from .units import LAMBDA_SCALE, SECONDS_PER_YEAR, Unit
 
 LN2 = math.log(2.0)
 
@@ -74,7 +74,7 @@ class Scenario:
                 f"tau_eta must be finite and nonzero, got {tau}; use None for no innovation"
             )
         # the start column of every forecast holds these; int products never reach inf
-        gdp0, power0 = self.eta0 * self.c0, self.lambda0 / 1000.0 * self.c0
+        gdp0, power0 = self.eta0 * self.c0, self.lambda0 / LAMBDA_SCALE * self.c0
         if not (0.0 < gdp0 <= _FLOAT_MAX and 0.0 < power0 <= _FLOAT_MAX):
             _representable(gdp0, "initial gdp eta0 * c0 = {} * {}", self.eta0, self.c0)
             what = "initial power lambda0/1000 * c0 = {}/1000 * {}"
@@ -122,7 +122,7 @@ def eta_from_productivity(lambda0: float, f: float) -> float:
     """
     _positive("lambda0", lambda0)
     _positive("energy productivity", f)
-    eta = lambda0 / 1000.0 * f * SECONDS_PER_YEAR
+    eta = lambda0 / LAMBDA_SCALE * f * SECONDS_PER_YEAR
     what = "eta lambda0/1000 * f * seconds per year = {}/1000 * {} * {}"
     _representable(eta, what, lambda0, f, SECONDS_PER_YEAR)
     return eta
@@ -145,8 +145,7 @@ class ForecastPath:
                 raise ThermoeconError("trajectory columns are on different year grids")
 
 
-# the forecast block's rows, in the order their series are checked
-_COLUMNS = ("wealth", "eta", "gdp", "power")
+# the units of the forecast block's rows, in the order their series are checked
 _UNITS = (
     Unit.WEALTH_TRILLION_USD2005,
     Unit.PER_YEAR_FRACTION,
@@ -173,11 +172,11 @@ def _materialize(scenario: Scenario, log_c: np.ndarray, eta: np.ndarray) -> Fore
     The columns may hold inf, 0 or NaN; call under np.errstate(all="ignore").
     """
     years = scenario.years
-    block = np.empty((len(_COLUMNS), years.size))
+    block = np.empty((len(_UNITS), years.size))
     block[0] = log_c
     np.log(eta, out=block[1])
     np.add(log_c, block[1], out=block[2])
-    np.add(log_c, math.log(scenario.lambda0 / 1000.0), out=block[3])
+    np.add(log_c, math.log(scenario.lambda0 / LAMBDA_SCALE), out=block[3])
     np.exp(block, out=block)
     # eta itself, not exp(log(eta)), which may be off by an ulp
     block[1] = eta
@@ -191,7 +190,7 @@ def _materialize(scenario: Scenario, log_c: np.ndarray, eta: np.ndarray) -> Fore
     # pin the start row to the exact scenario state; exp(log(c0)) is off
     # by an ulp and the t=0 identity C(start) == c0 is worth keeping
     c0, eta0 = scenario.c0, scenario.eta0
-    block[:, 0] = (c0, eta0, eta0 * c0, scenario.lambda0 / 1000.0 * c0)
+    block[:, 0] = (c0, eta0, eta0 * c0, scenario.lambda0 / LAMBDA_SCALE * c0)
     labels = (f"wealth from {scenario.start_year}", "rate of return", "gdp", "power")
     if not (finite and block.min() > 0.0):
         # Scenario keeps gdp[0] off zero, so a zero here is a later year
@@ -201,7 +200,7 @@ def _materialize(scenario: Scenario, log_c: np.ndarray, eta: np.ndarray) -> Fore
         for row, unit, label in zip(block, _UNITS, labels):
             _checked_values(row, unit, label)
     block.flags.writeable = False
-    return ForecastPath(scenario, *map(_stored, (years,) * len(_COLUMNS), block, _UNITS, labels))
+    return ForecastPath(scenario, *map(_stored, (years,) * len(_UNITS), block, _UNITS, labels))
 
 
 def forecast(scenario: Scenario) -> ForecastPath:

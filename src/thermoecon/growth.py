@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ThermoeconError
 from .series import AnnualSeries, _positive, annual_grid, cumulative_integral, interpolate
-from .units import Unit
+from .units import LAMBDA_SCALE, Unit
 
 #: Minimum length, in consecutive calendar years, of the GDP/power overlap.
 MIN_FIT_OVERLAP_YEARS = 10
@@ -83,7 +83,7 @@ def build_wealth(
         rate = gdp
         init_mode = "calibrated_from_lambda"
         # Python floats overflow to inf and underflow to 0 without a warning
-        initial = 1000.0 * power0 / lambda0
+        initial = LAMBDA_SCALE * power0 / lambda0
         if not 0.0 < initial < math.inf:
             raise ThermoeconError(
                 f"lambda0 = {lambda0!r} puts the calibrated wealth "

@@ -16,10 +16,11 @@ Report files with several value columns declare them explicitly:
     2009,2300,0.0214
 
 An empty cell in a multi-column file means "no value that year" and the
-point is skipped, which is how sparse columns round-trip; a column with
-no value in any row loads as an empty series, but a file with no data
-rows is refused. Years must fit in int64 and values must be finite (no
-nan, inf or 1e400).
+point is skipped, which is how sparse columns round-trip. A column with
+no value in any row, or a header-only report whose `# columns:` names
+it, loads as an empty series; any other file with no data rows is
+refused. Years must fit in int64 and values must be finite (no nan, inf
+or 1e400).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import ParseError, ThermoeconError
 from .series import AnnualSeries, _increasing, _int64_years
-from .units import FILE_TOKENS, Unit, parse_unit_token
+from .units import FILE_TOKENS, LAMBDA_SCALE, Unit, parse_unit_token
 
 _UNIT_RE = re.compile(r"^#\s*unit:\s*(\S+)\s*$")
 _COLUMNS_RE = re.compile(r"^#\s*columns:\s*(\S+)\s*$")
@@ -146,7 +147,8 @@ def load_series(
             f"{name}: declared unit {token!r} is {unit.token}, expected {expected_unit.token}"
         )
 
-    if not has_rows:
+    # a report whose header names the column loads back with no rows
+    if not has_rows and (columns is None or idx is None):
         raise ThermoeconError(f"{name}: no data rows")
 
     years = np.fromiter(points, dtype=np.int64, count=len(points))
@@ -267,7 +269,7 @@ class Table1(NamedTuple):
         2300.0000000000005 and 0.021400000000000002 of the raw arithmetic.
         """
         power, ratio = self.power.value_at(year), self.power_over_wealth.value_at(year)
-        state = (1000.0 * power / ratio, self.rate_of_return.value_at(year), ratio)
+        state = (LAMBDA_SCALE * power / ratio, self.rate_of_return.value_at(year), ratio)
         return tuple(float(_CELL_SPEC % v) for v in state)
 
 

@@ -250,17 +250,19 @@ def interpolate(series: AnnualSeries, year_grid: Sequence[int]) -> AnnualSeries:
 
 
 def cumulative_integral(series: AnnualSeries, from_year: int, initial: float) -> AnnualSeries:
-    """Trapezoidal running integral of a dense annual rate series.
+    """Wealth accumulated from a dense annual GDP series: dC/dt = Y.
 
     The integral starts at the series' first year with the value `initial`,
     and each later year adds the trapezoid of one annual step. Only the
     years from `from_year` on are returned, so a stock that starts at zero
-    before them never has to be a series of its own. Output unit is the
-    rate unit integrated over years (e.g. T$/yr -> T$), and its token is
-    the output label. A sum past the largest double raises ThermoeconError,
-    as do a from_year that is not an integer and an initial that is not finite.
+    before them never has to be a series of its own. Only GDP (T$/yr)
+    integrates, into wealth (T$), whose token is the output label. A sum
+    past the largest double raises ThermoeconError, as do any other unit,
+    a from_year that is not an integer and an initial that is not finite.
     """
-    out_unit = series.unit.integral_unit
+    if series.unit is not Unit.GDP_TRILLION_USD2005_PER_YEAR:
+        raise ThermoeconError(f"cannot integrate a series in {series.unit.token} over years")
+    out_unit = Unit.WEALTH_TRILLION_USD2005
     if len(series) == 0:
         raise ThermoeconError("cannot integrate an empty series")
     if (year := _integral(from_year)) is None:

@@ -2,8 +2,9 @@
 
 The unit set is deliberately tiny: trillions of constant 2005 MER US dollars,
 terawatts, per-year fractions. Each unit declares its file-header token and
-whether its values must be positive. Cross-unit arithmetic goes through an
-explicit rule table; anything else raises ThermoeconError, never a coercion.
+whether its values must be positive. This module holds lambda's scale and
+the three ratios the fit takes; the one integral is dC/dt = Y. Anything
+else raises ThermoeconError, never a coercion.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from .errors import ThermoeconError
 #: Seconds in one Julian year. The single conversion constant used for every
 #: W <-> $/yr crossing in the package; do not introduce a second convention.
 SECONDS_PER_YEAR = 3.15569e7
+#: W per thousand $ in one TW per T$, so lambda = LAMBDA_SCALE * a / C.
+LAMBDA_SCALE = 1000.0
 
 
 class Unit(enum.Enum):
@@ -35,25 +38,10 @@ class Unit(enum.Enum):
         self.token = token
         self.requires_positive = requires_positive
 
-    @property
-    def integral_unit(self) -> "Unit":
-        """Unit of the cumulative integral over years of a series in this unit."""
-        try:
-            return _INTEGRAL_UNIT[self]
-        except KeyError:
-            raise ThermoeconError(
-                f"cannot integrate a series in {self.token} over years"
-            ) from None
-
-
-_INTEGRAL_UNIT = {
-    Unit.GDP_TRILLION_USD2005_PER_YEAR: Unit.WEALTH_TRILLION_USD2005,
-    Unit.PER_YEAR_FRACTION: Unit.DIMENSIONLESS,
-}
 
 # (numerator, denominator) -> (result unit, scale applied to the raw ratio).
 # Scales carry the T$/TW/k$ bookkeeping:
-#   TW / T$           = W/$        -> *1000 gives W per thousand $
+#   TW / T$           = W/$        -> *LAMBDA_SCALE gives W per thousand $
 #   (T$/yr) / TW      = $/(W yr)   -> /SECONDS_PER_YEAR gives $/J
 _DIVISION_RULES: dict[tuple[Unit, Unit], tuple[Unit, float]] = {
     (Unit.GDP_TRILLION_USD2005_PER_YEAR, Unit.WEALTH_TRILLION_USD2005): (
@@ -62,7 +50,7 @@ _DIVISION_RULES: dict[tuple[Unit, Unit], tuple[Unit, float]] = {
     ),
     (Unit.POWER_TERAWATT, Unit.WEALTH_TRILLION_USD2005): (
         Unit.WATTS_PER_THOUSAND_USD2005,
-        1000.0,
+        LAMBDA_SCALE,
     ),
     (Unit.GDP_TRILLION_USD2005_PER_YEAR, Unit.POWER_TERAWATT): (
         Unit.USD2005_PER_JOULE,
@@ -71,9 +59,8 @@ _DIVISION_RULES: dict[tuple[Unit, Unit], tuple[Unit, float]] = {
 }
 
 def division_rule(numerator: Unit, denominator: Unit) -> tuple[Unit, float]:
-    """Result unit and scale factor for a pointwise series division."""
-    if numerator is denominator:
-        return Unit.DIMENSIONLESS, 1.0
+    """Result unit and scale factor for a pointwise series division. Only the
+    model's three ratios, eta = Y/C, lambda = a/C and Y/a in $/J, have one."""
     try:
         return _DIVISION_RULES[(numerator, denominator)]
     except KeyError:

@@ -600,6 +600,20 @@ class TestErrorHandling:
         assert captured.err == f"error: bad_gdp.csv: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("rows", ["1970,\n1971,\n", ""], ids=["empty_cells", "header_only"])
+    @pytest.mark.parametrize("flag", ["gdp", "power", "historical-gdp"])
+    def test_input_with_no_values_names_its_file(self, flag, rows, tmp_path, capsys):
+        gdp, power = synthetic_inputs(tmp_path)
+        empty = tmp_path / "empty.csv"
+        token = (POWER if flag == "power" else GDP).token
+        empty.write_text(f"# columns: year,value\n# unit.value: {token}\n{rows}", encoding="utf-8")
+        inputs = {"gdp": gdp, "power": power, flag: str(empty)}
+        argv = [arg for name, path in inputs.items() for arg in (f"--{name}", path)]
+        assert run("fit", *argv, "--lambda0", "6.4", "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: empty.csv: no values in column 'value'\n"
+        assert captured.out == ""
+
     def test_byte_order_mark_input_fits(self, tmp_path, capsys):
         gp, pp = synthetic_inputs(tmp_path)
         bom = tmp_path / "bom_gdp.csv"

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoecon import AnnualSeries, ThermoeconError, Unit, fit_innovation, run_fit
+from thermoecon.forecast import Scenario, forecast
 from thermoecon.growth import FitResult, build_wealth, fit_lambda
 from thermoecon.series import annual_grid, interpolate
-from thermoecon.units import SECONDS_PER_YEAR
+from thermoecon.units import LAMBDA_SCALE, SECONDS_PER_YEAR
 
 from test_series import exactly, exponential_series
 
@@ -520,3 +523,23 @@ class TestRunFit:
         assert res.model.lambda_mean == pytest.approx(9.0, rel=5e-4)
         assert res.model.lambda_rel_std < 5e-4
         assert res.innovation.slope == pytest.approx(0.0, abs=5e-5)
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+def _ulps(a, b):
+    """Distance in units in the last place between two positive doubles."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+@given(lambda0=_log_uniform(1e-3, 1e4), c0=_log_uniform(1e-3, 1e6))
+@settings(max_examples=200, deadline=None)
+def test_fit_anchor_and_forecast_start_share_lambda_scale(table1, lambda0, c0):
+    # a = (lambda/1000) C read both ways: the fit calibrates C0 from lambda0,
+    # a forecast derives its start power from lambda0; each must give lambda0 back
+    fitted = run_fit(table1.gdp, table1.power, lambda0=lambda0).model.lambda_series
+    assert _ulps(fitted.values[0], lambda0) <= 2
+    path = forecast(Scenario(c0=c0, eta0=0.02, lambda0=lambda0, start_year=2009, horizon_years=1))
+    assert _ulps(LAMBDA_SCALE * path.power.values[0] / path.wealth.values[0], lambda0) <= 2

@@ -117,7 +117,7 @@ def load_series_reference(path, expected_unit, column="value"):
             f"{path.name}: declared unit {token!r} is {unit.token}, expected {expected_unit.token}"
         )
 
-    if not has_rows:
+    if not has_rows and (columns is None or column not in columns):
         raise ThermoeconError(f"{path.name}: no data rows")
 
     years = sorted(points)
@@ -372,6 +372,15 @@ class TestMultiColumn:
         empty = AnnualSeries([], [], Unit.YEARS)
         path = write_table(tmp_path / "t.csv", [2000, 2001], {"a": empty})
         assert len(load_series(path, Unit.YEARS, column="a")) == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    def test_header_only_report_round_trips_empty(self, tmp_path, fmt):
+        none = np.array([], dtype=np.int64)
+        empty = AnnualSeries(none, np.array([]), Unit.YEARS)
+        path = write_table(tmp_path / f"t.{fmt}", none, {"a": empty}, fmt=fmt)
+        assert path.read_text(encoding="utf-8") == "# columns: year,a\n# unit.a: years\n"
+        back = load_series(path, Unit.YEARS, column="a")
+        assert (len(back), back.unit, back.label) == (0, Unit.YEARS, "a")
 
     def test_unknown_column_requested(self, tmp_path):
         path = write_table(tmp_path / "t.csv", [2000], {"a": (np.array([1.0]), Unit.YEARS)})

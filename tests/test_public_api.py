@@ -74,7 +74,6 @@ def _load_text(tmp_path, text):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda tmp_path: thermoecon.Unit.YEARS.integral_unit,
         lambda tmp_path: division_rule(thermoecon.Unit.YEARS, thermoecon.Unit.POWER_TERAWATT),
         lambda tmp_path: parse_unit_token("bogus"),
         lambda tmp_path: _load_text(tmp_path, b"# unit: years\nx,1.0\n"),
@@ -84,7 +83,6 @@ def _load_text(tmp_path, text):
         lambda tmp_path: _parse_window("1970-2009"),
     ],
     ids=[
-        "integral_unit",
         "division_rule",
         "parse_unit_token",
         "load_bad_year",

@@ -292,7 +292,9 @@ class TestAnnualSeries:
             ),
         ):
             a / b
-        ratio = a / series([10.0, 20.0])
+        gdp = series([1.0, 2.0], unit=Unit.GDP_TRILLION_USD2005_PER_YEAR)
+        ratio = gdp / series([10.0, 20.0], unit=Unit.WEALTH_TRILLION_USD2005)
+        assert ratio.unit is Unit.PER_YEAR_FRACTION
         assert list(ratio.values) == [0.1, 0.1]
 
     @pytest.mark.parametrize("other", [2.0, 2, "x"])
@@ -478,12 +480,14 @@ class TestCumulativeIntegral:
         assert c.value_at(2009) == pytest.approx(2300.5238, abs=2e-4)
 
     def test_needs_integrable_unit(self):
-        s = series([1.0, 2.0], unit=Unit.POWER_TERAWATT)
-        with pytest.raises(
-            ThermoeconError,
-            match=exactly("cannot integrate a series in power_terawatt over years"),
-        ):
-            cumulative_integral(s, from_year=2000, initial=0.0)
+        # only GDP integrates, into wealth; a per-year fraction has no rule either
+        for unit in (Unit.POWER_TERAWATT, Unit.PER_YEAR_FRACTION):
+            s = series([1.0, 2.0], unit=unit)
+            with pytest.raises(
+                ThermoeconError,
+                match=exactly(f"cannot integrate a series in {unit.token} over years"),
+            ):
+                cumulative_integral(s, from_year=2000, initial=0.0)
 
     def test_needs_dense_grid(self):
         s = AnnualSeries(

@@ -1,17 +1,42 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from thermoecon import ThermoeconError, Unit
-from thermoecon.units import FILE_TOKENS, SECONDS_PER_YEAR, division_rule, parse_unit_token
+from thermoecon.units import (
+    FILE_TOKENS,
+    LAMBDA_SCALE,
+    SECONDS_PER_YEAR,
+    division_rule,
+    parse_unit_token,
+)
 
 from test_series import exactly
 
 
 def test_seconds_per_year_is_julian():
     assert SECONDS_PER_YEAR == 3.15569e7
+
+
+def test_lambda_scale_is_declared_once():
+    # W per thousand $ from TW per T$: every conversion names LAMBDA_SCALE,
+    # so no number literal 1000 appears outside units.py
+    assert LAMBDA_SCALE == 1000.0
+    package = Path(__file__).resolve().parent.parent / "src" / "thermoecon"
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "units.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant)
+        and type(node.value) in (int, float)
+        and node.value == 1000
+    ]
+    assert sites == []
 
 
 def test_every_unit_has_a_file_token():
@@ -48,15 +73,6 @@ def test_positivity_marks_physical_quantities():
     }
 
 
-def test_integral_units():
-    assert Unit.GDP_TRILLION_USD2005_PER_YEAR.integral_unit is Unit.WEALTH_TRILLION_USD2005
-    assert Unit.PER_YEAR_FRACTION.integral_unit is Unit.DIMENSIONLESS
-    with pytest.raises(
-        ThermoeconError, match=exactly("cannot integrate a series in power_terawatt over years")
-    ):
-        Unit.POWER_TERAWATT.integral_unit
-
-
 def test_division_rules_carry_scales():
     # gdp/wealth -> per-year rate, no scale
     unit, scale = division_rule(
@@ -75,8 +91,11 @@ def test_division_rules_carry_scales():
 
 
 @given(st.sampled_from(list(Unit)))
-def test_self_division_is_dimensionless(unit):
-    assert division_rule(unit, unit) == (Unit.DIMENSIONLESS, 1.0)
+def test_self_division_is_refused(unit):
+    # the model takes no ratio of a quantity to itself
+    t = unit.token
+    with pytest.raises(ThermoeconError, match=exactly(f"no division rule for {t} / {t}")):
+        division_rule(unit, unit)
 
 
 def test_unsupported_division_raises():
