@@ -27,20 +27,27 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ParseError, ThermoeconError
-from .series import AnnualSeries, _increasing, _int64_years
+from .series import AnnualSeries, _checked_values, _increasing, _int64_years, _stored, _values_on
 from .units import FILE_TOKENS, LAMBDA_SCALE, Unit, parse_unit_token
 
 _UNIT_RE = re.compile(r"^#\s*unit:\s*(\S+)\s*$")
 _COLUMNS_RE = re.compile(r"^#\s*columns:\s*(\S+)\s*$")
 _COLUMN_UNIT_RE = re.compile(r"^#\s*unit\.([A-Za-z0-9_]+):\s*(\S+)\s*$")
+_COLUMN_NAME_RE = re.compile(r"[A-Za-z0-9_]+")  # the names _COLUMN_UNIT_RE reads back
 
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# load_series splits its text this many characters at a time; write_table
+# formats this many rows at a time, and writes them all at the end
+_SLICE_CHARS = 1 << 14
+_CHUNK_ROWS = 512
+_CUT_RE = re.compile(r"\r\n?|\n")
 
 
 def load_series(
@@ -58,7 +65,8 @@ def load_series(
     path = Path(path)
     name = path.name
     try:
-        text = path.read_bytes().decode("utf-8-sig")
+        # not "utf-8-sig": it copies the bytes of a file that has the mark
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         # everything before the bad byte decoded, so it splits into lines
         line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
@@ -69,66 +77,79 @@ def load_series(
     unit_token: str | None = None
     columns: list[str] | None = None
     column_units: dict[str, str] = {}
-    points: dict[int, float] = {}
+    years, values = array("q"), array("d")
     has_rows = False
     n_fields, idx = 2, 1  # plain files: year,value; idx None = no such column
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line[0] == "#":
-            m = _UNIT_RE.match(line)
-            if m:
-                unit_token = m.group(1)
+    lines = chain.from_iterable(map(str.splitlines, _slices(text)))
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line:
                 continue
-            m = _COLUMNS_RE.match(line)
-            if m:
-                columns = m.group(1).split(",")
-                if columns[0] != "year":
-                    raise ParseError("first declared column must be 'year'", lineno, name)
-                n_fields = len(columns)
-                idx = columns.index(column) if column in columns else None
+            if line[0] == "#":
+                m = _UNIT_RE.match(line)
+                if m:
+                    unit_token = m.group(1)
+                    continue
+                m = _COLUMNS_RE.match(line)
+                if m:
+                    columns = m.group(1).split(",")
+                    if columns[0] != "year":
+                        raise ParseError("first declared column must be 'year'", lineno, name)
+                    n_fields = len(columns)
+                    idx = columns.index(column) if column in columns else None
+                    continue
+                m = _COLUMN_UNIT_RE.match(line)
+                if m:
+                    column_units[m.group(1)] = m.group(2)
                 continue
-            m = _COLUMN_UNIT_RE.match(line)
-            if m:
-                column_units[m.group(1)] = m.group(2)
-            continue
 
-        has_rows = True
-        # split the unstripped row: a sparse last column in TSV ends in a tab
-        fields = raw.split("\t" if "\t" in raw else ",")
-        if len(fields) != n_fields:
-            if columns is None:
-                raise ParseError(f"expected 'year,value', got {raw!r}", lineno, name)
-            raise ParseError(
-                f"expected {n_fields} fields per '# columns:' header, got {len(fields)}",
-                lineno,
-                name,
-            )
-        year_cell = fields[0].strip()
-        try:
-            year = int(year_cell)
-        except ValueError:
-            raise ParseError(f"bad year {year_cell!r}", lineno, name) from None
-        if idx is None:
-            raise ParseError(f"file has no column {column!r}", lineno, name)
-        cell = fields[idx].strip()
-        if not cell:
-            if columns is None:
-                raise ParseError("empty value", lineno, name)
-            continue  # sparse column: absent point
-        try:
-            value = float(cell)
-        except ValueError:
-            raise ParseError(f"bad value {cell!r}", lineno, name) from None
-        if not math.isfinite(value):
-            raise ParseError(f"non-finite value {cell!r}", lineno, name)
-        if not _INT64_MIN <= year <= _INT64_MAX:
-            raise ParseError(f"year {year_cell!r} is outside the int64 range", lineno, name)
-        if year in points:
-            raise ThermoeconError(f"{name}: duplicate year {year}")
-        points[year] = value
+            has_rows = True
+            # split the unstripped row: a sparse last column in TSV ends in a tab
+            fields = raw.split("\t" if "\t" in raw else ",")
+            if len(fields) != n_fields:
+                if columns is None:
+                    raise ParseError(f"expected 'year,value', got {raw!r}", lineno, name)
+                raise ParseError(
+                    f"expected {n_fields} fields per '# columns:' header, got {len(fields)}",
+                    lineno,
+                    name,
+                )
+            year_cell = fields[0].strip()
+            try:
+                year = int(year_cell)
+            except ValueError:
+                raise ParseError(f"bad year {year_cell!r}", lineno, name) from None
+            if idx is None:
+                raise ParseError(f"file has no column {column!r}", lineno, name)
+            cell = fields[idx].strip()
+            if not cell:
+                if columns is None:
+                    raise ParseError("empty value", lineno, name)
+                continue  # sparse column: absent point
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(f"bad value {cell!r}", lineno, name) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite value {cell!r}", lineno, name)
+            try:
+                years.append(year)
+            except OverflowError:
+                raise ParseError(
+                    f"year {year_cell!r} is outside the int64 range", lineno, name
+                ) from None
+            values.append(value)
+    except ParseError:
+        _row_order(np.frombuffer(years, dtype=np.int64), name)  # an earlier repeat wins
+        raise
+    del text  # every row is in the two arrays now
+
+    years, values = np.frombuffer(years, dtype=np.int64), np.frombuffer(values)
+    if not _increasing(years):  # rows out of order or a year repeated; files usually are neither
+        order = _row_order(years, name)
+        years, values = years[order], values[order]
 
     if columns is not None:
         token = column_units.get(column, unit_token)
@@ -151,11 +172,8 @@ def load_series(
     if not has_rows and (columns is None or idx is None):
         raise ThermoeconError(f"{name}: no data rows")
 
-    years = np.fromiter(points, dtype=np.int64, count=len(points))
-    values = np.fromiter(points.values(), dtype=float, count=len(points)) * scale
-    if (years[1:] < years[:-1]).any():  # rows out of order; files usually are not
-        order = np.argsort(years)
-        years, values = years[order], values[order]
+    if scale != 1.0:  # x * 1.0 is x, bit for bit
+        values = values * scale
     if expected_unit.requires_positive:
         bad = values <= 0.0
         if bad.any():
@@ -163,42 +181,92 @@ def load_series(
                 f"{name}: non-positive value at year {years[bad.argmax()]} "
                 f"for unit {expected_unit.token}"
             )
+    # the rows proved every invariant of a series, so it keeps these arrays
+    years.flags.writeable = values.flags.writeable = False
     label = column if column != "value" else path.stem
-    return AnnualSeries(years, values, expected_unit, label)
+    return _stored(years, values, expected_unit, label)
+
+
+def _slices(text: str):
+    """`text` in pieces of about _SLICE_CHARS, each cut just after a "\\n",
+    a "\\r\\n" or a lone "\\r".
+
+    No line break straddles a cut, so the pieces' splitlines() give the
+    lines of text.splitlines(), without holding all of them at once.
+    """
+    start = 0
+    while start < len(text):
+        cut = _CUT_RE.search(text, start + _SLICE_CHARS)
+        end = cut.end() if cut else len(text)
+        yield text[start:end]
+        start = end
+
+
+def _row_order(years: np.ndarray, name: str) -> np.ndarray:
+    """The order that sorts the rows' `years`.
+
+    A year that repeats raises ThermoeconError at the first row, in file
+    order, that repeats an earlier one: the row at which a reader checking
+    each row in turn would stop.
+    """
+    order = np.argsort(years, kind="stable")
+    later = order[1:][years[order[1:]] == years[order[:-1]]]
+    if later.size:
+        raise ThermoeconError(f"{name}: duplicate year {years[later.min()]}")
+    return order
 
 
 # every value cell is written with this spec: 12 significant digits
 _CELL_SPEC = "%.12g"
 
 
-def _column_cells(
+def _on_grid(
     grid: np.ndarray, name: str, column: AnnualSeries | tuple[np.ndarray, Unit | str]
-) -> tuple[str, list, str]:
-    """The unit token of one column, one cell per grid year, and their %-spec.
+) -> tuple[str, np.ndarray, np.ndarray | None]:
+    """The unit token of one column, its values on the grid, and which grid
+    years hold a value: None when all of them do.
 
-    A column holding every grid year gives its values with the float spec;
-    one missing some gives ready-made strings, "" where it has no value,
-    with spec "%s".
+    A pair's values get the checks a series' values get, on a private
+    copy; one that load_series would refuse raises ThermoeconError naming
+    the column and the first grid year that holds it.
     """
-    if not isinstance(column, AnnualSeries):
-        values, unit = column
-        token = unit.token if isinstance(unit, Unit) else unit
-        if token not in FILE_TOKENS:
-            raise ThermoeconError(f"unknown unit token {token!r} for column {name!r}")
-        if values.shape != grid.shape:
-            raise ThermoeconError(f"{values.size} values for {grid.size} grid years")
-        return token, values.tolist(), _CELL_SPEC
-    years = column.years
-    idx = np.searchsorted(years, grid)
-    hit = idx < years.size
-    hit[hit] = years[idx[hit]] == grid[hit]
-    present = column.values[idx[hit]].tolist()
-    if hit.all():
-        return column.unit.token, present, _CELL_SPEC
-    cells = [""] * grid.size
-    for i, text in zip(np.flatnonzero(hit).tolist(), map(_CELL_SPEC.__mod__, present)):
-        cells[i] = text
-    return column.unit.token, cells, "%s"
+    if isinstance(column, AnnualSeries):
+        years = column.years
+        if np.array_equal(years, grid):
+            return column.unit.token, column.values, None
+        idx = np.searchsorted(years, grid)
+        hit = idx < years.size
+        hit[hit] = years[idx[hit]] == grid[hit]
+        values = np.zeros(grid.size)
+        values[hit] = column.values[idx[hit]]
+        return column.unit.token, values, None if hit.all() else hit
+    values, unit = column
+    token = unit.token if isinstance(unit, Unit) else unit
+    if token not in FILE_TOKENS:
+        raise ThermoeconError(f"unknown unit token {token!r} for column {name!r}")
+    if np.shape(values) != grid.shape:
+        raise ThermoeconError(f"{np.size(values)} values for {grid.size} grid years")
+    return token, _pair_values(grid, name, values, FILE_TOKENS[token][0]), None
+
+
+def _pair_values(grid: np.ndarray, name: str, values, unit: Unit) -> np.ndarray:
+    """`values` as a private float64 copy checked as a series' values are.
+
+    Only a failed check goes through the values one by one, to name the
+    first grid year whose value fails it.
+    """
+    try:
+        if np.iscomplexobj(values):  # the float cast would drop the imaginary parts
+            raise TypeError("complex values")
+        return _checked_values(_values_on(grid, values, name), unit, name)
+    except (ThermoeconError, TypeError, ValueError) as exc:
+        error = exc
+    for year, cell in zip(grid.tolist(), np.asarray(values, dtype=object).tolist()):
+        try:
+            _checked_values(_values_on(grid[:1], cell, name), unit, name)
+        except (ThermoeconError, TypeError, ValueError) as exc:
+            raise ThermoeconError(f"column {name!r} at year {year}: {exc}") from None
+    raise ThermoeconError(f"column {name!r}: {error}") from None
 
 
 def write_table(
@@ -216,21 +284,61 @@ def write_table(
     presentation scale. Grid years missing from a series become empty
     cells (sparse columns such as doubling times that are undefined in
     non-innovating stretches); values at years off the grid are not
-    written. A non-integer grid year, or a grid that is not strictly
-    increasing and so would not load back, is refused before writing.
+    written.
+
+    Refused before the file is opened: a format other than "csv" or
+    "tsv", and whatever would not load back through load_series: a grid
+    year that is not an integer, a grid that is not strictly increasing,
+    a comment of more than one line or not UTF-8 text, a column name
+    outside [A-Za-z0-9_]+ or named "year", and a pair value that is no
+    real number, not finite, or not positive in a unit that requires it.
+
+    Rows are formatted a fixed chunk at a time and written at the end, so
+    memory holds the file's text and one chunk of rows as Python objects.
     """
     path = Path(path)
+    if fmt not in ("csv", "tsv"):
+        raise ThermoeconError(f"unknown format {fmt!r}; use 'csv' or 'tsv'")
     delim = "\t" if fmt == "tsv" else ","
     grid = _int64_years(np.atleast_1d(np.asarray(year_grid)))
     if not _increasing(grid):
         raise ThermoeconError("year_grid must be strictly increasing")
-    cols = [_column_cells(grid, name, column) for name, column in columns.items()]
-    lines = [f"# {c}" for c in comments]
-    lines.append("# columns: year," + ",".join(columns))
-    lines.extend(f"# unit.{name}: {col[0]}" for name, col in zip(columns, cols))
-    row = delim.join(["%d", *(spec for _, _, spec in cols)])
-    lines.extend(map(row.__mod__, zip(grid.tolist(), *(cells for _, cells, _ in cols))))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for comment in comments:
+        line = f"# {comment}"
+        if line.splitlines() != [line]:
+            raise ThermoeconError(f"comment {comment!r} is not one line")
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate
+            raise ThermoeconError(f"comment {comment!r} is not UTF-8 text") from None
+    for name in columns:
+        if name == "year" or not _COLUMN_NAME_RE.fullmatch(name):
+            raise ThermoeconError(
+                f"column name {name!r} would not load back: use [A-Za-z0-9_]+, not 'year'"
+            )
+    cols = [_on_grid(grid, name, column) for name, column in columns.items()]
+    head = [f"# {c}\n" for c in comments]
+    head.append("# columns: year," + ",".join(columns) + "\n")
+    head.extend(f"# unit.{name}: {token}\n" for name, (token, _, _) in zip(columns, cols))
+    text = ["".join(head)]
+    for start in range(0, grid.size, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        cells, specs = [grid[rows].tolist()], ["%d"]
+        for _, values, hit in cols:
+            chunk = values[rows].tolist()
+            if hit is None or (held := hit[rows]).all():
+                specs.append(_CELL_SPEC)
+            else:  # ready-made strings, "" where the column has no value
+                texts = [""] * len(chunk)
+                for i in np.flatnonzero(held).tolist():
+                    texts[i] = _CELL_SPEC % chunk[i]
+                chunk = texts
+                specs.append("%s")
+            cells.append(chunk)
+        row = delim.join(specs) + "\n"
+        text.append("".join(map(row.__mod__, zip(*cells))))
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(text)
     return path
 
 

@@ -1,4 +1,6 @@
+import os
 import re
+import tracemalloc
 from itertools import repeat
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from thermoecon import (
     load_series,
     write_table,
 )
+from thermoecon.ingest import _CHUNK_ROWS, _SLICE_CHARS, _slices
 from thermoecon.units import FILE_TOKENS, parse_unit_token
 
 from test_series import exactly
@@ -863,7 +866,7 @@ class TestLoadSeriesFuzz:
 # the writers against their oracles
 
 _GRIDS = st.lists(st.integers(-5000, 5000), unique=True, max_size=25).map(sorted)
-_CELL_VALUES = st.floats(width=64)  # nan, inf and -0.0 included
+_CELL_VALUES = st.floats(width=64, allow_nan=False, allow_infinity=False)  # -0.0 included
 
 
 @st.composite
@@ -919,7 +922,7 @@ class TestWritersMatchReference:
             (none, {"s": sparse, "m": single}),
             (grid, {"s": sparse}),  # sparse column first
             (grid, {"s": sparse, "m": empty}),  # an all-empty series column
-            (grid, {"x": (np.array([np.nan, np.inf, -np.inf, 5e-324]), Unit.YEARS)}),
+            (grid, {"x": (np.array([5e-324, -5e-324, -1e-308, 1.5]), Unit.YEARS)}),
             (grid, {"z": (np.array([-0.0, 0.0, 1e308, -1e-308]), "percent_per_year")}),
         ]
         for i, (g, columns) in enumerate(cases):
@@ -927,3 +930,219 @@ class TestWritersMatchReference:
             want = write_table_reference(tmp_path / f"want{i}", g, *reference_columns(columns),
                                          fmt=fmt)
             assert got == want.read_bytes(), columns
+        # a value load_series would refuse is refused, and no file is written
+        nan = {"x": (np.array([5e-324, np.nan, np.inf, -np.inf]), Unit.YEARS)}
+        with pytest.raises(
+            ThermoeconError,
+            match=exactly("column 'x' at year 2001: non-finite value in series 'x'"),
+        ):
+            write_table(tmp_path / "refused", grid, nan, fmt=fmt)
+        assert not (tmp_path / "refused").exists()
+
+    @given(
+        values=st.lists(st.floats(width=64), min_size=1, max_size=12),
+        unit=st.sampled_from([Unit.YEARS, Unit.POWER_TERAWATT, "percent_per_year"]),
+        fmt=st.sampled_from(["csv", "tsv"]),
+        writeable=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_write_table_refuses_what_would_not_load(
+        self, tmp_path_factory, values, unit, fmt, writeable
+    ):
+        # the values are checked on a copy: the caller's writeable flag stays
+        path = tmp_path_factory.mktemp("refuse") / "t.csv"
+        grid = np.arange(2000, 2000 + len(values))
+        array = np.array(values)
+        array.flags.writeable = writeable
+        positive = unit is Unit.POWER_TERAWATT
+        bad = [not np.isfinite(v) or (positive and v <= 0.0) for v in values]
+        if not any(bad):
+            write_table(path, grid, {"v": (array, unit)}, fmt=fmt)
+            token = unit.token if isinstance(unit, Unit) else unit
+            back = load_series(path, parse_unit_token(token)[0], column="v")
+            assert len(back) == len(values)
+            assert array.flags.writeable == writeable
+            return
+        i = bad.index(True)
+        rule = "non-finite value in series 'v'" if not np.isfinite(values[i]) else (
+            "power_terawatt series 'v' must be strictly positive"
+        )
+        message = f"column 'v' at year {2000 + i}: {rule}"
+        with pytest.raises(ThermoeconError, match=exactly(message)):
+            write_table(path, grid, {"v": (array, unit)}, fmt=fmt)
+        assert not path.exists()
+        assert array.flags.writeable == writeable
+
+
+# ---------------------------------------------------------------------------
+# the writer across its row chunks, and what it refuses before opening a file
+
+# a write_table or load_series peak may exceed twice its file by this much:
+# one chunk of rows as Python objects, or one slice of text and its lines
+_CHUNK_BYTES = 256 * 1024
+_EDGES = [k * _CHUNK_ROWS + d for k in range(1, 4) for d in (-1, 0, 1)]
+
+
+@st.composite
+def chunked_table_calls(draw):
+    """A write_table call on up to 3 chunks and one row, with the holes of
+    its sparse columns drawn on and next to the chunk edges."""
+    n = draw(st.integers(0, 3 * _CHUNK_ROWS + 1))
+    grid = np.arange(n, dtype=np.int64) * draw(st.integers(1, 3)) + draw(st.integers(-5000, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = st.one_of(st.sampled_from(_EDGES), st.integers(0, max(n - 1, 0)))
+
+    def column():
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        kind = draw(st.sampled_from(["dense", "overhanging", "holes", "islands", "array"]))
+        if kind == "array":
+            return values, draw(st.sampled_from([Unit.YEARS, "percent_per_year"]))
+        keep = np.full(n, kind != "islands")
+        picked = [i for i in draw(st.lists(rows, max_size=12)) if i < n]
+        keep[picked] = kind == "islands"
+        years, values = grid[keep], values[keep]
+        if kind == "overhanging":  # years off the grid at both ends
+            years = np.concatenate([[grid[0] - 7], years, [grid[-1] + 7]]) if n else years
+            values = np.concatenate([[1.0], values, [2.0]]) if n else values
+        return AnnualSeries(years, values, Unit.DIMENSIONLESS)
+
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", "wealth"]), unique=True, max_size=4))
+    return dict(year_grid=grid, columns={name: column() for name in names},
+                fmt=draw(st.sampled_from(["csv", "tsv"])))
+
+
+def _peak_bytes(call):
+    """The tracemalloc peak of `call()`, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedWriterAndReader:
+    @given(call=chunked_table_calls())
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_rows_match_reference(self, tmp_path_factory, call):
+        tmp = tmp_path_factory.mktemp("chunks")
+        got = write_table(tmp / "got.csv", **call).read_bytes()
+        columns, units = reference_columns(call.pop("columns"))
+        want = write_table_reference(tmp / "want.csv", columns=columns, units=units, **call)
+        assert got == want.read_bytes()
+
+    @pytest.mark.parametrize(
+        "comments, columns, message",
+        [
+            (["note\n1999,5"], {"a": 1}, "comment 'note\\n1999,5' is not one line"),
+            (["a\rb"], {"a": 1}, "comment 'a\\rb' is not one line"),
+            (["x\x85"], {"a": 1}, "comment 'x\\x85' is not one line"),
+            (["x\udc80"], {"a": 1}, "comment 'x\\udc80' is not UTF-8 text"),
+            ([], {"delta-c": 1}, "column name 'delta-c' would not load back"),
+            ([], {"a b": 1}, "column name 'a b' would not load back"),
+            ([], {"x,y": 1}, "column name 'x,y' would not load back"),
+            ([], {"": 1}, "column name '' would not load back"),
+            ([], {"year": 1}, "column name 'year' would not load back"),
+            ([], {"a": "x"}, "column 'a' at year 2001: could not convert string to float: 'x'"),
+            ([], {"a": None}, "column 'a' at year 2001: non-finite value in series 'a'"),
+            ([], {"a": 10**400}, "column 'a' at year 2001: non-finite value in series 'a'"),
+            ([], {"a": -1.0}, "column 'a' at year 2001: power_terawatt series 'a' must be"),
+        ],
+    )
+    def test_refused_before_the_file_is_opened(self, tmp_path, comments, columns, message):
+        # each call would write a file that does not load back as written;
+        # the one odd cell sits at 2001, and an existing file is left alone
+        path = tmp_path / "t.csv"
+        path.write_text("kept\n", encoding="utf-8")
+        cols = {
+            name: (np.array([1.0, cell, 2.0], dtype=object), Unit.POWER_TERAWATT)
+            for name, cell in columns.items()
+        }
+        with pytest.raises(ThermoeconError) as err:
+            write_table(path, [2000, 2001, 2002], cols, comments=comments)
+        assert str(err.value).startswith(message)
+        assert path.read_text(encoding="utf-8") == "kept\n"
+
+    def test_unknown_format_is_refused(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        message = "unknown format 'TSV'; use 'csv' or 'tsv'"
+        with pytest.raises(ThermoeconError, match=exactly(message)):
+            write_table(path, [2000], {"a": (np.array([1.5]), Unit.YEARS)}, fmt="TSV")
+        assert not path.exists()
+
+    def test_complex_pair_is_refused(self, tmp_path):
+        # a float cast would write the real parts and drop the imaginary ones
+        path = tmp_path / "t.csv"
+        with pytest.raises(ThermoeconError, match="^column 'a' at year 2000: "):
+            write_table(path, [2000, 2001], {"a": (np.array([1 + 2j, 1.0]), Unit.YEARS)})
+        assert not path.exists()
+
+    def test_hard_link_is_written_in_place(self, tmp_path):
+        # the output is opened for writing on its path: no unlink, no rename
+        path, link = tmp_path / "t.csv", tmp_path / "link.csv"
+        path.write_text("old\n", encoding="utf-8")
+        os.link(path, link)
+        write_table(path, [2000], {"a": (np.array([1.0]), Unit.YEARS)})
+        assert link.read_bytes() == path.read_bytes() != b"old\n"
+
+    def test_write_table_peak_is_bounded_by_its_file(self, tmp_path):
+        grid = np.arange(-18000, 2000)
+        rng = np.random.default_rng(5)
+        columns = {
+            name: AnnualSeries(grid, rng.uniform(1.0, 2.0, grid.size) * 10.0**k, Unit.YEARS)
+            for k, name in enumerate(["a", "b", "c", "d"])
+        }
+        path = tmp_path / "t.csv"
+        peak = _peak_bytes(lambda: write_table(path, grid, columns))
+        assert peak < 2 * path.stat().st_size + _CHUNK_BYTES
+
+    def test_load_series_peak_is_bounded_by_its_file(self, tmp_path):
+        rng = np.random.default_rng(6)
+        values = rng.uniform(1.0, 2.0, 20000) * 1e3
+        path = tmp_path / "gdp.csv"
+        path.write_text(
+            "# unit: gdp_trillion_usd2005_per_year\n"
+            + "".join(f"{y},{v!r}\n" for y, v in enumerate(values.tolist(), start=-18000)),
+            encoding="utf-8",
+        )
+        peak = _peak_bytes(lambda: load_series(path, Unit.GDP_TRILLION_USD2005_PER_YEAR))
+        assert peak < 2 * path.stat().st_size + _CHUNK_BYTES
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "2000,1\n2001,2\n2000,3\nx,4\n2001,5\n",  # the repeat comes first
+            "2000,1\n2001,2\nx,4\n2000,3\n",  # the bad row comes first
+            "2001,1\n2000,2\n2002,3\n2000,4\n2001,5\n",  # 2000 repeats before 2001 does
+            "2000,1\n# columns: a,year\n2000,2\n",
+            "2000,1\n2000,2\n# columns: a,year\n",
+            "2000,1\n2000,2\n2001,abc\n",
+            "2000,1\n2001,abc\n2000,2\n",
+            "2000,1\n2001,2,3\n2000,2\n",
+        ],
+    )
+    def test_first_fault_matches_reference(self, tmp_path, rows):
+        # a repeated year is reported at the row that repeats it, before any
+        # later row's fault and before the unit headers are checked
+        for header in ("# unit: years\n", "", "# unit: parsecs\n"):
+            path = tmp_path / "input.csv"
+            path.write_text(header + rows, encoding="utf-8")
+            assert_loads_like_reference(path, Unit.YEARS, "value")
+
+    @pytest.mark.parametrize("only", ["\r\n", "\r", None])
+    def test_sliced_lines_match_one_split(self, tmp_path, only):
+        # every kind of line break str.splitlines knows; with "\r\n" or "\r"
+        # alone, every slice ends on one
+        breaks = [only] if only else [
+            "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+            "\u2028", "\u2029",
+        ]
+        lines = ["# unit: years", *(f"{i},{i * 0.37:.6f}" for i in range(3 * _SLICE_CHARS // 12))]
+        text = "".join(line + breaks[k % len(breaks)] for k, line in enumerate(lines))
+        pieces = list(_slices(text))
+        assert len(pieces) >= 3 and "".join(pieces) == text
+        assert all(piece.endswith(("\n", "\r")) for piece in pieces[:-1])
+        assert [line for piece in pieces for line in piece.splitlines()] == text.splitlines()
+        path = tmp_path / "input.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_loads_like_reference(path, Unit.YEARS, "value")

@@ -133,6 +133,17 @@ def test_script_stdout_matches_golden(script, argv, golden, monkeypatch, capsys)
     assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
 
+def test_scale_probe_prints_one_row_per_size(monkeypatch, capsys):
+    # timings vary by machine, so only the table's shape is checked
+    path = SCRIPTS / "scale_probe.py"
+    monkeypatch.setattr(sys, "argv", [str(path), "--years", "1000", "1200"])
+    runpy.run_path(str(path), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[0].startswith("| years | gdp.csv MiB | load_series x2 |")
+    assert [line.split(" | ")[0] for line in lines[2:]] == ["| 1000", "| 1200"]
+    assert all(line.count(" MiB") == 4 and line.count(" ms, ") == 4 for line in lines[2:])
+
+
 def test_sources_parse_as_the_minimum_python():
     # grammar only: requires-python is ">=3.10", and a newer construct
     # such as except* would break the package there before any test ran
