@@ -211,17 +211,17 @@ def cmd_table1(args: argparse.Namespace) -> int:
     ror_printed = 100.0 * t1.rate_of_return.values
     ratio_deviation = ratio_computed - ratio_printed
     ror_deviation = ror_computed - ror_printed
-    ratio, percent = Unit.WATTS_PER_THOUSAND_USD2005, "percent_per_year"
+    ror, percent = t1.rate_of_return, Unit.PERCENT_PER_YEAR
     columns = {
         "power": t1.power,
         "gdp": t1.gdp,
         "wealth": res.wealth,
         "ratio_computed": lam,
         "ratio_printed": t1.power_over_wealth,
-        "ratio_deviation": (_round4(ratio_deviation), ratio),
-        "ror_computed": (ror_computed, percent),
-        "ror_printed": (ror_printed, percent),
-        "ror_deviation": (_round4(ror_deviation), percent),
+        "ratio_deviation": t1.power_over_wealth.with_values(_round4(ratio_deviation)),
+        "ror_computed": ror.with_values(ror_computed, percent),
+        "ror_printed": ror.with_values(ror_printed, percent),
+        "ror_deviation": ror.with_values(_round4(ror_deviation), percent),
     }
     if args.index_1970:
         columns["wealth_indexed"] = res.wealth.with_values(

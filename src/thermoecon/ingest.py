@@ -35,8 +35,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParseError, ThermoeconError
-from .series import AnnualSeries, _checked_values, _increasing, _int64_years, _stored, _values_on
-from .units import FILE_TOKENS, LAMBDA_SCALE, Unit, parse_unit_token
+from .series import AnnualSeries, _increasing, _int64_years, _stored
+from .units import LAMBDA_SCALE, Unit, parse_unit_token
 
 _UNIT_RE = re.compile(r"^#\s*unit:\s*(\S+)\s*$")
 _COLUMNS_RE = re.compile(r"^#\s*columns:\s*(\S+)\s*$")
@@ -220,78 +220,41 @@ def _row_order(years: np.ndarray, name: str) -> np.ndarray:
 _CELL_SPEC = "%.12g"
 
 
-def _on_grid(
-    grid: np.ndarray, name: str, column: AnnualSeries | tuple[np.ndarray, Unit | str]
-) -> tuple[str, np.ndarray, np.ndarray | None]:
-    """The unit token of one column, its values on the grid, and which grid
-    years hold a value: None when all of them do.
-
-    A pair's values get the checks a series' values get, on a private
-    copy; one that load_series would refuse raises ThermoeconError naming
-    the column and the first grid year that holds it.
-    """
-    if isinstance(column, AnnualSeries):
-        years = column.years
-        if np.array_equal(years, grid):
-            return column.unit.token, column.values, None
-        idx = np.searchsorted(years, grid)
-        hit = idx < years.size
-        hit[hit] = years[idx[hit]] == grid[hit]
-        values = np.zeros(grid.size)
-        values[hit] = column.values[idx[hit]]
-        return column.unit.token, values, None if hit.all() else hit
-    values, unit = column
-    token = unit.token if isinstance(unit, Unit) else unit
-    if token not in FILE_TOKENS:
-        raise ThermoeconError(f"unknown unit token {token!r} for column {name!r}")
-    if np.shape(values) != grid.shape:
-        raise ThermoeconError(f"{np.size(values)} values for {grid.size} grid years")
-    return token, _pair_values(grid, name, values, FILE_TOKENS[token][0]), None
-
-
-def _pair_values(grid: np.ndarray, name: str, values, unit: Unit) -> np.ndarray:
-    """`values` as a private float64 copy checked as a series' values are.
-
-    Only a failed check goes through the values one by one, to name the
-    first grid year whose value fails it.
-    """
-    try:
-        if np.iscomplexobj(values):  # the float cast would drop the imaginary parts
-            raise TypeError("complex values")
-        return _checked_values(_values_on(grid, values, name), unit, name)
-    except (ThermoeconError, TypeError, ValueError) as exc:
-        error = exc
-    for year, cell in zip(grid.tolist(), np.asarray(values, dtype=object).tolist()):
-        try:
-            _checked_values(_values_on(grid[:1], cell, name), unit, name)
-        except (ThermoeconError, TypeError, ValueError) as exc:
-            raise ThermoeconError(f"column {name!r} at year {year}: {exc}") from None
-    raise ThermoeconError(f"column {name!r}: {error}") from None
+def _on_grid(grid: np.ndarray, column: AnnualSeries) -> tuple[np.ndarray, np.ndarray | None]:
+    """The values of one column on the grid, and which grid years hold a
+    value: None when all of them do."""
+    years = column.years
+    if np.array_equal(years, grid):
+        return column.values, None
+    idx = np.searchsorted(years, grid)
+    hit = idx < years.size
+    hit[hit] = years[idx[hit]] == grid[hit]
+    values = np.zeros(grid.size)
+    values[hit] = column.values[idx[hit]]
+    return values, None if hit.all() else hit
 
 
 def write_table(
     path: str | Path,
     year_grid: Sequence[int] | np.ndarray,
-    columns: Mapping[str, AnnualSeries | tuple[np.ndarray, Unit | str]],
+    columns: Mapping[str, AnnualSeries],
     fmt: str = "csv",
     comments: Sequence[str] = (),
 ) -> Path:
     """Write a multi-column report, one row per year of `year_grid`.
 
-    Each column is an AnnualSeries, headed by its own unit, or an
-    (array, unit) pair with one value per grid year. A pair's unit may be
-    a raw file token, e.g. "percent_per_year" for values stored at
-    presentation scale. Grid years missing from a series become empty
-    cells (sparse columns such as doubling times that are undefined in
-    non-innovating stretches); values at years off the grid are not
-    written.
+    Each column is an AnnualSeries, headed by its own unit, so no cell
+    holds a value that load_series would refuse. Grid years missing from
+    a series become empty cells (sparse columns such as doubling times
+    that are undefined in non-innovating stretches); values at years off
+    the grid are not written.
 
     Refused before the file is opened: a format other than "csv" or
-    "tsv", and whatever would not load back through load_series: a grid
-    year that is not an integer, a grid that is not strictly increasing,
-    a comment of more than one line or not UTF-8 text, a column name
-    outside [A-Za-z0-9_]+ or named "year", and a pair value that is no
-    real number, not finite, or not positive in a unit that requires it.
+    "tsv", a column that is not an AnnualSeries, a bare string as
+    `comments`, and whatever would not load back through load_series: a
+    grid year that is not an integer, a grid that is not strictly
+    increasing, a comment of more than one line or not UTF-8 text, and a
+    column name outside [A-Za-z0-9_]+ or named "year".
 
     Rows are formatted a fixed chunk at a time and written at the end, so
     memory holds the file's text and one chunk of rows as Python objects.
@@ -303,6 +266,8 @@ def write_table(
     grid = _int64_years(np.atleast_1d(np.asarray(year_grid)))
     if not _increasing(grid):
         raise ThermoeconError("year_grid must be strictly increasing")
+    if isinstance(comments, str):
+        raise ThermoeconError(f"comments must be a sequence of lines, got the string {comments!r}")
     for comment in comments:
         line = f"# {comment}"
         if line.splitlines() != [line]:
@@ -311,20 +276,24 @@ def write_table(
             line.encode("utf-8")
         except UnicodeEncodeError:  # a lone surrogate
             raise ThermoeconError(f"comment {comment!r} is not UTF-8 text") from None
-    for name in columns:
+    for name, column in columns.items():
         if name == "year" or not _COLUMN_NAME_RE.fullmatch(name):
             raise ThermoeconError(
                 f"column name {name!r} would not load back: use [A-Za-z0-9_]+, not 'year'"
             )
-    cols = [_on_grid(grid, name, column) for name, column in columns.items()]
+        if not isinstance(column, AnnualSeries):
+            raise ThermoeconError(
+                f"column {name!r} must be an AnnualSeries, got {type(column).__name__}"
+            )
+    cols = [_on_grid(grid, column) for column in columns.values()]
     head = [f"# {c}\n" for c in comments]
     head.append("# columns: year," + ",".join(columns) + "\n")
-    head.extend(f"# unit.{name}: {token}\n" for name, (token, _, _) in zip(columns, cols))
+    head.extend(f"# unit.{name}: {column.unit.token}\n" for name, column in columns.items())
     text = ["".join(head)]
     for start in range(0, grid.size, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
         cells, specs = [grid[rows].tolist()], ["%d"]
-        for _, values, hit in cols:
+        for values, hit in cols:
             chunk = values[rows].tolist()
             if hit is None or (held := hit[rows]).all():
                 specs.append(_CELL_SPEC)

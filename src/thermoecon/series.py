@@ -34,6 +34,8 @@ class AnnualSeries:
     Invariants enforced at construction, in this order, each with its own
     ThermoeconError message:
 
+    * every value is a real number: complex input, and input that does
+      not convert to float, is refused before the cast;
     * `years` and `values` are 1-d and the same length; a 0-d scalar pair
       counts as one point;
     * every year is an integer (integral floats and bools pass, since the
@@ -99,7 +101,12 @@ class AnnualSeries:
         return float(self.values[idx])
 
     def window(self, start_year: int, end_year: int) -> "AnnualSeries":
-        """Sub-series with start_year <= year <= end_year."""
+        """Sub-series with start_year <= year <= end_year; both bounds are
+        integers, or integral floats."""
+        start, end = _integral(start_year), _integral(end_year)
+        if start is None or end is None:
+            raise ThermoeconError(f"window [{start_year}, {end_year}] holds a non-integer year")
+        start_year, end_year = start, end
         if start_year > end_year:
             raise ThermoeconError(f"bad window [{start_year}, {end_year}]")
         mask = (self.years >= start_year) & (self.years <= end_year)
@@ -160,14 +167,27 @@ def _representable(value: float, what: str, *args) -> None:
 
 
 def _values_on(years: np.ndarray, values, label: str) -> np.ndarray:
-    """`values` of series `label` as a private float64 copy shaped as the 1-d `years`."""
+    """`values` of series `label` as a private float64 copy shaped as the 1-d `years`.
+
+    A complex value, or one that does not convert to float, raises
+    ThermoeconError; complex input is refused before the float cast, which
+    would drop its imaginary parts with only a warning.
+    """
     try:
-        values = np.array(values, dtype=float, ndmin=1)
+        cast = np.array(values, ndmin=1)
+        if cast.dtype.kind == "c":
+            raise TypeError
+        cast = cast.astype(float, copy=False)
     except OverflowError:  # a Python int past double range
         raise ThermoeconError(f"non-finite value in series {label!r}") from None
-    if years.ndim != 1 or values.shape != years.shape:
+    except (TypeError, ValueError):
+        cells = np.array(values, dtype=object).ravel()
+        complex_ = any(isinstance(c, (complex, np.complexfloating)) for c in cells)
+        kind = "complex" if complex_ else "non-numeric"
+        raise ThermoeconError(f"{kind} value in series {label!r}") from None
+    if years.ndim != 1 or cast.shape != years.shape:
         raise ThermoeconError("years and values must be 1-d and the same length")
-    return values
+    return cast
 
 
 def _int64_years(years: np.ndarray) -> np.ndarray:

@@ -5,6 +5,10 @@ terawatts, per-year fractions. Each unit declares its file-header token and
 whether its values must be positive. This module holds lambda's scale and
 the three ratios the fit takes; the one integral is dC/dt = Y. Anything
 else raises ThermoeconError, never a coercion.
+
+`Unit.PERCENT_PER_YEAR` is a presentation unit: a report column in it
+holds per-year rates in percent, and its token loads back as
+`Unit.PER_YEAR_FRACTION` at 0.01, so no file is ever read in percent.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ class Unit(enum.Enum):
     PER_YEAR_FRACTION = ("per_year_fraction", False)
     YEARS = ("years", False)
     DIMENSIONLESS = ("dimensionless", False)
+    PERCENT_PER_YEAR = ("percent_per_year", False)
 
     def __init__(self, token: str, requires_positive: bool):
         self.token = token
@@ -72,8 +77,8 @@ def division_rule(numerator: Unit, denominator: Unit) -> tuple[Unit, float]:
 #: File-header unit tokens. `percent_per_year` exists so data transcribed in
 #: printed percent form can be shipped as-is; it loads as a per-year fraction.
 FILE_TOKENS: dict[str, tuple[Unit, float]] = {
-    **{u.token: (u, 1.0) for u in Unit},
-    "percent_per_year": (Unit.PER_YEAR_FRACTION, 0.01),
+    **{u.token: (u, 1.0) for u in Unit if u is not Unit.PERCENT_PER_YEAR},
+    Unit.PERCENT_PER_YEAR.token: (Unit.PER_YEAR_FRACTION, 0.01),
 }
 
 

@@ -1009,6 +1009,8 @@ _GDP = AnnualSeries(
     np.arange(2000, 2010), np.linspace(1.0, 2.0, 10), Unit.GDP_TRILLION_USD2005_PER_YEAR, "g"
 )
 _POWER = _GDP.with_values(_GDP.values / 2.0, Unit.POWER_TERAWATT, "p")
+# a table column over the years the drawn grids reach; the others are empty cells
+_YEARS_COLUMN = AnnualSeries(np.arange(1995, 2016), np.ones(21), Unit.YEARS, "x")
 
 
 class TestScalarArguments:
@@ -1042,9 +1044,7 @@ class TestScalarArguments:
             "AnnualSeries": lambda: AnnualSeries(2009, c0, Unit.GDP_TRILLION_USD2005_PER_YEAR),
             "with_values": lambda: _GDP.with_values([c0] * len(_GDP)),
             "interpolate": lambda: interpolate(_GDP, years),
-            "write_table": lambda: write_table(
-                path, years, {"x": (np.ones(grid.size), Unit.YEARS)}
-            ),
+            "write_table": lambda: write_table(path, years, {"x": _YEARS_COLUMN}),
         }
         done = set()
         for name, call in calls.items():

@@ -389,6 +389,15 @@ class TestFitInnovation:
         ):
             fit_innovation(table1.rate_of_return, window=window)
 
+    @pytest.mark.parametrize("window", [(1990.5, 2009), (np.nan, 2009)])
+    def test_window_bound_must_be_an_integer(self, benchmark_fit, window):
+        # not a fit on 1991:2009, nor "got 0 points"
+        with pytest.raises(
+            ThermoeconError,
+            match=exactly(f"window [{window[0]}, {window[1]}] holds a non-integer year"),
+        ):
+            fit_innovation(benchmark_fit.model.eta_series, window=window)
+
 
 class TestDecomposition:
     def test_sum_identity_is_exact(self, benchmark_fit):

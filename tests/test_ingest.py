@@ -142,10 +142,6 @@ def _format_column_reference(values, precision):
 
 
 def _column_cells_reference(grid, column, precision):
-    if isinstance(column, np.ndarray):
-        if column.shape != grid.shape:
-            raise ThermoeconError(f"{column.size} values for {grid.size} grid years")
-        return _format_column_reference(column, precision)
     if isinstance(column, AnnualSeries):
         years, values = column.years, column.values
     else:
@@ -186,9 +182,7 @@ def write_table_reference(path, year_grid, columns, units, fmt="csv", precision=
 
 def reference_columns(columns):
     """The oracle's (columns, units) arguments for a write_table `columns` map."""
-    values = {n: c if isinstance(c, AnnualSeries) else c[0] for n, c in columns.items()}
-    units = {n: c.unit if isinstance(c, AnnualSeries) else c[1] for n, c in columns.items()}
-    return values, units
+    return columns, {n: c.unit for n, c in columns.items()}
 
 
 def write_series_reference(series, path, fmt="csv", precision=None, comments=()):
@@ -362,7 +356,7 @@ class TestMultiColumn:
             tmp_path / "t.csv",
             [2000, 2001, 2002],
             {
-                "full": (np.array([1.0, 2.0, 3.0]), Unit.YEARS),
+                "full": AnnualSeries([2000, 2001, 2002], [1.0, 2.0, 3.0], Unit.YEARS),
                 "holey": AnnualSeries([2000, 2002], [10.0, 30.0], Unit.YEARS),
             },
         )
@@ -386,7 +380,7 @@ class TestMultiColumn:
         assert (len(back), back.unit, back.label) == (0, Unit.YEARS, "a")
 
     def test_unknown_column_requested(self, tmp_path):
-        path = write_table(tmp_path / "t.csv", [2000], {"a": (np.array([1.0]), Unit.YEARS)})
+        path = write_table(tmp_path / "t.csv", [2000], {"a": AnnualSeries(2000, 1.0, Unit.YEARS)})
         with pytest.raises(ParseError, match="no column 'b'"):
             load_series(path, Unit.YEARS, column="b")
 
@@ -404,9 +398,10 @@ class TestMultiColumn:
             load_series(p, Unit.YEARS, column="a")
 
     def test_raw_token_columns(self, tmp_path):
-        path = write_table(
-            tmp_path / "t.csv", [2000], {"r": (np.array([2.14]), "percent_per_year")}
-        )
+        # a percent column is written at presentation scale, read as a fraction
+        r = AnnualSeries(2000, 2.14, Unit.PERCENT_PER_YEAR)
+        path = write_table(tmp_path / "t.csv", [2000], {"r": r})
+        assert "# unit.r: percent_per_year" in path.read_text().splitlines()
         s = load_series(path, Unit.PER_YEAR_FRACTION, column="r")
         assert s.values[0] == pytest.approx(0.0214)
 
@@ -417,7 +412,8 @@ class TestMultiColumn:
         )
         grid = np.arange(2000, 2006)
         a = write_table(tmp_path / "a.csv", grid, {"x": s})
-        b = write_table(tmp_path / "b.csv", list(grid), {"x": (s.values[5:11], Unit.YEARS)})
+        on_grid = AnnualSeries(grid, s.values[5:11], Unit.YEARS)
+        b = write_table(tmp_path / "b.csv", list(grid), {"x": on_grid})
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[-1].startswith("2005,")
 
@@ -434,18 +430,6 @@ class TestMultiColumn:
         s = AnnualSeries([2000, 2001], [1 / 3, 2.0**60], Unit.DIMENSIONLESS)
         rows = write_table(tmp_path / "t.csv", s.years, {"v": s}).read_text().splitlines()
         assert rows[-2:] == ["2000,0.333333333333", "2001,1.15292150461e+18"]
-
-    def test_array_column_matches_series_column(self, tmp_path):
-        s = AnnualSeries(np.arange(2000, 2006), np.linspace(-0.3, 3.7, 6) ** 3, Unit.YEARS)
-        a = write_table(tmp_path / "a.csv", s.years, {"x": s})
-        b = write_table(tmp_path / "b.csv", s.years, {"x": (s.values, Unit.YEARS)})
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_array_column_must_match_grid(self, tmp_path):
-        with pytest.raises(ThermoeconError, match=exactly("5 values for 6 grid years")):
-            write_table(
-                tmp_path / "t.csv", np.arange(2000, 2006), {"x": (np.ones(5), Unit.YEARS)}
-            )
 
     def test_sparse_series_column_round_trips(self, tmp_path):
         years = np.arange(2000, 2008)
@@ -468,7 +452,7 @@ class TestMultiColumn:
     def test_non_integer_grid_year_refused_before_writing(self, tmp_path, grid):
         path = tmp_path / "t.csv"
         with pytest.raises(ThermoeconError, match=exactly("years must be integers")):
-            write_table(path, grid, {"a": (np.ones(len(grid)), Unit.YEARS)})
+            write_table(path, grid, {"a": AnnualSeries(2000, 1.0, Unit.YEARS)})
         assert not path.exists()
 
     @pytest.mark.parametrize("grid", [[2001, 2000, 2000], [2000, 2000], [2001, 2000]])
@@ -476,19 +460,21 @@ class TestMultiColumn:
         # load_series refuses a duplicate year, and rows out of order are no report
         path = tmp_path / "t.csv"
         with pytest.raises(ThermoeconError, match=exactly("year_grid must be strictly increasing")):
-            write_table(path, grid, {"a": (np.ones(len(grid)), Unit.YEARS)})
+            write_table(path, grid, {"a": AnnualSeries(2000, 1.0, Unit.YEARS)})
         assert not path.exists()
 
     def test_scalar_grid_is_one_year(self, tmp_path):
         # a scalar year is a one-year grid, as interpolate takes it
-        path = write_table(tmp_path / "t.csv", 2000, {"a": (np.array([1.5]), Unit.YEARS)})
+        path = write_table(tmp_path / "t.csv", 2000, {"a": AnnualSeries(2000, 1.5, Unit.YEARS)})
         assert path.read_text().splitlines()[-1] == "2000,1.5"
 
-    def test_unknown_raw_token_rejected_at_write(self, tmp_path):
-        with pytest.raises(
-            ThermoeconError, match=exactly("unknown unit token 'bogus' for column 'r'")
-        ):
-            write_table(tmp_path / "t.csv", [2000], {"r": (np.array([1.0]), "bogus")})
+    def test_tuple_column_is_refused(self, tmp_path):
+        # an (array, unit) pair is no column: its values were never checked
+        path = tmp_path / "t.csv"
+        message = "column 'r' must be an AnnualSeries, got tuple"
+        with pytest.raises(ThermoeconError, match=exactly(message)):
+            write_table(path, [2000], {"r": (np.array([1.0]), Unit.YEARS)})
+        assert not path.exists()
 
 
 class TestBuiltinTable:
@@ -871,11 +857,11 @@ _CELL_VALUES = st.floats(width=64, allow_nan=False, allow_infinity=False)  # -0.
 
 @st.composite
 def _table_column(draw, grid):
-    kind = draw(st.sampled_from(["dense series", "sparse series", "array"]))
-    if kind == "array":
+    kind = draw(st.sampled_from(["dense series", "sparse series", "grid series"]))
+    if kind == "grid series":  # on the grid's own years
         values = draw(st.lists(_CELL_VALUES, min_size=len(grid), max_size=len(grid)))
-        unit = draw(st.sampled_from([Unit.DIMENSIONLESS, Unit.YEARS, "percent_per_year"]))
-        return np.array(values), unit
+        unit = draw(st.sampled_from([Unit.DIMENSIONLESS, Unit.YEARS, Unit.PERCENT_PER_YEAR]))
+        return AnnualSeries(np.array(grid, dtype=np.int64), np.array(values), unit)
     keep = [y for y in grid if kind == "dense series" or draw(st.booleans())]
     extra = draw(st.lists(st.integers(-6000, 6000), max_size=4))
     years = sorted(set(keep) | set(extra))
@@ -922,56 +908,14 @@ class TestWritersMatchReference:
             (none, {"s": sparse, "m": single}),
             (grid, {"s": sparse}),  # sparse column first
             (grid, {"s": sparse, "m": empty}),  # an all-empty series column
-            (grid, {"x": (np.array([5e-324, -5e-324, -1e-308, 1.5]), Unit.YEARS)}),
-            (grid, {"z": (np.array([-0.0, 0.0, 1e308, -1e-308]), "percent_per_year")}),
+            (grid, {"x": AnnualSeries(grid, [5e-324, -5e-324, -1e-308, 1.5], Unit.YEARS)}),
+            (grid, {"z": AnnualSeries(grid, [-0.0, 0.0, 1e308, -1e-308], Unit.PERCENT_PER_YEAR)}),
         ]
         for i, (g, columns) in enumerate(cases):
             got = write_table(tmp_path / f"got{i}", g, columns, fmt=fmt).read_bytes()
             want = write_table_reference(tmp_path / f"want{i}", g, *reference_columns(columns),
                                          fmt=fmt)
             assert got == want.read_bytes(), columns
-        # a value load_series would refuse is refused, and no file is written
-        nan = {"x": (np.array([5e-324, np.nan, np.inf, -np.inf]), Unit.YEARS)}
-        with pytest.raises(
-            ThermoeconError,
-            match=exactly("column 'x' at year 2001: non-finite value in series 'x'"),
-        ):
-            write_table(tmp_path / "refused", grid, nan, fmt=fmt)
-        assert not (tmp_path / "refused").exists()
-
-    @given(
-        values=st.lists(st.floats(width=64), min_size=1, max_size=12),
-        unit=st.sampled_from([Unit.YEARS, Unit.POWER_TERAWATT, "percent_per_year"]),
-        fmt=st.sampled_from(["csv", "tsv"]),
-        writeable=st.booleans(),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_write_table_refuses_what_would_not_load(
-        self, tmp_path_factory, values, unit, fmt, writeable
-    ):
-        # the values are checked on a copy: the caller's writeable flag stays
-        path = tmp_path_factory.mktemp("refuse") / "t.csv"
-        grid = np.arange(2000, 2000 + len(values))
-        array = np.array(values)
-        array.flags.writeable = writeable
-        positive = unit is Unit.POWER_TERAWATT
-        bad = [not np.isfinite(v) or (positive and v <= 0.0) for v in values]
-        if not any(bad):
-            write_table(path, grid, {"v": (array, unit)}, fmt=fmt)
-            token = unit.token if isinstance(unit, Unit) else unit
-            back = load_series(path, parse_unit_token(token)[0], column="v")
-            assert len(back) == len(values)
-            assert array.flags.writeable == writeable
-            return
-        i = bad.index(True)
-        rule = "non-finite value in series 'v'" if not np.isfinite(values[i]) else (
-            "power_terawatt series 'v' must be strictly positive"
-        )
-        message = f"column 'v' at year {2000 + i}: {rule}"
-        with pytest.raises(ThermoeconError, match=exactly(message)):
-            write_table(path, grid, {"v": (array, unit)}, fmt=fmt)
-        assert not path.exists()
-        assert array.flags.writeable == writeable
 
 
 # ---------------------------------------------------------------------------
@@ -981,6 +925,8 @@ class TestWritersMatchReference:
 # one chunk of rows as Python objects, or one slice of text and its lines
 _CHUNK_BYTES = 256 * 1024
 _EDGES = [k * _CHUNK_ROWS + d for k in range(1, 4) for d in (-1, 0, 1)]
+# a valid column for the calls that are refused for something else
+_FILLER = AnnualSeries([2000, 2001, 2002], [1.0, 2.0, 3.0], Unit.POWER_TERAWATT)
 
 
 @st.composite
@@ -994,9 +940,10 @@ def chunked_table_calls(draw):
 
     def column():
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-        kind = draw(st.sampled_from(["dense", "overhanging", "holes", "islands", "array"]))
-        if kind == "array":
-            return values, draw(st.sampled_from([Unit.YEARS, "percent_per_year"]))
+        kind = draw(st.sampled_from(["dense", "overhanging", "holes", "islands", "unit"]))
+        if kind == "unit":  # on the grid, in a unit of its own
+            unit = draw(st.sampled_from([Unit.YEARS, Unit.PERCENT_PER_YEAR]))
+            return AnnualSeries(grid, values, unit)
         keep = np.full(n, kind != "islands")
         picked = [i for i in draw(st.lists(rows, max_size=12)) if i < n]
         keep[picked] = kind == "islands"
@@ -1034,32 +981,29 @@ class TestBoundedWriterAndReader:
     @pytest.mark.parametrize(
         "comments, columns, message",
         [
-            (["note\n1999,5"], {"a": 1}, "comment 'note\\n1999,5' is not one line"),
-            (["a\rb"], {"a": 1}, "comment 'a\\rb' is not one line"),
-            (["x\x85"], {"a": 1}, "comment 'x\\x85' is not one line"),
-            (["x\udc80"], {"a": 1}, "comment 'x\\udc80' is not UTF-8 text"),
-            ([], {"delta-c": 1}, "column name 'delta-c' would not load back"),
-            ([], {"a b": 1}, "column name 'a b' would not load back"),
-            ([], {"x,y": 1}, "column name 'x,y' would not load back"),
-            ([], {"": 1}, "column name '' would not load back"),
-            ([], {"year": 1}, "column name 'year' would not load back"),
-            ([], {"a": "x"}, "column 'a' at year 2001: could not convert string to float: 'x'"),
-            ([], {"a": None}, "column 'a' at year 2001: non-finite value in series 'a'"),
-            ([], {"a": 10**400}, "column 'a' at year 2001: non-finite value in series 'a'"),
-            ([], {"a": -1.0}, "column 'a' at year 2001: power_terawatt series 'a' must be"),
+            (["note\n1999,5"], {"a": _FILLER}, "comment 'note\\n1999,5' is not one line"),
+            (["a\rb"], {"a": _FILLER}, "comment 'a\\rb' is not one line"),
+            (["x\x85"], {"a": _FILLER}, "comment 'x\\x85' is not one line"),
+            (["x\udc80"], {"a": _FILLER}, "comment 'x\\udc80' is not UTF-8 text"),
+            ([], {"delta-c": _FILLER}, "column name 'delta-c' would not load back"),
+            ([], {"a b": _FILLER}, "column name 'a b' would not load back"),
+            ([], {"x,y": _FILLER}, "column name 'x,y' would not load back"),
+            ([], {"": _FILLER}, "column name '' would not load back"),
+            ([], {"year": _FILLER}, "column name 'year' would not load back"),
+            ([], {"a": _FILLER, "b": {2000: 1.0}}, "column 'b' must be an AnnualSeries, got dict"),
+            ([], {"a": np.ones(3)}, "column 'a' must be an AnnualSeries, got ndarray"),
+            ([], {"a": [1.0, 2.0, 3.0]}, "column 'a' must be an AnnualSeries, got list"),
+            ([], {"a": None}, "column 'a' must be an AnnualSeries, got NoneType"),
+            ("ab", {"a": _FILLER}, "comments must be a sequence of lines, got the string 'ab'"),
         ],
     )
     def test_refused_before_the_file_is_opened(self, tmp_path, comments, columns, message):
-        # each call would write a file that does not load back as written;
-        # the one odd cell sits at 2001, and an existing file is left alone
+        # each call would write a file that does not load back as written,
+        # or holds what is no column; an existing file is left alone
         path = tmp_path / "t.csv"
         path.write_text("kept\n", encoding="utf-8")
-        cols = {
-            name: (np.array([1.0, cell, 2.0], dtype=object), Unit.POWER_TERAWATT)
-            for name, cell in columns.items()
-        }
         with pytest.raises(ThermoeconError) as err:
-            write_table(path, [2000, 2001, 2002], cols, comments=comments)
+            write_table(path, [2000, 2001, 2002], columns, comments=comments)
         assert str(err.value).startswith(message)
         assert path.read_text(encoding="utf-8") == "kept\n"
 
@@ -1067,14 +1011,7 @@ class TestBoundedWriterAndReader:
         path = tmp_path / "t.tsv"
         message = "unknown format 'TSV'; use 'csv' or 'tsv'"
         with pytest.raises(ThermoeconError, match=exactly(message)):
-            write_table(path, [2000], {"a": (np.array([1.5]), Unit.YEARS)}, fmt="TSV")
-        assert not path.exists()
-
-    def test_complex_pair_is_refused(self, tmp_path):
-        # a float cast would write the real parts and drop the imaginary ones
-        path = tmp_path / "t.csv"
-        with pytest.raises(ThermoeconError, match="^column 'a' at year 2000: "):
-            write_table(path, [2000, 2001], {"a": (np.array([1 + 2j, 1.0]), Unit.YEARS)})
+            write_table(path, [2000], {"a": AnnualSeries(2000, 1.5, Unit.YEARS)}, fmt="TSV")
         assert not path.exists()
 
     def test_hard_link_is_written_in_place(self, tmp_path):
@@ -1082,7 +1019,7 @@ class TestBoundedWriterAndReader:
         path, link = tmp_path / "t.csv", tmp_path / "link.csv"
         path.write_text("old\n", encoding="utf-8")
         os.link(path, link)
-        write_table(path, [2000], {"a": (np.array([1.0]), Unit.YEARS)})
+        write_table(path, [2000], {"a": AnnualSeries(2000, 1.0, Unit.YEARS)})
         assert link.read_bytes() == path.read_bytes() != b"old\n"
 
     def test_write_table_peak_is_bounded_by_its_file(self, tmp_path):

@@ -1,4 +1,6 @@
 import re
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -15,6 +17,15 @@ from thermoecon.series import (
     log_derivative,
     rolling_mean,
 )
+
+
+@contextmanager
+def every_warning_raises():
+    """Every warning an error, as under -W error: a cast that warns, such
+    as a complex value kept as its real part, fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
 
 
 def exactly(message):
@@ -61,7 +72,12 @@ def annual_series_reference(years, values, unit, label=""):
     error construction would raise.
     """
     years = np.atleast_1d(np.asarray(years))
-    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if any(isinstance(v, complex) for v in np.asarray(values, dtype=object).ravel().tolist()):
+        raise ThermoeconError(f"complex value in series {label!r}")
+    try:
+        values = np.atleast_1d(np.asarray(values, dtype=float))
+    except ValueError:
+        raise ThermoeconError(f"non-numeric value in series {label!r}") from None
     if years.shape != values.shape or years.ndim != 1:
         raise ThermoeconError("years and values must be 1-d and the same length")
     if years.size and not np.array_equal(years, years.astype(np.int64)):
@@ -94,6 +110,10 @@ _VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf]),
 )
+# values that are no real numbers, refused before any float cast
+_NO_REAL_NUMBERS = st.sampled_from(
+    [["a"], np.array([1 + 2j]), np.array([1.0, 1 + 2j], dtype=object)]
+)
 
 
 @st.composite
@@ -105,7 +125,7 @@ def series_inputs(draw):
         years = np.sort(years)
     elif order == "sorted unique":
         years = np.unique(years)
-    shape = draw(st.sampled_from(["1-d", "1-d", "1-d", "0-d", "2-d", "mismatched"]))
+    shape = draw(st.sampled_from(["1-d", "1-d", "1-d", "0-d", "2-d", "mismatched", "no real"]))
     n = years.size + (shape == "mismatched")
     values = np.array(draw(st.lists(_VALUES, min_size=n, max_size=n)), dtype=float)
     if shape == "0-d":
@@ -113,22 +133,27 @@ def series_inputs(draw):
         values = np.array(draw(_VALUES))
     elif shape == "2-d":
         years, values = years.reshape(1, -1), values.reshape(1, -1)
+    elif shape == "no real":
+        values = draw(_NO_REAL_NUMBERS)
     unit = draw(st.sampled_from([Unit.DIMENSIONLESS, Unit.POWER_TERAWATT]))
     return years, values, unit
 
 
 @st.composite
 def with_values_inputs(draw):
-    """A valid series and new values for it: NaN, inf, zero, negative, 2-d, off length."""
+    """A valid series and new values for it: NaN, inf, zero, negative, 2-d, off
+    length, no real numbers."""
     years = np.unique(np.array(draw(st.lists(_YEAR_DTYPES["int64"][1], max_size=6)), np.int64))
     source = AnnualSeries(years, np.ones(years.size), Unit.DIMENSIONLESS, "source")
-    shape = draw(st.sampled_from(["1-d", "1-d", "1-d", "0-d", "2-d", "short", "long"]))
+    shape = draw(st.sampled_from(["1-d", "1-d", "1-d", "0-d", "2-d", "short", "long", "no real"]))
     n = max(years.size + {"short": -1, "long": 1}.get(shape, 0), 0)
     values = np.array(draw(st.lists(_VALUES, min_size=n, max_size=n)), dtype=float)
     if shape == "0-d":
         values = np.array(draw(_VALUES))
     elif shape == "2-d":
         values = values.reshape(1, -1)
+    elif shape == "no real":
+        values = draw(_NO_REAL_NUMBERS)
     unit = draw(st.sampled_from([Unit.DIMENSIONLESS, Unit.POWER_TERAWATT]))
     return source, values, unit, draw(st.sampled_from(["", "x", "power"]))
 
@@ -141,11 +166,12 @@ class TestAnnualSeries:
         try:
             want = annual_series_reference(years, values, unit, "x")
         except ThermoeconError as exc:
-            with pytest.raises(type(exc)) as err:
+            with pytest.raises(type(exc)) as err, every_warning_raises():
                 AnnualSeries(years, values, unit, "x")
             assert str(err.value) == str(exc)
             return
-        s = AnnualSeries(years, values, unit, "x")
+        with every_warning_raises():
+            s = AnnualSeries(years, values, unit, "x")
         assert s.years.dtype == want[0].dtype and np.array_equal(s.years, want[0])
         assert s.values.dtype == want[1].dtype
         assert np.array_equal(s.values.view(np.int64), want[1].view(np.int64))
@@ -156,13 +182,15 @@ class TestAnnualSeries:
     def test_with_values_checks_like_the_constructor(self, inputs):
         s, values, unit, label = inputs
         try:
-            want = AnnualSeries(s.years, values, unit, label)
+            with every_warning_raises():
+                want = AnnualSeries(s.years, values, unit, label)
         except ThermoeconError as exc:
-            with pytest.raises(type(exc)) as err:
+            with pytest.raises(type(exc)) as err, every_warning_raises():
                 s.with_values(values, unit, label)
             assert str(err.value) == str(exc)
             return
-        got = s.with_values(values, unit, label)
+        with every_warning_raises():
+            got = s.with_values(values, unit, label)
         assert got.years is s.years
         assert (got.unit, got.label) == (unit, label)
         assert got.values.dtype == want.values.dtype
@@ -276,6 +304,13 @@ class TestAnnualSeries:
         assert list(w.years) == [2002, 2003, 2004, 2005]
         with pytest.raises(ThermoeconError, match=exactly("bad window [2005, 2002]")):
             s.window(2005, 2002)
+        assert list(s.window(2002.0, 2003).years) == [2002, 2003]
+        # as annual_grid: a fractional bound is not rounded, a NaN one selects nothing
+        for start, end in [(2000.5, 2003), (np.nan, 2003), (2000, np.inf)]:
+            with pytest.raises(
+                ThermoeconError, match=exactly(f"window [{start}, {end}] holds a non-integer year")
+            ):
+                s.window(start, end)
 
     def test_values_are_read_only(self):
         s = series([1.0, 2.0])

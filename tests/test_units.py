@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thermoecon import ThermoeconError, Unit
+from thermoecon import ThermoeconError, Unit, load_series
 from thermoecon.units import (
     FILE_TOKENS,
     LAMBDA_SCALE,
@@ -22,28 +22,53 @@ def test_seconds_per_year_is_julian():
     assert SECONDS_PER_YEAR == 3.15569e7
 
 
-def test_lambda_scale_is_declared_once():
-    # W per thousand $ from TW per T$: every conversion names LAMBDA_SCALE,
-    # so no number literal 1000 appears outside units.py
-    assert LAMBDA_SCALE == 1000.0
+def _constants_outside_units(keep):
+    """`file:line` of every constant in the package outside units.py whose
+    value `keep` accepts."""
     package = Path(__file__).resolve().parent.parent / "src" / "thermoecon"
-    sites = [
+    return [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
         if path.name != "units.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Constant)
-        and type(node.value) in (int, float)
-        and node.value == 1000
+        if isinstance(node, ast.Constant) and keep(node.value)
     ]
-    assert sites == []
 
 
-def test_every_unit_has_a_file_token():
+def test_lambda_scale_is_declared_once():
+    # W per thousand $ from TW per T$: every conversion names LAMBDA_SCALE,
+    # so no number literal 1000 appears outside units.py
+    assert LAMBDA_SCALE == 1000.0
+    assert _constants_outside_units(lambda v: type(v) in (int, float) and v == 1000) == []
+
+
+def test_unit_tokens_are_spelled_once():
+    # every module names a unit by its Unit member, so no string literal
+    # equal to a file token appears outside units.py; "years" is also the
+    # field name that __setattr__ calls spell
+    tokens = FILE_TOKENS.keys() - {"years"}
+    assert _constants_outside_units(lambda v: type(v) is str and v in tokens) == []
+
+
+def test_every_unit_has_a_file_token(tmp_path):
     for unit in Unit:
+        if unit is Unit.PERCENT_PER_YEAR:
+            continue
         parsed, scale = parse_unit_token(unit.token)
         assert parsed is unit
         assert scale == 1.0
+    # the presentation unit is written, never read: its token loads as a fraction
+    assert parse_unit_token(Unit.PERCENT_PER_YEAR.token) == (Unit.PER_YEAR_FRACTION, 0.01)
+    p = tmp_path / "ror.csv"
+    p.write_text("# unit: percent_per_year\n2009,2.14\n", encoding="utf-8")
+    with pytest.raises(
+        ThermoeconError,
+        match=exactly(
+            "ror.csv: declared unit 'percent_per_year' is per_year_fraction, "
+            "expected percent_per_year"
+        ),
+    ):
+        load_series(p, Unit.PERCENT_PER_YEAR)
 
 
 def test_percent_token_scales_to_fraction():
