@@ -21,7 +21,7 @@ from .forecast import Scenario, doubling_time_series, forecast
 from .growth import FitResult, fit_innovation, run_fit
 from .ingest import builtin_table1, load_series, write_table
 from .series import AnnualSeries
-from .units import LAMBDA_SCALE, Unit
+from .units import Unit
 
 _VERSION_COMMENT = f"thermoecon {__version__}"
 
@@ -129,18 +129,14 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
         # the years of the rate-of-return trend that sets the default tau
         _reject_with_builtin(args, "gdp", "power", "historical_gdp", "lambda0")
         window = None if args.window is None else _parse_window(args.window)
-        t1 = builtin_table1()
-        start = t1.power.last_year
-        c0, eta0, lambda0 = t1.state_at(start)
-        default_tau = fit_innovation(t1.rate_of_return, window).tau_eta
+        source = builtin_table1()
+        start = source.power.last_year
+        default_tau = fit_innovation(source.rate_of_return, window).tau_eta
     else:
-        res = _resolve_fit(args)
-        end = res.model.window[1]
-        start = end
-        c0 = float(res.wealth.value_at(end))
-        eta0 = float(res.model.eta_series.value_at(end))
-        lambda0 = float(res.model.lambda_series.value_at(end))
-        default_tau = res.innovation.tau_eta
+        source = _resolve_fit(args)
+        start = source.model.window[1]
+        default_tau = source.innovation.tau_eta
+    c0, eta0, lambda0 = source.state_at(start)
     if args.eta0 is not None:
         eta0 = args.eta0
     if args.tau_eta is None:
@@ -206,8 +202,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     # the printed ratio row defines its own implied wealth; reconstructing
     # the return column through it reproduces the printed rounding, the
     # trapezoid wealth does not quite
-    implied_wealth = LAMBDA_SCALE * t1.power.values / ratio_printed
-    ror_computed = 100.0 * t1.gdp.values / implied_wealth
+    ror_computed = 100.0 * t1.gdp.values / t1.wealth.values
     ror_printed = 100.0 * t1.rate_of_return.values
     ratio_deviation = ratio_computed - ratio_printed
     ror_deviation = ror_computed - ror_printed

@@ -231,6 +231,12 @@ class FitResult(NamedTuple):
         """
         return self.model.eta_mean + self.innovation.slope
 
+    def state_at(self, year: int) -> tuple[float, float, float]:
+        """(c0, eta0, lambda0) of the fit at `year`, the state a Scenario
+        starts from; unrounded, unlike `Table1.state_at`'s printed digits."""
+        m = self.model
+        return tuple(s.value_at(year) for s in (self.wealth, m.eta_series, m.lambda_series))
+
 
 def run_fit(
     gdp: AnnualSeries,

@@ -337,17 +337,23 @@ class Table1(NamedTuple):
         """The printed 1970 ratio anchoring wealth, as a float that prints 6.4."""
         return float(self.power_over_wealth.values[0])
 
-    def state_at(self, year: int) -> tuple[float, float, float]:
-        """(c0, eta0, lambda0) of the printed row at `year`.
+    @property
+    def wealth(self) -> AnnualSeries:
+        """The wealth each printed row implies, 1000 * power / ratio, in T$."""
+        implied = LAMBDA_SCALE * self.power.values / self.power_over_wealth.values
+        return self.power.with_values(implied, Unit.WEALTH_TRILLION_USD2005, "implied wealth")
 
-        Wealth is 1000 * power / ratio. Each value is read at the 12
-        significant digits a report cell carries, so the 2009 row gives
-        exactly 2300.0 T$, 0.0214 /yr and 7.0 W/k$, not the
-        2300.0000000000005 and 0.021400000000000002 of the raw arithmetic.
+    def state_at(self, year: int) -> tuple[float, float, float]:
+        """(c0, eta0, lambda0) of the printed row at `year`, c0 read off `wealth`.
+
+        Each value is read at the 12 significant digits a report cell
+        carries, so the 2009 row gives exactly 2300.0 T$, 0.0214 /yr and
+        7.0 W/k$, not the 2300.0000000000005 and 0.021400000000000002 of
+        the raw arithmetic.
         """
-        power, ratio = self.power.value_at(year), self.power_over_wealth.value_at(year)
-        state = (LAMBDA_SCALE * power / ratio, self.rate_of_return.value_at(year), ratio)
-        return tuple(float(_CELL_SPEC % v) for v in state)
+        self.power.value_at(year)  # a year off the table is named by its first row
+        state = (self.wealth, self.rate_of_return, self.power_over_wealth)
+        return tuple(float(_CELL_SPEC % s.value_at(year)) for s in state)
 
 
 def builtin_table1() -> Table1:

@@ -34,8 +34,9 @@ class AnnualSeries:
     Invariants enforced at construction, in this order, each with its own
     ThermoeconError message:
 
-    * every value is a real number: complex input, and input that does
-      not convert to float, is refused before the cast;
+    * every value is a real number: complex input, and strings, bytes,
+      None, dates or anything else that is not a real number, are
+      refused before the float cast;
     * `years` and `values` are 1-d and the same length; a 0-d scalar pair
       counts as one point;
     * every year is an integer (integral floats and bools pass, since the
@@ -169,25 +170,37 @@ def _representable(value: float, what: str, *args) -> None:
 def _values_on(years: np.ndarray, values, label: str) -> np.ndarray:
     """`values` of series `label` as a private float64 copy shaped as the 1-d `years`.
 
-    A complex value, or one that does not convert to float, raises
-    ThermoeconError; complex input is refused before the float cast, which
-    would drop its imaginary parts with only a warning.
+    Bools, ints and floats pass on one dtype test. Anything else is taken
+    cell by cell and refused before the float cast, which would parse a
+    string, turn None into NaN and drop an imaginary part with only a
+    warning: a complex cell as complex, and a string, bytes, None or any
+    cell that does not convert to float as non-numeric. Nesting of unequal
+    length is a shape error.
     """
     try:
         cast = np.array(values, ndmin=1)
-        if cast.dtype.kind == "c":
-            raise TypeError
-        cast = cast.astype(float, copy=False)
-    except OverflowError:  # a Python int past double range
-        raise ThermoeconError(f"non-finite value in series {label!r}") from None
-    except (TypeError, ValueError):
-        cells = np.array(values, dtype=object).ravel()
-        complex_ = any(isinstance(c, (complex, np.complexfloating)) for c in cells)
-        kind = "complex" if complex_ else "non-numeric"
-        raise ThermoeconError(f"{kind} value in series {label!r}") from None
+    except ValueError:  # ragged nesting
+        raise ThermoeconError("years and values must be 1-d and the same length") from None
+    if cast.dtype.kind not in "biuf":
+        cast = _real_cells(cast, values, label)
     if years.ndim != 1 or cast.shape != years.shape:
         raise ThermoeconError("years and values must be 1-d and the same length")
-    return cast
+    return cast.astype(float, copy=False)
+
+
+def _real_cells(cast: np.ndarray, values, label: str) -> np.ndarray:
+    """`cast`, which numpy did not type as real numbers, as float64 if every cell is one."""
+    cells = np.array(values, dtype=object).ravel()
+    if any(isinstance(c, (complex, np.complexfloating)) for c in cells):
+        raise ThermoeconError(f"complex value in series {label!r}")
+    if cast.dtype.kind == "O" and not any(c is None or isinstance(c, (str, bytes)) for c in cells):
+        try:
+            return cast.astype(float)
+        except OverflowError:  # a Python int past double range
+            raise ThermoeconError(f"non-finite value in series {label!r}") from None
+        except (TypeError, ValueError):
+            pass
+    raise ThermoeconError(f"non-numeric value in series {label!r}")
 
 
 def _int64_years(years: np.ndarray) -> np.ndarray:

@@ -54,6 +54,8 @@ def test_criterion_02_rate_of_return_reconstruction():
         computed_pct = 100.0 * t1.gdp.value_at(year) / implied_wealth
         printed_pct = 100.0 * t1.rate_of_return.value_at(year)
         worst = max(worst, abs(computed_pct - printed_pct))
+        # the one implied-wealth series the table1 command reads is this one
+        assert t1.wealth.value_at(year).hex() == implied_wealth.hex()
     assert worst <= 0.02
     print(f"criterion 2: PASS (worst return deviation {worst:.4f} %/yr over 9 years)")
 

@@ -419,6 +419,26 @@ class TestDecomposition:
         assert 0.008 <= rate <= 0.013
 
 
+class TestStateAt:
+    def test_reads_the_fit_at_a_year_unrounded(self, benchmark_fit):
+        m = benchmark_fit.model
+        state = benchmark_fit.state_at(2009)
+        assert state == (
+            benchmark_fit.wealth.value_at(2009),
+            m.eta_series.value_at(2009),
+            m.lambda_series.value_at(2009),
+        )
+        assert [type(v) for v in state] == [float] * 3
+        # a fitted state is no printed row: it keeps its full digits
+        assert state[0] != float(f"{state[0]:.12g}")
+
+    def test_needs_a_year_of_the_fit(self, benchmark_fit):
+        with pytest.raises(
+            ThermoeconError, match=exactly("year 2010 not in series 'wealth_trillion_usd2005'")
+        ):
+            benchmark_fit.state_at(2010)
+
+
 class TestEnergyProductivity:
     # f = Y/a is formed by fit_lambda on the fit grid
     def test_benchmark_values(self, benchmark_fit, table1):

@@ -550,6 +550,12 @@ class TestBuiltinTable:
         # 1990: 11.6 TW at 7.5 W/k$ and 1.94 %/yr
         assert table1.state_at(1990) == (1546.66666667, 0.0194, 7.5)
 
+    def test_wealth_is_implied_by_each_printed_row(self, table1):
+        wealth = table1.wealth
+        assert wealth.years is table1.power.years
+        assert (wealth.unit, wealth.label) == (Unit.WEALTH_TRILLION_USD2005, "implied wealth")
+        assert table1.state_at(2009)[0] == float(f"{wealth.value_at(2009):.12g}")
+
     def test_state_at_needs_a_printed_year(self, table1):
         with pytest.raises(
             ThermoeconError, match=exactly("year 2008 not in series 'power production'")

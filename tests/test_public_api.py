@@ -50,6 +50,13 @@ def test_all_is_the_pinned_sorted_list():
     assert [name for name in PUBLIC_NAMES if not hasattr(thermoecon, name)] == []
 
 
+def test_version_is_the_one_pyproject_declares():
+    # the CLI's --version and every report's first comment line print it
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((SCRIPTS.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert thermoecon.__version__ == config["project"]["version"]
+
+
 def test_error_subclasses_are_the_ones_carrying_data():
     # every other failure is a plain ThermoeconError with its message
     found, todo = set(), [thermoecon.ThermoeconError]

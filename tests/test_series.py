@@ -286,6 +286,38 @@ class TestAnnualSeries:
         with pytest.raises(ThermoeconError, match=exactly("non-finite value in series 'big'")):
             s.with_values([1, -(10**400)], label="big")
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ["1.5"],  # the float cast would parse it
+            np.array(["1.5"]),
+            [b"1.5"],
+            [None],  # the float cast would make it NaN
+            np.array([None], dtype=object),
+            np.array(["2000"], dtype="datetime64[Y]"),  # the cast counts years since 1970
+        ],
+        ids=["str", "numpy str", "bytes", "None", "None in an object array", "datetime64"],
+    )
+    def test_values_that_are_no_numbers_rejected(self, values):
+        with pytest.raises(ThermoeconError, match=exactly("non-numeric value in series 'x'")):
+            AnnualSeries([2000], values, Unit.YEARS, "x")
+        with pytest.raises(ThermoeconError, match=exactly("non-numeric value in series 'x'")):
+            series([1.0]).with_values(values, label="x")
+
+    def test_ragged_values_rejected_as_a_shape_error(self):
+        with pytest.raises(
+            ThermoeconError, match=exactly("years and values must be 1-d and the same length")
+        ):
+            AnnualSeries([2000, 2001], [[1], [1, 2]], Unit.YEARS, "x")
+
+    def test_real_numbers_of_other_types_still_convert(self):
+        from decimal import Decimal
+        from fractions import Fraction
+
+        values = np.array([Decimal("1.5"), Fraction(5, 2), 10**20, True], dtype=object)
+        s = AnnualSeries(np.arange(2000, 2004), values, Unit.YEARS)
+        assert s.values.tolist() == [1.5, 2.5, 1e20, 1.0]
+
     def test_physical_units_must_be_positive(self):
         with pytest.raises(
             ThermoeconError, match=exactly("power_terawatt series '' must be strictly positive")
