@@ -79,7 +79,8 @@ def load_series(
     column_units: dict[str, str] = {}
     years, values = array("q"), array("d")
     has_rows = False
-    n_fields, idx = 2, 1  # plain files: year,value; idx None = no such column
+    # plain files: year,value, whose one column is "value"; idx None = no such column
+    n_fields, idx = 2, 1 if column == "value" else None
 
     lines = chain.from_iterable(map(str.splitlines, _slices(text)))
     try:
@@ -116,29 +117,29 @@ def load_series(
                     lineno,
                     name,
                 )
-            year_cell = fields[0].strip()
+            # int and float skip the whitespace around a cell that strip()
+            # removes, all but U+001F; a cell is stripped only when it fails
             try:
-                year = int(year_cell)
+                year = int(fields[0])
             except ValueError:
-                raise ParseError(f"bad year {year_cell!r}", lineno, name) from None
+                year = _stripped(int, fields[0], "bad year", lineno, name)
             if idx is None:
                 raise ParseError(f"file has no column {column!r}", lineno, name)
-            cell = fields[idx].strip()
-            if not cell:
-                if columns is None:
-                    raise ParseError("empty value", lineno, name)
-                continue  # sparse column: absent point
             try:
-                value = float(cell)
+                value = float(fields[idx])
             except ValueError:
-                raise ParseError(f"bad value {cell!r}", lineno, name) from None
+                if not fields[idx].strip():
+                    if columns is None:
+                        raise ParseError("empty value", lineno, name) from None
+                    continue  # sparse column: absent point
+                value = _stripped(float, fields[idx], "bad value", lineno, name)
             if not math.isfinite(value):
-                raise ParseError(f"non-finite value {cell!r}", lineno, name)
+                raise ParseError(f"non-finite value {fields[idx].strip()!r}", lineno, name)
             try:
                 years.append(year)
             except OverflowError:
                 raise ParseError(
-                    f"year {year_cell!r} is outside the int64 range", lineno, name
+                    f"year {fields[0].strip()!r} is outside the int64 range", lineno, name
                 ) from None
             values.append(value)
     except ParseError:
@@ -187,6 +188,15 @@ def load_series(
     return _stored(years, values, expected_unit, label)
 
 
+def _stripped(convert, cell: str, fault: str, lineno: int, name: str):
+    """convert(cell.strip()), or ParseError "`fault` 'cell'" naming the stripped cell."""
+    cell = cell.strip()
+    try:
+        return convert(cell)
+    except ValueError:
+        raise ParseError(f"{fault} {cell!r}", lineno, name) from None
+
+
 def _slices(text: str):
     """`text` in pieces of about _SLICE_CHARS, each cut just after a "\\n",
     a "\\r\\n" or a lone "\\r".
@@ -224,7 +234,7 @@ def _on_grid(grid: np.ndarray, column: AnnualSeries) -> tuple[np.ndarray, np.nda
     """The values of one column on the grid, and which grid years hold a
     value: None when all of them do."""
     years = column.years
-    if np.array_equal(years, grid):
+    if years is grid or np.array_equal(years, grid):
         return column.values, None
     idx = np.searchsorted(years, grid)
     hit = idx < years.size
@@ -263,7 +273,9 @@ def write_table(
     if fmt not in ("csv", "tsv"):
         raise ThermoeconError(f"unknown format {fmt!r}; use 'csv' or 'tsv'")
     delim = "\t" if fmt == "tsv" else ","
-    grid = _int64_years(np.atleast_1d(np.asarray(year_grid)))
+    grid = np.atleast_1d(np.asarray(year_grid))
+    if grid.dtype != np.int64:  # an int64 grid is only read, so it need not be copied
+        grid = _int64_years(grid)
     if not _increasing(grid):
         raise ThermoeconError("year_grid must be strictly increasing")
     if isinstance(comments, str):
@@ -304,8 +316,9 @@ def write_table(
                 chunk = texts
                 specs.append("%s")
             cells.append(chunk)
-        row = delim.join(specs) + "\n"
-        text.append("".join(map(row.__mod__, zip(*cells))))
+        # one % over the chunk: its rows' specs, and its cells row by row
+        spec = (delim.join(specs) + "\n") * len(cells[0])
+        text.append(spec % tuple(chain.from_iterable(zip(*cells))))
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(text)
     return path

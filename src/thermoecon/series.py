@@ -129,7 +129,7 @@ class AnnualSeries:
     def __truediv__(self, other):
         if not isinstance(other, AnnualSeries):
             return NotImplemented
-        if not np.array_equal(self.years, other.years):
+        if other.years is not self.years and not np.array_equal(self.years, other.years):
             raise ThermoeconError(
                 f"series {self.label!r} and {other.label!r} are on different "
                 "year grids; interpolate explicitly first"
@@ -279,7 +279,10 @@ def interpolate(series: AnnualSeries, year_grid: Sequence[int]) -> AnnualSeries:
     knot = np.searchsorted(series.years, grid)
     knot_mask = (knot < len(series)) & (series.years[np.minimum(knot, len(series) - 1)] == grid)
     out[knot_mask] = series.values[knot[knot_mask]]
-    return AnnualSeries(grid, out, series.unit, series.label)
+    # grid is a private copy, proved integral and increasing above
+    grid.flags.writeable = False
+    unit, label = series.unit, series.label
+    return _stored(grid, _checked_values(out, unit, label), unit, label)
 
 
 def cumulative_integral(series: AnnualSeries, from_year: int, initial: float) -> AnnualSeries:
@@ -314,6 +317,8 @@ def cumulative_integral(series: AnnualSeries, from_year: int, initial: float) ->
         run = initial + np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]))])
     _check_overflow(f"{out_unit.token} integral of series {series.label!r}", series.years, run)
     k = year - series.first_year
+    if k == 0:  # the whole record: the result shares the series' years
+        return series.with_values(run, out_unit, out_unit.token)
     return AnnualSeries(series.years[k:], run[k:], out_unit, out_unit.token)
 
 

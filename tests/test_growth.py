@@ -245,6 +245,10 @@ class TestBuildWealth:
 
 
 class TestFitLambda:
+    def test_fit_series_share_one_years_array(self, benchmark_fit):
+        # wealth keeps the interpolated GDP's years, and eta = Y/C keeps them too
+        assert benchmark_fit.model.eta_series.years is benchmark_fit.wealth.years
+
     def test_recovers_constant_ratio_exactly(self):
         wealth, gdp, power = exact_model(lambda0=7.0)
         fit = fit_lambda(power, wealth, gdp)

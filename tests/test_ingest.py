@@ -90,7 +90,7 @@ def load_series_reference(path, expected_unit, column="value"):
         except ValueError:
             raise ParseError(f"bad year {fields[0]!r}", lineno)
         try:
-            idx = names.index(column if columns is not None else "value")
+            idx = names.index(column if columns is not None or column == "value" else None)
         except ValueError:
             raise ParseError(f"file has no column {column!r}", lineno)
         cell = fields[idx]
@@ -384,6 +384,16 @@ class TestMultiColumn:
         with pytest.raises(ParseError, match="no column 'b'"):
             load_series(path, Unit.YEARS, column="b")
 
+    def test_plain_file_has_only_the_value_column(self, tmp_path):
+        gdp = DATA_DIR / "world_gdp.csv"
+        unit = Unit.GDP_TRILLION_USD2005_PER_YEAR
+        message = "world_gdp.csv: line 3: file has no column 'wealth'"
+        with pytest.raises(ParseError, match=exactly(message)):
+            load_series(gdp, unit, column="wealth")
+        p = write(tmp_path, "# unit: years\n")
+        with pytest.raises(ThermoeconError, match=exactly("input.csv: no data rows")):
+            load_series(p, Unit.YEARS, column="wealth")
+
     def test_field_count_must_match_declaration(self, tmp_path):
         p = write(
             tmp_path,
@@ -650,7 +660,7 @@ class TestLoadSeriesErrors:
 
 
 # ---------------------------------------------------------------------------
-# the reader against its oracle, on ASCII texts with finite cells and years
+# the reader against its oracle, on UTF-8 texts with finite cells and years
 # inside int64 (the cases the original reader got right)
 
 _TOKENS = ["years", "power_terawatt", "per_year_fraction", "percent_per_year", "parsecs"]
@@ -659,12 +669,12 @@ _NAME_SETS = [None, ["value"], ["a"], ["a", "b"], ["b", "a"], ["a", "year"]]
 _YEAR_CELLS = st.one_of(
     st.integers(1990, 2010).map(str),
     st.integers(-(2**63), 2**63 - 1).map(str),
-    st.sampled_from(["", "x", "2000.5", "+7", "1_999", "0x10"]),
+    st.sampled_from(["", "x", "2000.5", "+7", "1_999", "1_970", "-0", "1__970", "0x10"]),
 )
 _VALUE_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-3, 3).map(str),
-    st.sampled_from(["", "abc", "1e-3", "-0.0", "1_0.5", "0x1p3"]),
+    st.sampled_from(["", "abc", "1e-3", "-0.0", "1_0.5", "+2.5", "_1.5", "0x1p3"]),
 )
 _NOISE_LINES = st.sampled_from(
     [
@@ -702,10 +712,13 @@ def _rows(draw, width):
         cells = [draw(_YEAR_CELLS)]
         cells += [draw(_VALUE_CELLS) for _ in range(width - 1 + draw(st.sampled_from([0, -1, 1])))]
     else:
-        cells = [str(draw(st.integers(-(10**4), 10**4)))]
-        finite = st.floats(1e-300, 1e300).map(repr)
-        cells += [draw(st.one_of(finite, st.just(""))) for _ in range(width - 1)]
-    pad = draw(st.sampled_from(["", " ", "  "]))
+        year = st.integers(-(10**4), 10**4)
+        cells = [draw(st.one_of(year.map(str), year.map("{:+_}".format)))]
+        finite = st.floats(1e-300, 1e300)
+        value = st.one_of(finite.map(repr), finite.map("{:+_}".format), st.just(""))
+        cells += [draw(value) for _ in range(width - 1)]
+    # U+001F is whitespace to str.strip but not to int or float
+    pad = draw(st.sampled_from(["", " ", "  ", "\u00a0", "\u2009", "\u3000", "\x1f", " \u3000"]))
     delim = draw(st.sampled_from([",", ",", "\t", f"{pad},{pad}"]))
     return pad + delim.join(cells) + draw(st.sampled_from(["", "", pad]))
 
@@ -780,7 +793,7 @@ class TestLoadSeriesOracle:
     def test_matches_reference(self, tmp_path_factory, case):
         text, unit, column = case
         path = tmp_path_factory.mktemp("load") / "input.csv"
-        path.write_bytes(text.encode("ascii"))
+        path.write_bytes(text.encode("utf-8"))
         assert_loads_like_reference(path, unit, column)
 
     def test_generated_cases_reach_every_outcome(self, tmp_path_factory):
@@ -792,7 +805,7 @@ class TestLoadSeriesOracle:
         def collect(case):
             text, unit, column = case
             path = tmp_path_factory.mktemp("reach") / "input.csv"
-            path.write_bytes(text.encode("ascii"))
+            path.write_bytes(text.encode("utf-8"))
             try:
                 load_series(path, unit, column)
                 outcomes.add("loaded")
@@ -816,11 +829,15 @@ class TestLoadSeriesOracle:
             "# columns: year,b\n# unit.b: years\nx,1\n",
             "# columns: a,year\n2000,1\n",
             "# unit: percent_per_year\n2000\t1.5\n2001\t2.5\t\n",
+            "# unit: years\n\u30002000\u00a0,\u2009+1_0.5\u3000\n\x1f2001\x1f,\x1f2\x1f\n",
+            "# unit: years\n2000,\x1f\u3000\n",
+            "# unit: years\n2000,\x1fx\u3000\n",
+            "# columns: year,a\n# unit.a: years\n2000,\u3000\x1f\n2001,+2.5\n",
         ],
     )
     def test_matches_reference_on_edge_cases(self, tmp_path, text):
         path = tmp_path / "input.csv"
-        path.write_bytes(text.encode("ascii"))
+        path.write_bytes(text.encode("utf-8"))
         for unit in (Unit.YEARS, Unit.POWER_TERAWATT, Unit.PER_YEAR_FRACTION):
             for column in ("value", "a", "b"):
                 assert_loads_like_reference(path, unit, column)
@@ -829,7 +846,7 @@ class TestLoadSeriesOracle:
 def _spliced(draw_bytes):
     """Well-formed table bytes with a run of arbitrary bytes spliced in."""
     return st.tuples(load_cases(), st.integers(0, 400), draw_bytes).map(
-        lambda t: t[0][0].encode("ascii")[: t[1]] + t[2] + t[0][0].encode("ascii")[t[1] :]
+        lambda t: t[0][0].encode("utf-8")[: t[1]] + t[2] + t[0][0].encode("utf-8")[t[1] :]
     )
 
 

@@ -528,6 +528,15 @@ class TestInterpolate:
         out = interpolate(s, years)
         assert np.array_equal(out.years, years) and np.array_equal(out.values, s.values)
 
+    def test_result_years_are_a_private_read_only_copy(self, table1):
+        # the result keeps the grid interpolate copied, not the caller's array
+        grid = annual_grid(1970, 2009)
+        dense = interpolate(table1.gdp, grid)
+        assert dense.years is not grid and not dense.years.flags.writeable
+        assert not dense.values.flags.writeable
+        grid[:] = 0
+        assert np.array_equal(dense.years, annual_grid(1970, 2009))
+
 
 class TestCumulativeIntegral:
     def test_constant_rate_integrates_to_ramp(self):
