@@ -19,7 +19,7 @@ from . import __version__
 from .errors import ThermoeconError
 from .forecast import Scenario, doubling_time_series, forecast
 from .growth import FitResult, fit_innovation, run_fit
-from .ingest import builtin_table1, load_series, write_table
+from .ingest import _rewrite, builtin_table1, load_series, write_table
 from .series import AnnualSeries
 from .units import Unit
 
@@ -117,7 +117,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         f"predicted gdp growth: {_figure(res.predicted_growth * 100, 2)} %/yr",
     ]
     summary_path = Path(args.out) / "summary.txt"
-    summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _rewrite(summary_path, ["\n".join(lines) + "\n"])
     print("\n".join(lines))
     print(f"wrote {path} and {summary_path}")
     return 0

@@ -23,7 +23,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ThermoeconError
-from .series import AnnualSeries, _positive, annual_grid, cumulative_integral, interpolate
+from .series import (
+    AnnualSeries,
+    _positive,
+    _stored,
+    annual_grid,
+    cumulative_integral,
+    interpolate,
+)
 from .units import LAMBDA_SCALE, Unit
 
 #: Minimum length, in consecutive calendar years, of the GDP/power overlap.
@@ -274,9 +281,14 @@ def run_fit(
         )
     grid = annual_grid(start, end)
     gdp_d = interpolate(gdp, grid)
+    # every series of the fit is put on gdp_d's years, interpolate's private
+    # copy of the grid, so each later stage and the writer see one array
+    years = gdp_d.years
     power_d = interpolate(power, grid)
+    power_d = _stored(years, power_d.values, power_d.unit, power_d.label)
     wealth, init_mode = build_wealth(
         gdp_d, power_d, lambda0=lambda0, historical_gdp=historical_gdp
     )
+    wealth = _stored(years, wealth.values, wealth.unit, wealth.label)
     model = fit_lambda(power_d, wealth, gdp_d)
     return FitResult(model, fit_innovation(model.eta_series), wealth, init_mode)

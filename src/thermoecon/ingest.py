@@ -26,7 +26,9 @@ or 1e400).
 from __future__ import annotations
 
 import math
+import os
 import re
+import stat
 from array import array
 from itertools import chain
 from pathlib import Path
@@ -268,6 +270,9 @@ def write_table(
 
     Rows are formatted a fixed chunk at a time and written at the end, so
     memory holds the file's text and one chunk of rows as Python objects.
+    An existing file is rewritten in place: it is never unlinked, renamed
+    or truncated to zero before the write, and a failed write leaves it
+    empty.
     """
     path = Path(path)
     if fmt not in ("csv", "tsv"):
@@ -319,9 +324,35 @@ def write_table(
         # one % over the chunk: its rows' specs, and its cells row by row
         spec = (delim.join(specs) + "\n") * len(cells[0])
         text.append(spec % tuple(chain.from_iterable(zip(*cells))))
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(text)
+    _rewrite(path, text)
     return path
+
+
+def _rewrite(path: str | Path, pieces: Sequence[str]) -> None:
+    """Write `pieces` to `path` as UTF-8 text, over the file's old bytes.
+
+    The file is opened without O_TRUNC and cut back to the new end after
+    the write: a file truncated to zero and then rewritten is flushed on
+    close by ext4, xfs and btrfs, and one rewritten in place is not. A new
+    file gets the mode open(path, "w") gives it. Only a regular file is
+    cut: os.devnull cannot be. A failed write cuts the file to zero, so
+    no old tail outlives a partial new text.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            # closing the stream flushes it, so nothing is written after a cut
+            with open(fd, "w", encoding="utf-8", closefd=False) as f:
+                f.writelines(pieces)
+            if regular:
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------

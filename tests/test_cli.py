@@ -322,6 +322,17 @@ class TestErrorHandling:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("name", ["lambda_series.csv", "summary.txt"])
+    def test_report_that_cannot_be_written(self, tmp_path, capsys, name):
+        out_dir = tmp_path / "out"
+        (out_dir / name).mkdir(parents=True)
+        assert run("fit", "--builtin-table1", "--out", str(out_dir)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.replace(str(out_dir), "<out>") == (
+            f"error: [Errno 21] Is a directory: '<out>/{name}'\n"
+        )
+        assert captured.out == ""
+
     def test_short_overlap(self, tmp_path, capsys):
         gdp = exponential_series(2000, 20, 40.0, 0.02, GDP, "gdp")
         power = exponential_series(2018, 20, 15.0, 0.02, POWER, "power")

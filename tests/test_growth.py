@@ -249,6 +249,16 @@ class TestFitLambda:
         # wealth keeps the interpolated GDP's years, and eta = Y/C keeps them too
         assert benchmark_fit.model.eta_series.years is benchmark_fit.wealth.years
 
+    @pytest.mark.parametrize("history", [None, HISTORY], ids=["calibrated", "integrated"])
+    def test_every_fit_series_is_on_one_private_years_array(self, table1, history):
+        # under either anchor, and on none of the caller's arrays
+        res = run_fit(table1.gdp, table1.power, lambda0=6.4, historical_gdp=history)
+        m, years = res.model, res.wealth.years
+        assert all(s.years is years for s in (m.lambda_series, m.eta_series, m.f_series))
+        assert not years.flags.writeable
+        owned = (table1.gdp, table1.power, HISTORY)
+        assert not any(np.shares_memory(years, s.years) for s in owned)
+
     def test_recovers_constant_ratio_exactly(self):
         wealth, gdp, power = exact_model(lambda0=7.0)
         fit = fit_lambda(power, wealth, gdp)

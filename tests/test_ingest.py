@@ -1,5 +1,8 @@
 import os
 import re
+import stat
+import subprocess
+import sys
 import tracemalloc
 from itertools import repeat
 from pathlib import Path
@@ -1044,6 +1047,57 @@ class TestBoundedWriterAndReader:
         os.link(path, link)
         write_table(path, [2000], {"a": AnnualSeries(2000, 1.0, Unit.YEARS)})
         assert link.read_bytes() == path.read_bytes() != b"old\n"
+
+    def test_shrinking_rewrite_gives_the_bytes_of_a_fresh_write(self, tmp_path):
+        long_grid, short_grid = np.arange(-3000, 2000), np.arange(1990, 1993)
+        path, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
+        write_table(path, long_grid, {"a": AnnualSeries(long_grid, long_grid * 0.5, Unit.YEARS)})
+        short = {"a": AnnualSeries(short_grid, [1.0, 2.0, 3.0], Unit.YEARS)}
+        write_table(path, short_grid, short, comments=["short"])
+        write_table(fresh, short_grid, short, comments=["short"])
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_devnull_is_written_and_not_cut(self):
+        column = {"a": AnnualSeries(2000, 1.0, Unit.YEARS)}
+        assert write_table(os.devnull, [2000], column) == Path(os.devnull)
+
+    @pytest.mark.parametrize("umask", [None, 0o077, 0o002])
+    def test_new_file_mode_is_that_of_open_for_writing(self, tmp_path, umask):
+        old = None if umask is None else os.umask(umask)
+        try:
+            write_table(tmp_path / "t.csv", [2000], {"a": AnnualSeries(2000, 1.0, Unit.YEARS)})
+            open(tmp_path / "opened.csv", "w").close()
+        finally:
+            if old is not None:
+                os.umask(old)
+        modes = [stat.S_IMODE((tmp_path / n).stat().st_mode) for n in ("t.csv", "opened.csv")]
+        assert modes[0] == modes[1]
+
+    def test_failed_rewrite_leaves_no_old_tail(self, tmp_path):
+        pytest.importorskip("resource")  # RLIMIT_FSIZE and SIGXFSZ are POSIX
+        # a child process that may write only 64 KiB into a file rewrites
+        # t.csv, a longer table with later years, with fresh.csv's table
+        old_grid, new_grid = np.arange(-20000, 30000), np.arange(-20000, 0)
+        path, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
+        write_table(path, old_grid, {"a": AnnualSeries(old_grid, old_grid * 1.5, Unit.YEARS)})
+        write_table(fresh, new_grid, {"a": AnnualSeries(new_grid, new_grid * 2.5, Unit.YEARS)})
+        child = """
+import errno, resource, signal, sys
+from thermoecon import Unit, load_series, write_table
+a = load_series(sys.argv[2], Unit.YEARS, "a")
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, 1 << 16))
+try:
+    write_table(sys.argv[1], a.years, {"a": a})
+except OSError as exc:
+    sys.exit(0 if exc.errno == errno.EFBIG else 3)
+sys.exit(4)
+"""
+        src = Path(sys.modules["thermoecon"].__file__).parents[1]  # the package under test
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", child, str(path), str(fresh)], env=env)
+        assert done.returncode == 0
+        assert fresh.read_bytes().startswith(path.read_bytes())
 
     def test_write_table_peak_is_bounded_by_its_file(self, tmp_path):
         grid = np.arange(-18000, 2000)
