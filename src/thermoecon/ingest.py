@@ -1,6 +1,6 @@
 """Dataset loading, validation, writing, and the built-in benchmark table.
 
-File format (UTF-8 with or without a byte order mark, LF or CRLF):
+File format (UTF-8 with or without a byte order mark):
 
     # free comment lines
     # unit: gdp_trillion_usd2005_per_year
@@ -21,6 +21,11 @@ no value in any row, or a header-only report whose `# columns:` names
 it, loads as an empty series; any other file with no data rows is
 refused. Years must fit in int64 and values must be finite (no nan, inf
 or 1e400).
+
+A line ends at every break that str.splitlines knows: LF, CRLF and CR,
+but also VT, FF, FS, GS, RS, NEL, U+2028 and U+2029. So a form feed
+inside a comment ends it, and the text after it is read as a row;
+write_table refuses a comment that holds any of these breaks.
 """
 
 from __future__ import annotations
@@ -119,29 +124,27 @@ def load_series(
                     lineno,
                     name,
                 )
-            # int and float skip the whitespace around a cell that strip()
-            # removes, all but U+001F; a cell is stripped only when it fails
             try:
-                year = int(fields[0])
+                year = int(year_cell := fields[0].strip())
             except ValueError:
-                year = _stripped(int, fields[0], "bad year", lineno, name)
+                raise ParseError(f"bad year {year_cell!r}", lineno, name) from None
             if idx is None:
                 raise ParseError(f"file has no column {column!r}", lineno, name)
+            if not (cell := fields[idx].strip()):
+                if columns is None:
+                    raise ParseError("empty value", lineno, name)
+                continue  # sparse column: absent point
             try:
-                value = float(fields[idx])
+                value = float(cell)
             except ValueError:
-                if not fields[idx].strip():
-                    if columns is None:
-                        raise ParseError("empty value", lineno, name) from None
-                    continue  # sparse column: absent point
-                value = _stripped(float, fields[idx], "bad value", lineno, name)
+                raise ParseError(f"bad value {cell!r}", lineno, name) from None
             if not math.isfinite(value):
-                raise ParseError(f"non-finite value {fields[idx].strip()!r}", lineno, name)
+                raise ParseError(f"non-finite value {cell!r}", lineno, name)
             try:
                 years.append(year)
             except OverflowError:
                 raise ParseError(
-                    f"year {fields[0].strip()!r} is outside the int64 range", lineno, name
+                    f"year {year_cell!r} is outside the int64 range", lineno, name
                 ) from None
             values.append(value)
     except ParseError:
@@ -175,8 +178,7 @@ def load_series(
     if not has_rows and (columns is None or idx is None):
         raise ThermoeconError(f"{name}: no data rows")
 
-    if scale != 1.0:  # x * 1.0 is x, bit for bit
-        values = values * scale
+    values = values * scale
     if expected_unit.requires_positive:
         bad = values <= 0.0
         if bad.any():
@@ -188,15 +190,6 @@ def load_series(
     years.flags.writeable = values.flags.writeable = False
     label = column if column != "value" else path.stem
     return _stored(years, values, expected_unit, label)
-
-
-def _stripped(convert, cell: str, fault: str, lineno: int, name: str):
-    """convert(cell.strip()), or ParseError "`fault` 'cell'" naming the stripped cell."""
-    cell = cell.strip()
-    try:
-        return convert(cell)
-    except ValueError:
-        raise ParseError(f"{fault} {cell!r}", lineno, name) from None
 
 
 def _slices(text: str):

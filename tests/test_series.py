@@ -295,8 +295,13 @@ class TestAnnualSeries:
             [None],  # the float cast would make it NaN
             np.array([None], dtype=object),
             np.array(["2000"], dtype="datetime64[Y]"),  # the cast counts years since 1970
+            [object()],  # neither a number nor a string: the float cast fails
+            [{}],
         ],
-        ids=["str", "numpy str", "bytes", "None", "None in an object array", "datetime64"],
+        ids=[
+            "str", "numpy str", "bytes", "None", "None in an object array", "datetime64",
+            "object", "dict",
+        ],
     )
     def test_values_that_are_no_numbers_rejected(self, values):
         with pytest.raises(ThermoeconError, match=exactly("non-numeric value in series 'x'")):
