@@ -59,7 +59,6 @@ def _load_input(path: str, unit: Unit) -> AnnualSeries:
 
 
 def _resolve_fit(args: argparse.Namespace) -> FitResult:
-    window = None if args.window is None else _parse_window(args.window)
     if args.builtin_table1:
         _reject_with_builtin(args, "gdp", "power", "historical_gdp")
         t1 = builtin_table1()
@@ -74,13 +73,14 @@ def _resolve_fit(args: argparse.Namespace) -> FitResult:
         if args.historical_gdp is not None:
             historical = _load_input(args.historical_gdp, Unit.GDP_TRILLION_USD2005_PER_YEAR)
         lambda0 = args.lambda0
-    return run_fit(gdp, power, window=window, lambda0=lambda0, historical_gdp=historical)
+    return run_fit(gdp, power, window=args.window, lambda0=lambda0, historical_gdp=historical)
 
 
-def _write(args: argparse.Namespace, stem: str, grid, columns, *comments: str) -> Path:
+def _write(args: argparse.Namespace, stem: str, columns, *comments: str) -> Path:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{stem}.{args.format}"
+    grid = next(iter(columns.values())).years
     return write_table(
         path, grid, columns, fmt=args.format, comments=[_VERSION_COMMENT, *comments]
     )
@@ -94,7 +94,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     path = _write(
         args,
         "lambda_series",
-        grid,
         {"lambda": m.lambda_series, "eta": m.eta_series, "f": m.f_series, "wealth": wealth},
         f"fit window {m.window[0]}:{m.window[1]}",
         f"wealth init {anchor}",
@@ -128,10 +127,9 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
         # the last printed row (2009) seeds the run; the window only picks
         # the years of the rate-of-return trend that sets the default tau
         _reject_with_builtin(args, "gdp", "power", "historical_gdp", "lambda0")
-        window = None if args.window is None else _parse_window(args.window)
         source = builtin_table1()
         start = source.power.last_year
-        default_tau = fit_innovation(source.rate_of_return, window).tau_eta
+        default_tau = fit_innovation(source.rate_of_return, args.window).tau_eta
     else:
         source = _resolve_fit(args)
         start = source.model.window[1]
@@ -162,7 +160,6 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     out = _write(
         args,
         "forecast",
-        path_obj.wealth.years,
         {
             "wealth": path_obj.wealth,
             "eta": path_obj.eta,
@@ -225,7 +222,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
     out = _write(
         args,
         "table1_reconstruction",
-        years,
         columns,
         "benchmark reconstruction on the nine reference years",
         f"wealth calibrated with lambda0 = {lambda0!r} W/k$ at 1970",
@@ -244,7 +240,6 @@ def cmd_figure2(args: argparse.Namespace) -> int:
     out = _write(
         args,
         "figure2_data",
-        years,
         {"delta_c_years": delta_c, "delta_eta_years": delta_eta},
         f"doubling times smoothed over {_SMOOTHING_WINDOW_YEARS} years",
         "empty delta_eta cells: smoothed eta trend not positive there",
@@ -282,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="sparse long-run GDP record; switches wealth to integrated mode",
     )
-    data.add_argument("--window", metavar="START:END", help="fit window in years")
+    data.add_argument(
+        "--window", type=_parse_window, metavar="START:END", help="fit window in years"
+    )
     data.add_argument(
         "--lambda0",
         type=float,
@@ -335,8 +332,8 @@ _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except (ThermoeconError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,7 +55,8 @@ def build_wealth(
     integral starts from zero wealth there ("integrated_from_epoch").
     Otherwise wealth starts at C0 = 1000 * power / lambda0 in the first
     year ("calibrated_from_lambda"), which is the only option when the
-    record starts long after economic activity did. Either way one
+    record starts long after economic activity did; a given lambda0 must be
+    finite and positive even where the record sets the anchor. Either way one
     trapezoid sum runs over the annual GDP, and only the years of `gdp` are
     returned. `power` only supplies the calibration value, so it must start
     in the same year as `gdp`. Positive GDP makes the wealth non-decreasing.
@@ -67,6 +68,8 @@ def build_wealth(
         raise ThermoeconError(
             f"power starts in {power.first_year}, GDP in {start}; align them first"
         )
+    if lambda0 is not None:
+        _positive("lambda0", lambda0)
     if historical_gdp is not None:
         if historical_gdp.unit is not gdp.unit:
             raise ThermoeconError("historical GDP must share the GDP unit")
@@ -85,7 +88,6 @@ def build_wealth(
         rate = interpolate(merged, annual_grid(epoch, end))
         init_mode, initial = "integrated_from_epoch", 0.0
     elif lambda0 is not None:
-        _positive("lambda0", lambda0)
         lambda0, power0 = float(lambda0), float(power.values[0])
         rate = gdp
         init_mode = "calibrated_from_lambda"

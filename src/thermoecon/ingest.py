@@ -15,6 +15,9 @@ Report files with several value columns declare them explicitly:
     # unit.eta: per_year_fraction
     2009,2300,0.0214
 
+Headers: "# unit: TOKEN", "# unit.NAME: TOKEN" (beats "# unit:"), "# columns: year,...";
+no space before the colon, a later one wins, and any other "#" line is a comment.
+
 An empty cell in a multi-column file means "no value that year" and the
 point is skipped, which is how sparse columns round-trip. A column with
 no value in any row, or a header-only report whose `# columns:` names
@@ -45,10 +48,9 @@ from .errors import ParseError, ThermoeconError
 from .series import AnnualSeries, _increasing, _int64_years, _stored
 from .units import LAMBDA_SCALE, Unit, parse_unit_token
 
-_UNIT_RE = re.compile(r"^#\s*unit:\s*(\S+)\s*$")
-_COLUMNS_RE = re.compile(r"^#\s*columns:\s*(\S+)\s*$")
-_COLUMN_UNIT_RE = re.compile(r"^#\s*unit\.([A-Za-z0-9_]+):\s*(\S+)\s*$")
-_COLUMN_NAME_RE = re.compile(r"[A-Za-z0-9_]+")  # the names _COLUMN_UNIT_RE reads back
+_COLUMN_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+# a whole stripped "#" line: header name, then its one token
+_HEADER_RE = re.compile(rf"#\s*(unit|columns|unit\.{_COLUMN_NAME_RE.pattern}):\s*(\S+)")
 
 # load_series splits its text this many characters at a time; write_table
 # formats this many rows at a time, and writes them all at the end
@@ -81,9 +83,8 @@ def load_series(
             f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}", line, name
         ) from None
 
-    unit_token: str | None = None
     columns: list[str] | None = None
-    column_units: dict[str, str] = {}
+    units: dict[str, str] = {}  # "unit" and "unit.NAME" header tokens, the last of each
     years, values = array("q"), array("d")
     has_rows = False
     # plain files: year,value, whose one column is "value"; idx None = no such column
@@ -96,21 +97,15 @@ def load_series(
             if not line:
                 continue
             if line[0] == "#":
-                m = _UNIT_RE.match(line)
-                if m:
-                    unit_token = m.group(1)
-                    continue
-                m = _COLUMNS_RE.match(line)
-                if m:
-                    columns = m.group(1).split(",")
+                m = _HEADER_RE.fullmatch(line)
+                if m and m[1] == "columns":
+                    columns = m[2].split(",")
                     if columns[0] != "year":
                         raise ParseError("first declared column must be 'year'", lineno, name)
                     n_fields = len(columns)
                     idx = columns.index(column) if column in columns else None
-                    continue
-                m = _COLUMN_UNIT_RE.match(line)
-                if m:
-                    column_units[m.group(1)] = m.group(2)
+                elif m:
+                    units[m[1]] = m[2]
                 continue
 
             has_rows = True
@@ -158,11 +153,11 @@ def load_series(
         years, values = years[order], values[order]
 
     if columns is not None:
-        token = column_units.get(column, unit_token)
+        token = units.get(f"unit.{column}", units.get("unit"))
         if token is None:
             raise ThermoeconError(f"{name}: no '# unit.{column}:' header")
     else:
-        token = unit_token
+        token = units.get("unit")
         if token is None:
             raise ThermoeconError(f"{name}: missing mandatory '# unit:' header")
     try:

@@ -21,6 +21,7 @@ from test_series import exponential_series
 GDP = Unit.GDP_TRILLION_USD2005_PER_YEAR
 POWER = Unit.POWER_TERAWATT
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "thermoecon" / "data"
+HISTORY_CSV = Path(__file__).resolve().parent / "golden" / "inputs" / "historical_gdp.csv"
 
 
 def run(*argv):
@@ -456,6 +457,17 @@ class TestErrorHandling:
             (["fit", "--builtin-table1", "--lambda0", "inf"], "lambda0 must be finite, got inf"),
             (["forecast", "--builtin-table1", "--eta0", "nan"], "eta0 must be finite, got nan"),
             (["table1", "--lambda0", "nan"], "lambda0 must be finite, got nan"),
+            (
+                # checked even though the historical record sets the anchor
+                [
+                    "fit",
+                    "--gdp", str(DATA_DIR / "world_gdp.csv"),
+                    "--power", str(DATA_DIR / "world_power.csv"),
+                    "--historical-gdp", str(HISTORY_CSV),
+                    "--lambda0=nan",
+                ],
+                "lambda0 must be finite, got nan",
+            ),
             *(
                 (
                     ["forecast", "--builtin-table1", "--eta0", "1e306", "--horizon", horizon],
@@ -498,6 +510,7 @@ class TestErrorHandling:
             "fit_lambda0_inf",
             "forecast_eta0_nan",
             "table1_lambda0_nan",
+            "fit_historical_gdp_lambda0_nan",
             "forecast_eta0_1e306_horizon_0",
             "forecast_eta0_1e306_horizon_5",
             "forecast_eta0_1e-323_tau_0.01",

@@ -95,16 +95,25 @@ class TestBuildWealth:
         ):
             build_wealth(dense(table1.gdp), dense(table1.power))
 
+    # a bad lambda0 is refused even where the historical record sets the anchor
     def test_bad_lambda0(self, table1):
-        with pytest.raises(ThermoeconError, match=exactly("lambda0 must be positive, got -2.0")):
-            build_wealth(dense(table1.gdp), dense(table1.power), lambda0=-2.0)
+        for history in (None, HISTORY):
+            with pytest.raises(
+                ThermoeconError, match=exactly("lambda0 must be positive, got -2.0")
+            ):
+                build_wealth(
+                    dense(table1.gdp), dense(table1.power), lambda0=-2.0, historical_gdp=history
+                )
 
     @pytest.mark.parametrize("lambda0", [np.inf, -np.inf, np.nan])
     def test_non_finite_lambda0(self, table1, lambda0):
-        with pytest.raises(
-            ThermoeconError, match=exactly(f"lambda0 must be finite, got {lambda0}")
-        ):
-            build_wealth(dense(table1.gdp), dense(table1.power), lambda0=lambda0)
+        for history in (None, HISTORY):
+            with pytest.raises(
+                ThermoeconError, match=exactly(f"lambda0 must be finite, got {lambda0}")
+            ):
+                build_wealth(
+                    dense(table1.gdp), dense(table1.power), lambda0=lambda0, historical_gdp=history
+                )
 
     def test_lambda0_at_the_double_limits(self, table1):
         # the spread squares lambda: just above sqrt(float max) it still

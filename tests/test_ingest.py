@@ -690,6 +690,11 @@ _NOISE_LINES = st.sampled_from(
         "# columns: a,year",
         "# columns: year,a",
         "# unit.a: power_terawatt",
+        "#unit:years",
+        "# unit : years",
+        "# unit: years extra",
+        "#columns:year,a",
+        "# unit.a:power_terawatt",
         "1999",
         "1999,1,2,3,4",
         "\t",
@@ -836,6 +841,25 @@ class TestLoadSeriesOracle:
             "# unit: years\n2000,\x1f\u3000\n",
             "# unit: years\n2000,\x1fx\u3000\n",
             "# columns: year,a\n# unit.a: years\n2000,\u3000\x1f\n2001,+2.5\n",
+            # the header grammar: spaces after "#" and the colon only, one
+            # token, a known name; any other "#" line is a comment
+            "#unit:years\n2000,1\n",
+            "#\tunit:\tyears\n2000,1\n",
+            "# unit : years\n2000,1\n",
+            "# Unit: years\n2000,1\n",
+            "# unit: years extra\n2000,1\n",
+            "# unit:\n2000,1\n",
+            "# unitx: years\n2000,1\n",
+            "# unit: power_terawatt\n# unit : years\n2000,1\n",
+            "# columns: year,a\n# unit.a:years\n2000,1\n",
+            "# columns: year,a\n# unit.: years\n2000,1\n",
+            "# columns: year,a\n# unit.a.b: years\n2000,1\n",
+            "#columns:year,a\n# unit.a: years\n2000,1\n",
+            "# columns : year,a\n# unit: years\n2000,1\n",
+            # a column's own header beats "# unit:", and a later "# unit:"
+            # replaces an earlier one
+            "# columns: year,a,b\n# unit: power_terawatt\n# unit.a: years\n"
+            "# unit: percent_per_year\n2000,1,2\n",
         ],
     )
     def test_matches_reference_on_edge_cases(self, tmp_path, text):
