@@ -15,8 +15,9 @@ Report files with several value columns declare them explicitly:
     # unit.eta: per_year_fraction
     2009,2300,0.0214
 
-Headers: "# unit: TOKEN", "# unit.NAME: TOKEN" (beats "# unit:"), "# columns: year,...";
-no space before the colon, a later one wins, and any other "#" line is a comment.
+Headers: "# unit: TOKEN", "# unit.NAME: TOKEN" (beats "# unit:"), "# columns: year,NAME,...";
+no space before the colon, a later one wins, and any other "#" line is a comment. A NAME
+is [A-Za-z0-9_]+ and not "year", and a "# columns:" header names each column once.
 
 An empty cell in a multi-column file means "no value that year" and the
 point is skipped, which is how sparse columns round-trip. A column with
@@ -25,10 +26,9 @@ it, loads as an empty series; any other file with no data rows is
 refused. Years must fit in int64 and values must be finite (no nan, inf
 or 1e400).
 
-A line ends at every break that str.splitlines knows: LF, CRLF and CR,
-but also VT, FF, FS, GS, RS, NEL, U+2028 and U+2029. So a form feed
-inside a comment ends it, and the text after it is read as a row;
-write_table refuses a comment that holds any of these breaks.
+A line ends at LF, CRLF or CR and nowhere else, so a form feed or a
+U+2028 inside a comment stays in the comment; write_table refuses a
+comment that holds LF or CR.
 """
 
 from __future__ import annotations
@@ -52,11 +52,8 @@ _COLUMN_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 # a whole stripped "#" line: header name, then its one token
 _HEADER_RE = re.compile(rf"#\s*(unit|columns|unit\.{_COLUMN_NAME_RE.pattern}):\s*(\S+)")
 
-# load_series splits its text this many characters at a time; write_table
-# formats this many rows at a time, and writes them all at the end
-_SLICE_CHARS = 1 << 14
+# write_table formats this many rows at a time, and writes them all at the end
 _CHUNK_ROWS = 512
-_CUT_RE = re.compile(r"\r\n?|\n")
 
 
 def load_series(
@@ -73,16 +70,6 @@ def load_series(
     """
     path = Path(path)
     name = path.name
-    try:
-        # not "utf-8-sig": it copies the bytes of a file that has the mark
-        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        # everything before the bad byte decoded, so it splits into lines
-        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(
-            f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}", line, name
-        ) from None
-
     columns: list[str] | None = None
     units: dict[str, str] = {}  # "unit" and "unit.NAME" header tokens, the last of each
     years, values = array("q"), array("d")
@@ -90,62 +77,68 @@ def load_series(
     # plain files: year,value, whose one column is "value"; idx None = no such column
     n_fields, idx = 2, 1 if column == "value" else None
 
-    lines = chain.from_iterable(map(str.splitlines, _slices(text)))
     try:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line[0] == "#":
-                m = _HEADER_RE.fullmatch(line)
-                if m and m[1] == "columns":
-                    columns = m[2].split(",")
-                    if columns[0] != "year":
-                        raise ParseError("first declared column must be 'year'", lineno, name)
-                    n_fields = len(columns)
-                    idx = columns.index(column) if column in columns else None
-                elif m:
-                    units[m[1]] = m[2]
-                continue
+        # decoded a buffer at a time; every row ends in "\n", the last maybe not
+        with open(path, encoding="utf-8-sig", newline=None) as lines:
+            for lineno, raw in enumerate(lines, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                if line[0] == "#":
+                    m = _HEADER_RE.fullmatch(line)
+                    if m and m[1] == "columns":
+                        columns = m[2].split(",")
+                        if columns[0] != "year":
+                            raise ParseError("first declared column must be 'year'", lineno, name)
+                        for i, col in enumerate(columns[1:], start=1):
+                            if col in columns[:i] or not _COLUMN_NAME_RE.fullmatch(col):
+                                why = "repeated" if col in columns[:i] else "not [A-Za-z0-9_]+"
+                                raise ParseError(f"column {col!r} is {why}", lineno, name)
+                        n_fields = len(columns)
+                        idx = columns.index(column) if column in columns[1:] else None
+                    elif m:
+                        units[m[1]] = m[2]
+                    continue
 
-            has_rows = True
-            # split the unstripped row: a sparse last column in TSV ends in a tab
-            fields = raw.split("\t" if "\t" in raw else ",")
-            if len(fields) != n_fields:
-                if columns is None:
-                    raise ParseError(f"expected 'year,value', got {raw!r}", lineno, name)
-                raise ParseError(
-                    f"expected {n_fields} fields per '# columns:' header, got {len(fields)}",
-                    lineno,
-                    name,
-                )
-            try:
-                year = int(year_cell := fields[0].strip())
-            except ValueError:
-                raise ParseError(f"bad year {year_cell!r}", lineno, name) from None
-            if idx is None:
-                raise ParseError(f"file has no column {column!r}", lineno, name)
-            if not (cell := fields[idx].strip()):
-                if columns is None:
-                    raise ParseError("empty value", lineno, name)
-                continue  # sparse column: absent point
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(f"bad value {cell!r}", lineno, name) from None
-            if not math.isfinite(value):
-                raise ParseError(f"non-finite value {cell!r}", lineno, name)
-            try:
-                years.append(year)
-            except OverflowError:
-                raise ParseError(
-                    f"year {year_cell!r} is outside the int64 range", lineno, name
-                ) from None
-            values.append(value)
-    except ParseError:
-        _row_order(np.frombuffer(years, dtype=np.int64), name)  # an earlier repeat wins
+                has_rows = True
+                # split the unstripped row: a sparse last column in TSV ends in a tab
+                fields = raw.split("\t" if "\t" in raw else ",")
+                if len(fields) != n_fields:
+                    if columns is None:
+                        got = raw.rstrip("\n")
+                        raise ParseError(f"expected 'year,value', got {got!r}", lineno, name)
+                    raise ParseError(
+                        f"expected {n_fields} fields per '# columns:' header, got {len(fields)}",
+                        lineno,
+                        name,
+                    )
+                try:
+                    year = int(year_cell := fields[0].strip())
+                except ValueError:
+                    raise ParseError(f"bad year {year_cell!r}", lineno, name) from None
+                if idx is None:
+                    raise ParseError(f"file has no column {column!r}", lineno, name)
+                if not (cell := fields[idx].strip()):
+                    if columns is None:
+                        raise ParseError("empty value", lineno, name)
+                    continue  # sparse column: absent point
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(f"bad value {cell!r}", lineno, name) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite value {cell!r}", lineno, name)
+                try:
+                    years.append(year)
+                except OverflowError:
+                    raise ParseError(
+                        f"year {year_cell!r} is outside the int64 range", lineno, name
+                    ) from None
+                values.append(value)
+    except (ParseError, UnicodeDecodeError) as exc:
+        _check_utf8(path, exc)  # a bad byte anywhere in the file wins
+        _row_order(np.frombuffer(years, dtype=np.int64), name)  # then an earlier repeat
         raise
-    del text  # every row is in the two arrays now
 
     years, values = np.frombuffer(years, dtype=np.int64), np.frombuffer(values)
     if not _increasing(years):  # rows out of order or a year repeated; files usually are neither
@@ -187,19 +180,16 @@ def load_series(
     return _stored(years, values, expected_unit, label)
 
 
-def _slices(text: str):
-    """`text` in pieces of about _SLICE_CHARS, each cut just after a "\\n",
-    a "\\r\\n" or a lone "\\r".
-
-    No line break straddles a cut, so the pieces' splitlines() give the
-    lines of text.splitlines(), without holding all of them at once.
-    """
-    start = 0
-    while start < len(text):
-        cut = _CUT_RE.search(text, start + _SLICE_CHARS)
-        end = cut.end() if cut else len(text)
-        yield text[start:end]
-        start = end
+def _check_utf8(path: Path, exc: Exception) -> None:
+    """Raise ParseError at the first non-UTF-8 byte of `path`, by line unless it is a pipe."""
+    data, line = path.read_bytes() if path.is_file() else b"", None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as bad:  # bytes.splitlines breaks at LF, CRLF and CR only
+        exc, line = bad, len((data[: bad.start] + b"x").splitlines())
+    if isinstance(exc, UnicodeDecodeError):
+        byte = exc.object[exc.start]
+        raise ParseError(f"invalid UTF-8 byte 0x{byte:02x}", line, path.name) from None
 
 
 def _row_order(years: np.ndarray, name: str) -> np.ndarray:
@@ -275,7 +265,7 @@ def write_table(
         raise ThermoeconError(f"comments must be a sequence of lines, got the string {comments!r}")
     for comment in comments:
         line = f"# {comment}"
-        if line.splitlines() != [line]:
+        if "\n" in line or "\r" in line:
             raise ThermoeconError(f"comment {comment!r} is not one line")
         try:
             line.encode("utf-8")

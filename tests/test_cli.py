@@ -611,8 +611,28 @@ class TestErrorHandling:
                 "line 3: year '99999999999999999999' is outside the int64 range",
             ),
             (b"1970,15.3\n1971,x\n", "line 3: bad value 'x'"),
+            # a "# columns:" header names each column once, in write_table's names
+            (
+                b"# columns: year,value,value\n1980,20,1\n2009,40,2\n",
+                "line 2: column 'value' is repeated",
+            ),
+            (
+                b"# columns: year,value,year\n1980,20,1\n2009,40,2\n",
+                "line 2: column 'year' is repeated",
+            ),
+            (
+                b"# columns: year,,value\n1980,1,20\n2009,2,40\n",
+                "line 2: column '' is not [A-Za-z0-9_]+",
+            ),
+            (
+                b"# columns: year,value,a.b\n1980,20,1\n2009,40,2\n",
+                "line 2: column 'a.b' is not [A-Za-z0-9_]+",
+            ),
         ],
-        ids=["non_utf8", "nan", "inf", "1e400", "int64_year", "bad_value"],
+        ids=[
+            "non_utf8", "nan", "inf", "1e400", "int64_year", "bad_value",
+            "repeated_column", "second_year_column", "empty_column_name", "dotted_column_name",
+        ],
     )
     def test_bad_input_file_one_error_line(self, data, message, tmp_path, capsys):
         _, power = synthetic_inputs(tmp_path)

@@ -1,3 +1,4 @@
+import io
 import os
 import re
 import stat
@@ -21,7 +22,7 @@ from thermoecon import (
     load_series,
     write_table,
 )
-from thermoecon.ingest import _CHUNK_ROWS, _SLICE_CHARS, _slices
+from thermoecon.ingest import _CHUNK_ROWS
 from thermoecon.units import FILE_TOKENS, parse_unit_token
 
 from test_series import exactly
@@ -55,7 +56,7 @@ def load_series_reference(path, expected_unit, column="value"):
     points = {}
     has_rows = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -69,6 +70,12 @@ def load_series_reference(path, expected_unit, column="value"):
                 columns = m.group(1).split(",")
                 if not columns or columns[0] != "year":
                     raise ParseError("first declared column must be 'year'", lineno)
+                seen = {"year"}
+                for c in columns[1:]:
+                    if c in seen or not re.fullmatch(r"[A-Za-z0-9_]+", c):
+                        why = "repeated" if c in seen else "not [A-Za-z0-9_]+"
+                        raise ParseError(f"column {c!r} is {why}", lineno)
+                    seen.add(c)
                 continue
             m = _COLUMN_UNIT_RE.match(line)
             if m:
@@ -93,7 +100,7 @@ def load_series_reference(path, expected_unit, column="value"):
         except ValueError:
             raise ParseError(f"bad year {fields[0]!r}", lineno)
         try:
-            idx = names.index(column if columns is not None or column == "value" else None)
+            idx = names.index(column if columns is not None or column == "value" else None, 1)
         except ValueError:
             raise ParseError(f"file has no column {column!r}", lineno)
         cell = fields[idx]
@@ -123,7 +130,7 @@ def load_series_reference(path, expected_unit, column="value"):
             f"{path.name}: declared unit {token!r} is {unit.token}, expected {expected_unit.token}"
         )
 
-    if not has_rows and (columns is None or column not in columns):
+    if not has_rows and (columns is None or column not in columns[1:]):
         raise ThermoeconError(f"{path.name}: no data rows")
 
     years = sorted(points)
@@ -387,6 +394,11 @@ class TestMultiColumn:
         with pytest.raises(ParseError, match="no column 'b'"):
             load_series(path, Unit.YEARS, column="b")
 
+    def test_year_is_no_value_column(self, tmp_path):
+        path = write_table(tmp_path / "t.csv", [2000], {"a": AnnualSeries(2000, 1.0, Unit.YEARS)})
+        with pytest.raises(ParseError, match=exactly("t.csv: line 3: file has no column 'year'")):
+            load_series(path, Unit.YEARS, column="year")
+
     def test_plain_file_has_only_the_value_column(self, tmp_path):
         gdp = DATA_DIR / "world_gdp.csv"
         unit = Unit.GDP_TRILLION_USD2005_PER_YEAR
@@ -612,6 +624,37 @@ class TestLoadSeriesErrors:
         assert err.value.line_number == line
         assert err.value.source == "input.csv"
         assert str(err.value).startswith(f"input.csv: line {line}: invalid UTF-8 byte 0x")
+
+    @pytest.mark.parametrize("row", ["x,4\n", "2000,2\n"], ids=["bad_year", "repeated_year"])
+    def test_bad_byte_past_the_first_buffer_beats_an_earlier_fault(self, tmp_path, row):
+        # the fault at line 3 is read in the first 8 KiB buffer, the 0xff
+        # byte at line 2504 some buffers later; the bad byte still wins
+        filler = "".join(f"{y},1\n" for y in range(3000, 5500)).encode()
+        data = f"# unit: years\n2000,1\n{row}".encode() + filler + b"5500,1\xff\n"
+        message = "input.csv: line 2504: invalid UTF-8 byte 0xff"
+        with pytest.raises(ParseError, match=exactly(message)):
+            self.load_bytes(tmp_path, data, unit=Unit.YEARS)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"# unit: years\n2000,1\n2001,x\n", "line 3: bad value 'x'"),
+            # a pipe is read once, so the line of its bad byte is not counted
+            (b"# unit: years\n2000,1\n2001,1\xff\n", "invalid UTF-8 byte 0xff"),
+        ],
+        ids=["bad_value", "non_utf8"],
+    )
+    def test_pipe_fault_is_one_parse_error(self, data, message):
+        if not os.path.isdir("/dev/fd"):
+            pytest.skip("no /dev/fd to name a pipe by")
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            with pytest.raises(ParseError, match=exactly(f"{r}: {message}")):
+                load_series(f"/dev/fd/{r}", Unit.YEARS)
+        finally:
+            os.close(r)
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         s = self.load_bytes(tmp_path, b"\xef\xbb\xbf" + (self.UNIT + "1970,15.3\n").encode())
@@ -971,8 +1014,8 @@ class TestWritersMatchReference:
 # ---------------------------------------------------------------------------
 # the writer across its row chunks, and what it refuses before opening a file
 
-# a write_table or load_series peak may exceed twice its file by this much:
-# one chunk of rows as Python objects, or one slice of text and its lines
+# a write_table peak may exceed twice its file, and a load_series peak its
+# file, by this much: one chunk of rows as Python objects, or one read buffer
 _CHUNK_BYTES = 256 * 1024
 _EDGES = [k * _CHUNK_ROWS + d for k in range(1, 4) for d in (-1, 0, 1)]
 # a valid column for the calls that are refused for something else
@@ -1033,7 +1076,7 @@ class TestBoundedWriterAndReader:
         [
             (["note\n1999,5"], {"a": _FILLER}, "comment 'note\\n1999,5' is not one line"),
             (["a\rb"], {"a": _FILLER}, "comment 'a\\rb' is not one line"),
-            (["x\x85"], {"a": _FILLER}, "comment 'x\\x85' is not one line"),
+            (["x\r\n"], {"a": _FILLER}, "comment 'x\\r\\n' is not one line"),
             (["x\udc80"], {"a": _FILLER}, "comment 'x\\udc80' is not UTF-8 text"),
             ([], {"delta-c": _FILLER}, "column name 'delta-c' would not load back"),
             ([], {"a b": _FILLER}, "column name 'a b' would not load back"),
@@ -1144,7 +1187,7 @@ sys.exit(4)
             encoding="utf-8",
         )
         peak = _peak_bytes(lambda: load_series(path, Unit.GDP_TRILLION_USD2005_PER_YEAR))
-        assert peak < 2 * path.stat().st_size + _CHUNK_BYTES
+        assert peak < path.stat().st_size + _CHUNK_BYTES
 
     @pytest.mark.parametrize(
         "rows",
@@ -1167,20 +1210,35 @@ sys.exit(4)
             path.write_text(header + rows, encoding="utf-8")
             assert_loads_like_reference(path, Unit.YEARS, "value")
 
-    @pytest.mark.parametrize("only", ["\r\n", "\r", None])
-    def test_sliced_lines_match_one_split(self, tmp_path, only):
-        # every kind of line break str.splitlines knows; with "\r\n" or "\r"
-        # alone, every slice ends on one
-        breaks = [only] if only else [
-            "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
-            "\u2028", "\u2029",
-        ]
-        lines = ["# unit: years", *(f"{i},{i * 0.37:.6f}" for i in range(3 * _SLICE_CHARS // 12))]
-        text = "".join(line + breaks[k % len(breaks)] for k, line in enumerate(lines))
-        pieces = list(_slices(text))
-        assert len(pieces) >= 3 and "".join(pieces) == text
-        assert all(piece.endswith(("\n", "\r")) for piece in pieces[:-1])
-        assert [line for piece in pieces for line in piece.splitlines()] == text.splitlines()
+    @pytest.mark.parametrize("only", ["\n", "\r\n", "\r", None])
+    def test_line_breaks_match_reference(self, tmp_path, only):
+        # LF, CRLF and CR alone, or all three in turn; the first comment's
+        # break starts on the last byte of the first 8 KiB read buffer
+        breaks = [only] if only else ["\r\n", "\r", "\n"]
+        head = "# unit: years" + breaks[0]
+        lines = ["# " + "x" * (io.DEFAULT_BUFFER_SIZE - 3 - len(head))]
+        lines += [f"{i},{i * 0.37:.6f}" for i in range(3 * io.DEFAULT_BUFFER_SIZE // 12)]
+        text = head + "".join(line + breaks[k % len(breaks)] for k, line in enumerate(lines))
+        assert text[io.DEFAULT_BUFFER_SIZE - 1 :].startswith(breaks[0])
         path = tmp_path / "input.csv"
         path.write_bytes(text.encode("utf-8"))
+        assert len(load_series(path, Unit.YEARS)) == len(lines) - 1
         assert_loads_like_reference(path, Unit.YEARS, "value")
+
+    @pytest.mark.parametrize(
+        "brk",
+        ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"],
+    )
+    def test_other_breaks_stay_inside_a_comment(self, tmp_path, brk):
+        # only LF, CRLF and CR end a line: a unit line, then "# note<FF>page
+        # two", then "1970,15.3" is one comment and one row
+        path = write(tmp_path, f"# unit: years\n# note{brk}page two\n1970,15.3\n")
+        assert list(load_series(path, Unit.YEARS).values) == [15.3]
+        assert_loads_like_reference(path, Unit.YEARS, "value")
+        # and write_table writes such a comment, which loads back
+        a = AnnualSeries(2000, 1.5, Unit.YEARS)
+        out = write_table(tmp_path / "t.csv", [2000], {"a": a}, comments=[f"note{brk}page two"])
+        assert out.read_bytes().startswith(f"# note{brk}page two\n".encode("utf-8"))
+        back = load_series(out, Unit.YEARS, column="a")
+        assert (list(back.years), list(back.values)) == ([2000], [1.5])
