@@ -22,8 +22,7 @@ from .series import (
     MAX_GRID_YEARS,
     AnnualSeries,
     _FLOAT_MAX,
-    _check_overflow,
-    _checked_values,
+    _derived,
     _finite,
     _integral,
     _positive,
@@ -167,7 +166,7 @@ def _materialize(scenario: Scenario, log_c: np.ndarray, eta: np.ndarray) -> Fore
     there, so per-row floors would reject nothing more. Only a failed
     proof diagnoses the rows in order: gdp at zero is
     HorizonUnderflowError, naming eta if eta is zero there; then
-    `_checked_values` names the first bad row, and a failure the pin
+    `_derived` names the first bad row, and a failure the pin
     overwrote passes. No array the caller passed is aliased or changed.
     The columns may hold inf, 0 or NaN; call under np.errstate(all="ignore").
     """
@@ -198,7 +197,7 @@ def _materialize(scenario: Scenario, log_c: np.ndarray, eta: np.ndarray) -> Fore
             i = int((block[2] == 0.0).argmax())
             raise HorizonUnderflowError(int(years[i]), "eta" if block[1, i] == 0.0 else "gdp")
         for row, unit, label in zip(block, _UNITS, labels):
-            _checked_values(row, unit, label)
+            _derived(years, row, unit, label)
     block.flags.writeable = False
     return ForecastPath(scenario, *map(_stored, (years,) * len(_UNITS), block, _UNITS, labels))
 
@@ -266,13 +265,13 @@ def doubling_time_series(
     # a subnormal smoothed eta or slope puts ln2 over it past the largest double
     with np.errstate(all="ignore"):
         wealth_years = LN2 / eta_bar.values
-    _check_overflow("wealth doubling time", eta_series.years, wealth_years)
-    delta_c = eta_series.with_values(wealth_years, Unit.YEARS, "wealth doubling time")
+    label = "wealth doubling time"
+    delta_c = _derived(eta_series.years, wealth_years, Unit.YEARS, label, label)
     slope = rolling_mean(log_derivative(eta_series), window_years)
     positive = slope.values > 0.0
     years = eta_series.years[positive]
     with np.errstate(all="ignore"):
         eta_years = LN2 / slope.values[positive]
-    _check_overflow("eta doubling time", years, eta_years)
-    delta_eta = AnnualSeries(years, eta_years, Unit.YEARS, "eta doubling time")
+    label = "eta doubling time"
+    delta_eta = _derived(years, eta_years, Unit.YEARS, label, label)
     return delta_c, delta_eta

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ThermoeconError
 from .series import (
     AnnualSeries,
+    _derived,
     _positive,
     _stored,
     annual_grid,
@@ -79,7 +80,7 @@ def build_wealth(
                 f"historical record must begin before {start}, starts {epoch}"
             )
         keep = historical_gdp.years < start
-        merged = AnnualSeries(
+        merged = _derived(
             np.concatenate([historical_gdp.years[keep], gdp.years]),
             np.concatenate([historical_gdp.values[keep], gdp.values]),
             gdp.unit,

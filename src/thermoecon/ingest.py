@@ -45,7 +45,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParseError, ThermoeconError
-from .series import AnnualSeries, _increasing, _int64_years, _stored
+from .series import AnnualSeries, _derived, _increasing, _int64_years, _stored
 from .units import LAMBDA_SCALE, Unit, parse_unit_token
 
 _COLUMN_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
@@ -363,7 +363,7 @@ class Table1(NamedTuple):
     def wealth(self) -> AnnualSeries:
         """The wealth each printed row implies, 1000 * power / ratio, in T$."""
         implied = LAMBDA_SCALE * self.power.values / self.power_over_wealth.values
-        return self.power.with_values(implied, Unit.WEALTH_TRILLION_USD2005, "implied wealth")
+        return _derived(self.power.years, implied, Unit.WEALTH_TRILLION_USD2005, "implied wealth")
 
     def state_at(self, year: int) -> tuple[float, float, float]:
         """(c0, eta0, lambda0) of the printed row at `year`, c0 read off `wealth`.
@@ -387,7 +387,7 @@ def builtin_table1() -> Table1:
     """
     return Table1(
         *(
-            (s := load_series(_DATA_DIR / name, unit)).with_values(s.values, label=label)
+            _stored((s := load_series(_DATA_DIR / name, unit)).years, s.values, unit, label)
             for name, unit, label in _BUNDLED_FILES
         )
     )

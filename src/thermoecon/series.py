@@ -47,14 +47,14 @@ class AnnualSeries:
     * for units that require it (GDP, power, wealth), every value is
       strictly positive.
 
-    The constructor stores `years` as a read-only int64 array and `values`
-    as a read-only float64 array, each a private copy of its input.
-    `with_values` builds a series on the same years: it shares this
-    series' read-only years array, already checked, and copies and checks
-    only the new values. A forecast stores its four columns as the rows of
-    one private read-only block on its scenario's read-only year grid, so
-    `values` may be one row of that block; either way no caller's array
-    is ever aliased. Equality and hashing are by identity.
+    The constructor and `with_values` take outside values. The constructor
+    stores private read-only copies: int64 `years` and float64 `values`.
+    `with_values` shares this series' checked years and copies and checks
+    only the new values. Every series the package computes is proved once,
+    by `_derived`, which takes over the arrays it made. A forecast's four
+    columns are the rows of one private read-only block on its scenario's
+    year grid. No caller's array is ever aliased. Equality and hashing are
+    by identity.
     """
 
     years: np.ndarray
@@ -69,9 +69,8 @@ class AnnualSeries:
         values = _values_on(years, self.values, self.label)
         if not _increasing(years := _int64_years(years)):
             raise ThermoeconError("years must be strictly increasing with no duplicates")
-        years.flags.writeable = False
-        object.__setattr__(self, "years", years)
-        object.__setattr__(self, "values", _checked_values(values, self.unit, self.label))
+        # proved as every computed series is; this instance takes its arrays
+        vars(self).update(vars(_derived(years, values, self.unit, self.label)))
 
     # -- basic queries ------------------------------------------------------
 
@@ -96,9 +95,11 @@ class AnnualSeries:
         return len(self) <= 1 or bool(np.all(np.diff(self.years) == 1))
 
     def value_at(self, year: int) -> float:
-        idx = np.searchsorted(self.years, year)
-        if idx >= len(self) or self.years[idx] != year:
-            raise ThermoeconError(f"year {year} not in series {self.label!r}")
+        if (y := _integral(year)) is None:
+            raise ThermoeconError(f"year must be an integer, got {year!r}")
+        idx = np.searchsorted(self.years, y)
+        if idx >= len(self) or self.years[idx] != y:
+            raise ThermoeconError(f"year {y} not in series {self.label!r}")
         return float(self.values[idx])
 
     def window(self, start_year: int, end_year: int) -> "AnnualSeries":
@@ -111,7 +112,7 @@ class AnnualSeries:
         if start_year > end_year:
             raise ThermoeconError(f"bad window [{start_year}, {end_year}]")
         mask = (self.years >= start_year) & (self.years <= end_year)
-        return AnnualSeries(self.years[mask], self.values[mask], self.unit, self.label)
+        return _derived(self.years[mask], self.values[mask], self.unit, self.label)
 
     def with_values(
         self, values: np.ndarray, unit: Unit | None = None, label: str | None = None
@@ -123,8 +124,7 @@ class AnnualSeries:
         """
         unit = self.unit if unit is None else unit
         label = self.label if label is None else label
-        values = _checked_values(_values_on(self.years, values, label), unit, label)
-        return _stored(self.years, values, unit, label)
+        return _derived(self.years, _values_on(self.years, values, label), unit, label)
 
     def __truediv__(self, other):
         if not isinstance(other, AnnualSeries):
@@ -137,15 +137,7 @@ class AnnualSeries:
         unit, scale = division_rule(self.unit, other.unit)
         with np.errstate(all="ignore"):
             values = self.values / other.values * scale
-        _check_overflow(f"series {self.label!r} / {other.label!r}", self.years, values)
-        return self.with_values(values, unit, label="")
-
-
-def _check_overflow(what: str, years: np.ndarray, values: np.ndarray) -> None:
-    """Raise ThermoeconError naming `what` and the first year of a non-finite value."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise ThermoeconError(f"{what} overflows double precision at year {years[bad.argmax()]}")
+        return _derived(self.years, values, unit, "", f"series {self.label!r} / {other.label!r}")
 
 
 def _finite(value: float) -> bool:
@@ -222,21 +214,30 @@ def _increasing(years: np.ndarray) -> bool:
     return not (years[1:] <= years[:-1]).any()
 
 
-def _checked_values(values: np.ndarray, unit: Unit, label: str) -> np.ndarray:
-    """The float64 `values` of series `label`, checked and made read-only in place.
+def _derived(
+    years: np.ndarray, values: np.ndarray, unit: Unit, label: str, what: str = ""
+) -> AnnualSeries:
+    """A series that takes over int64 `years`, proved integral and increasing,
+    and the float64 `values` on them, made read-only in place; nothing is copied.
 
     One max and one min prove every value finite and above its unit's
-    floor (NaN fails both). Only a failed proof scans for a non-finite
-    value, reported before a non-positive one.
+    floor (NaN fails both). Only a failed proof scans for the first
+    non-finite value: with `what` it raises "{what} overflows double
+    precision at year Y", else it names the series. A non-finite value
+    is reported before a non-positive one.
     """
     floor = 0.0 if unit.requires_positive else -math.inf
     if values.size and not (values.max() < math.inf and values.min() > floor):
-        if not np.isfinite(values).all():
+        bad = ~np.isfinite(values)
+        if bad.any():
+            if what:
+                year = years[bad.argmax()]
+                raise ThermoeconError(f"{what} overflows double precision at year {year}")
             raise ThermoeconError(f"non-finite value in series {label!r}")
         # every value is finite, so the min sits at or below a zero floor
         raise ThermoeconError(f"{unit.token} series {label!r} must be strictly positive")
-    values.flags.writeable = False
-    return values
+    years.flags.writeable = values.flags.writeable = False
+    return _stored(years, values, unit, label)
 
 
 def _stored(years: np.ndarray, values: np.ndarray, unit: Unit, label: str) -> AnnualSeries:
@@ -262,7 +263,7 @@ def interpolate(series: AnnualSeries, year_grid: Sequence[int]) -> AnnualSeries:
         raise ThermoeconError("cannot interpolate an empty series")
     grid = _int64_years(np.atleast_1d(np.asarray(year_grid)))
     if grid.size == 0:
-        return AnnualSeries(grid, np.array([]), series.unit, series.label)
+        return _derived(grid, np.empty(0), series.unit, series.label)
     if grid.min() < series.first_year or grid.max() > series.last_year:
         raise ThermoeconError(
             f"grid [{grid.min()}, {grid.max()}] extrapolates beyond series "
@@ -280,9 +281,7 @@ def interpolate(series: AnnualSeries, year_grid: Sequence[int]) -> AnnualSeries:
     knot_mask = (knot < len(series)) & (series.years[np.minimum(knot, len(series) - 1)] == grid)
     out[knot_mask] = series.values[knot[knot_mask]]
     # grid is a private copy, proved integral and increasing above
-    grid.flags.writeable = False
-    unit, label = series.unit, series.label
-    return _stored(grid, _checked_values(out, unit, label), unit, label)
+    return _derived(grid, out, series.unit, series.label)
 
 
 def cumulative_integral(series: AnnualSeries, from_year: int, initial: float) -> AnnualSeries:
@@ -315,11 +314,11 @@ def cumulative_integral(series: AnnualSeries, from_year: int, initial: float) ->
     v = series.values
     with np.errstate(all="ignore"):
         run = initial + np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]))])
-    _check_overflow(f"{out_unit.token} integral of series {series.label!r}", series.years, run)
-    k = year - series.first_year
-    if k == 0:  # the whole record: the result shares the series' years
-        return series.with_values(run, out_unit, out_unit.token)
-    return AnnualSeries(series.years[k:], run[k:], out_unit, out_unit.token)
+    # positive GDP never lets the run fall, so an overflow reaches its last
+    # year; then the whole run is proved, to name the first year it overflows
+    k = 0 if run[-1] == math.inf else year - series.first_year
+    what = f"{out_unit.token} integral of series {series.label!r}"
+    return _derived(series.years[k:], run[k:], out_unit, out_unit.token, what)
 
 
 def log_derivative(series: AnnualSeries) -> AnnualSeries:
@@ -336,7 +335,8 @@ def log_derivative(series: AnnualSeries) -> AnnualSeries:
         )
     if np.any(series.values <= 0.0):
         raise ThermoeconError("log_derivative requires strictly positive values")
-    return series.with_values(np.gradient(np.log(series.values)), Unit.PER_YEAR_FRACTION)
+    out = np.gradient(np.log(series.values))
+    return _derived(series.years, out, Unit.PER_YEAR_FRACTION, series.label)
 
 
 def rolling_mean(series: AnnualSeries, window_years: int) -> AnnualSeries:
@@ -376,14 +376,14 @@ def rolling_mean(series: AnnualSeries, window_years: int) -> AnnualSeries:
     for i in (*range(min(half, n)), *range(max(n - half, half), n)):
         h = min(i, n - 1 - i)
         out[i] = v[i - h : i + h + 1].mean()
-    return series.with_values(out)
+    return _derived(series.years, out, series.unit, series.label)
 
 
 def _integral(value) -> int | None:
     """`value` as an int if it is one, or an integral float; else None."""
     try:
         out = int(value)
-    except (ValueError, OverflowError):  # NaN, inf
+    except (TypeError, ValueError, OverflowError):  # None, a non-numeric string, NaN, inf
         return None
     return out if out == value else None
 

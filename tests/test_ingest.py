@@ -848,11 +848,12 @@ class TestLoadSeriesOracle:
         assert_loads_like_reference(path, unit, column)
 
     def test_generated_cases_reach_every_outcome(self, tmp_path_factory):
-        # a property that only ever saw parse errors would prove little
+        # a property that only ever saw parse errors would prove little; a
+        # fixed seed and no example database give every run the same 300 cases
         outcomes = set()
 
         @given(case=load_cases())
-        @settings(max_examples=300, deadline=None)
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
         def collect(case):
             text, unit, column = case
             path = tmp_path_factory.mktemp("reach") / "input.csv"

@@ -1,13 +1,22 @@
 import re
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoecon import AnnualSeries, ThermoeconError, Unit, run_fit
+from thermoecon import (
+    AnnualSeries,
+    ThermoeconError,
+    Unit,
+    doubling_time_series,
+    fit_innovation,
+    load_series,
+    run_fit,
+)
 from thermoecon.growth import build_wealth
 from thermoecon.series import (
     MAX_GRID_YEARS,
@@ -335,6 +344,20 @@ class TestAnnualSeries:
         with pytest.raises(ThermoeconError, match=exactly("year 1999 not in series ''")):
             series([1.0, 2.0]).value_at(1999)
 
+    @pytest.mark.parametrize(
+        "year",
+        ["2000", None, 2000.5, np.nan, b"2000"],
+        ids=["str", "None", "half", "nan", "bytes"],
+    )
+    def test_value_at_names_a_year_that_is_not_an_integer(self, year):
+        # as window: an integer or an integral float, never a parsed string
+        s = series([1.0, 2.0])
+        assert s.value_at(2000.0) == 1.0 and s.value_at(np.int64(2001)) == 2.0
+        with pytest.raises(
+            ThermoeconError, match=exactly(f"year must be an integer, got {year!r}")
+        ):
+            s.value_at(year)
+
     def test_window_clips_inclusively(self):
         s = series(np.arange(10.0))
         w = s.window(2002, 2005)
@@ -342,8 +365,9 @@ class TestAnnualSeries:
         with pytest.raises(ThermoeconError, match=exactly("bad window [2005, 2002]")):
             s.window(2005, 2002)
         assert list(s.window(2002.0, 2003).years) == [2002, 2003]
-        # as annual_grid: a fractional bound is not rounded, a NaN one selects nothing
-        for start, end in [(2000.5, 2003), (np.nan, 2003), (2000, np.inf)]:
+        # as annual_grid: a fractional bound is not rounded, a NaN one selects
+        # nothing, and a missing one is no year
+        for start, end in [(2000.5, 2003), (np.nan, 2003), (2000, np.inf), (None, 2003)]:
             with pytest.raises(
                 ThermoeconError, match=exactly(f"window [{start}, {end}] holds a non-integer year")
             ):
@@ -861,3 +885,29 @@ class TestHelpers:
         s = exponential_series(2000, 5, 10.0, 0.07, Unit.POWER_TERAWATT)
         assert s.values[0] == 10.0
         assert s.values[4] == pytest.approx(10.0 * np.exp(0.28))
+
+
+HISTORICAL_GDP = Path(__file__).resolve().parent / "golden" / "inputs" / "historical_gdp.csv"
+
+
+def test_computed_series_skip_the_constructor(table1, monkeypatch):
+    """Every series the package computes is proved once, on its own arrays;
+    only outside values go through AnnualSeries.__post_init__."""
+    historical = load_series(HISTORICAL_GDP, Unit.GDP_TRILLION_USD2005_PER_YEAR)
+    eta = run_fit(table1.gdp, table1.power, lambda0=6.4).model.eta_series
+    runs = []
+    post_init = AnnualSeries.__post_init__
+
+    def counted(self):
+        runs.append(self.label)
+        post_init(self)
+
+    monkeypatch.setattr(AnnualSeries, "__post_init__", counted)
+    run_fit(table1.gdp, table1.power, lambda0=6.4)
+    run_fit(table1.gdp, table1.power, historical_gdp=historical)
+    doubling_time_series(eta, 10)
+    fit_innovation(eta, (1980, 2000))
+    interpolate(table1.gdp, [])
+    computed = list(runs)
+    series([1.0])  # the wrapper does count a constructor run
+    assert computed == [] and runs == [""]
