@@ -29,7 +29,7 @@ def main():
           f"(rms {printed.residual_rms:.3f})")
 
     eta_now = t1.state_at(2009)[1]
-    d_now = doubling_times(eta_now, printed.tau_eta)
+    d_now = doubling_times(eta_now)
     d_slow = doubling_times(0.0035)
     print(f"  wealth doubling at {eta_now * 100:.2f} %/yr: {d_now.wealth_years:6.1f} yr")
     print(f"  wealth doubling at 0.35 %/yr: {d_slow.wealth_years:6.1f} yr")

@@ -26,7 +26,15 @@ from pathlib import Path
 
 import numpy as np
 
-from thermoecon import Unit, doubling_time_series, load_series, run_fit, write_table
+from thermoecon import (
+    Scenario,
+    Unit,
+    doubling_time_series,
+    forecast,
+    load_series,
+    run_fit,
+    write_table,
+)
 
 END_YEAR = 2009
 LAMBDA0 = 7.0  # W per thousand $
@@ -35,27 +43,26 @@ WINDOW_YEARS = 10  # the CLI's figure2 smoothing window
 
 
 def write_record(directory: Path, n_years: int, seed: int) -> tuple[Path, Path]:
-    """gdp.csv and power.csv on the closed form C(t) = exp(eta0 tau (exp(t/tau) - 1)).
+    """gdp.csv and power.csv on the forecast of C0 = 1 with tau_eta = n_years.
 
-    tau is the record's length and wealth grows e^10-fold over it, so any
-    length stays inside double range.
+    That path is C(t) = exp(eta0 tau (exp(t/tau) - 1)); wealth grows
+    e^10-fold over the record, so any length stays inside double range.
     """
     rng = np.random.default_rng(seed)
-    years = np.arange(END_YEAR - n_years + 1, END_YEAR + 1)
     tau = float(n_years)
     eta0 = 10.0 / (tau * math.expm1(1.0))
-    t = np.arange(n_years) / tau
-    wealth = np.exp(eta0 * tau * np.expm1(t))
+    start = END_YEAR - n_years + 1
+    run = forecast(Scenario(1.0, eta0, LAMBDA0, start, horizon_years=n_years - 1, tau_eta=tau))
     paths = []
     for name, token, clean in (
-        ("gdp", "gdp_trillion_usd2005_per_year", eta0 * np.exp(t) * wealth),
-        ("power", "power_terawatt", LAMBDA0 / 1000.0 * wealth),
+        ("gdp", "gdp_trillion_usd2005_per_year", run.gdp.values),
+        ("power", "power_terawatt", run.power.values),
     ):
         values = clean * np.exp(rng.normal(0.0, NOISE_SIGMA, n_years))
         path = directory / f"{name}.csv"
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"# synthetic {n_years}-year {name} record, seed {seed}\n# unit: {token}\n")
-            f.writelines(f"{y},{v!r}\n" for y, v in zip(years.tolist(), values.tolist()))
+            f.writelines(f"{y},{v!r}\n" for y, v in zip(run.gdp.years.tolist(), values.tolist()))
         paths.append(path)
     return paths[0], paths[1]
 

@@ -17,6 +17,7 @@ get the innovation rate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,6 +39,13 @@ from .units import LAMBDA_SCALE, Unit
 MIN_FIT_OVERLAP_YEARS = 10
 #: Fewest points the ln(eta) regression takes, so the shortest fit window.
 MIN_INNOVATION_POINTS = 3
+
+
+def _window_bounds(window) -> tuple[float, float]:
+    pair = tuple(window) if np.iterable(window) else ()
+    if len(pair) != 2 or not all(isinstance(bound, numbers.Real) for bound in pair):
+        raise ThermoeconError(f"window {window!r} is not a pair of real years")
+    return pair
 
 
 def build_wealth(
@@ -185,7 +193,7 @@ def fit_innovation(
     A window reaching past eta's years is refused, not clipped.
     """
     if window is not None:
-        start, end = window
+        start, end = _window_bounds(window)
         if start < eta.first_year or end > eta.last_year:
             raise ThermoeconError(
                 f"window {start}:{end} extrapolates beyond series {eta.label!r} "
@@ -193,7 +201,7 @@ def fit_innovation(
             )
         eta = eta.window(start, end)
     if len(eta) < MIN_INNOVATION_POINTS:
-        where = "" if window is None else f" in window {window[0]}:{window[1]}"
+        where = "" if window is None else f" in window {start}:{end}"
         raise ThermoeconError(
             f"innovation fit needs at least {MIN_INNOVATION_POINTS} points, got {len(eta)}{where}"
         )
@@ -274,7 +282,7 @@ def run_fit(
             f"GDP and power overlap on {max(n_overlap, 0)} years; "
             f"need at least {MIN_FIT_OVERLAP_YEARS} consecutive years for fitting"
         )
-    start, end = overlap if window is None else window
+    start, end = overlap if window is None else _window_bounds(window)
     if end < start:
         raise ThermoeconError(f"window {start}:{end} is empty")
     if end - start + 1 < MIN_INNOVATION_POINTS:

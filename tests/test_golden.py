@@ -9,6 +9,10 @@ goldens do not depend on where the test runs; input paths never appear
 in the outputs.
 A deliberate change to the output format means regenerating these files
 with `write_golden` below and reviewing the diff.
+CI runs this file a second time against the installed wheel, from outside
+the checkout: the built-in cases then read the data the wheel ships, and
+the checkout's copies of those files serve only as the file-input cases'
+inputs.
 """
 
 from pathlib import Path

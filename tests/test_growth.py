@@ -421,6 +421,29 @@ class TestFitInnovation:
         ):
             fit_innovation(benchmark_fit.model.eta_series, window=window)
 
+    @pytest.mark.parametrize(
+        "fit, window",
+        [
+            ("run_fit", (1970, None)),
+            ("run_fit", ("1970", "2000")),
+            ("run_fit", "1970:2000"),
+            ("fit_innovation", ("1990", 2009)),
+            ("fit_innovation", (1990,)),
+            ("fit_innovation", (1990, 2000, 2009)),
+            ("fit_innovation", 1990),
+        ],
+    )
+    def test_window_must_be_a_pair_of_real_numbers(self, table1, fit, window):
+        # one named error, not the TypeError or ValueError of comparing or
+        # unpacking the bounds
+        with pytest.raises(
+            ThermoeconError, match=exactly(f"window {window!r} is not a pair of real years")
+        ):
+            if fit == "run_fit":
+                run_fit(table1.gdp, table1.power, window=window, lambda0=7.0)
+            else:
+                fit_innovation(table1.rate_of_return, window=window)
+
 
 class TestDecomposition:
     def test_sum_identity_is_exact(self, benchmark_fit):

@@ -6,8 +6,9 @@ the error classes to the four that carry data, so changing any of them
 takes an edit here. The toolkit behind them (series operations, fit
 stages, result types) is imported from its own module. The scripts under
 scripts/ are run in process, since they are the only non-test callers of
-some exported names, and every source file must parse as the declared
-minimum Python.
+some exported names, the README's model notes must state the numbers
+the package computes, and every source file must parse as the declared
+minimum Python. CI runs this file again against the installed wheel.
 """
 
 import ast
@@ -16,6 +17,7 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import thermoecon
@@ -149,6 +151,38 @@ def test_scale_probe_prints_one_row_per_size(monkeypatch, capsys):
     assert len(lines) == 4 and lines[0].startswith("| years | gdp.csv MiB | load_series x2 |")
     assert [line.split(" | ")[0] for line in lines[2:]] == ["| 1000", "| 1200"]
     assert all(line.count(" MiB") == 4 and line.count(" ms, ") == 4 for line in lines[2:])
+
+
+def test_model_notes_state_the_numbers_the_package_computes(table1, benchmark_fit):
+    # each figure, as the README rounds it, next to the words that name it;
+    # the paper's own split and growth are quoted, not computed, so not here
+    readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    notes = " ".join(readme[readme.index("## Model notes") : readme.index("## Tests")].split())
+    m, inn = benchmark_fit.model, benchmark_fit.innovation
+    printed = table1.power_over_wealth
+    fitted = np.array([m.lambda_series.value_at(year) for year in printed.years])
+    eta_2009 = table1.state_at(2009)[1]
+    growth = np.log(table1.gdp.value_at(2009) / table1.gdp.value_at(1970)) / (2009 - 1970)
+
+    def spread(values):
+        return np.std(values) / np.mean(values) * 100
+
+    phrases = [
+        f"mean {m.lambda_mean:.2f} W per thousand 2005 $ with a "
+        f"{m.lambda_rel_std * 100:.1f} % relative spread over 1970 to 2009",
+        f"nine printed ratios have mean {np.mean(printed.values):.2f} and spread "
+        f"{spread(printed.values):.2f} %",
+        f"fitted ratio at those nine years has mean {np.mean(fitted):.2f} and spread "
+        f"{spread(fitted):.1f} %",
+        f"energy productivity over the window is about {m.f_mean * 1e8:.1f}e-8 $ per joule",
+        f"roughly {m.f_mean * 1e6:.3f} $ per MJ",
+        f"annual-grid fit here gives {m.eta_mean * 100:.2f} + {inn.slope * 100:.2f} %/yr",
+        f"bundled table's GDP grows {growth * 100:.2f} %/yr from 1970 to 2009",
+        f"2009 return of {eta_2009 * 100:.2f} %/yr wealth doubles in "
+        f"{thermoecon.doubling_times(eta_2009).wealth_years:.1f} years",
+        f"0.35 %/yr it takes about {thermoecon.doubling_times(0.0035).wealth_years:.0f} years",
+    ]
+    assert [phrase for phrase in phrases if phrase not in notes] == []
 
 
 def test_sources_parse_as_the_minimum_python():
